@@ -13,7 +13,8 @@ from .beliefs import (
     forecast_moments,
     log_periodogram,
 )
-from .models import LogSpectrum, SampledSeries, SpectralModel, ar2_from_omega, simulate, subsample
+from .models import (LogSpectrum, SampledSeries, SpectralModel, ar2_from_omega, levinson,
+                     simulate, subsample)
 
 __all__ = [
     "standard_grid",
@@ -175,28 +176,6 @@ def _sample_autocov(x, max_lag):
     return np.array([xc[: n - h] @ xc[h:] / n for h in range(max_lag + 1)])
 
 
-def _levinson(gamma):
-    """All-order Levinson recursion: returns (coeff by order, sigma2 by order)."""
-    p_max = len(gamma) - 1
-    sigma2 = np.empty(p_max + 1)
-    sigma2[0] = gamma[0]
-    coeffs = [np.array([])]
-    phi = np.zeros(p_max)
-    k = 0
-    v = gamma[0]
-    for p in range(1, p_max + 1):
-        num = gamma[p] - phi[:k] @ gamma[p - 1 : p - 1 - k : -1] if k else gamma[p]
-        a = num / v
-        if k:
-            phi[:k] -= a * phi[k - 1 :: -1][:k].copy()
-        phi[k] = a
-        k += 1
-        v *= 1.0 - a * a
-        sigma2[p] = v
-        coeffs.append(phi[:k].copy())
-    return coeffs, sigma2
-
-
 def _modified_daniell(span):
     # half weights at the ends, as in R's modified Daniell kernel
     m = (span - 1) // 2
@@ -225,13 +204,13 @@ def baseline_spectra(series, n_omega=128, max_order=None):
 
     p_max = max_order if max_order is not None else min(20, n // 4)
     gamma_hat = _sample_autocov(x, p_max)
-    coeffs, sigma2 = _levinson(gamma_hat)
-    aic = n * np.log(sigma2) + 2.0 * np.arange(p_max + 1)
+    fits = [(phi.copy(), v) for phi, v in levinson(gamma_hat)]
+    aic = n * np.log([v for _, v in fits]) + 2.0 * np.arange(p_max + 1)
     order = int(np.argmin(aic))
-    phi = coeffs[order]
+    phi, sigma2 = fits[order]
     z = np.exp(-2j * np.pi * grid)
     denom = np.abs(np.polyval(np.concatenate([[1.0], -phi])[::-1], z)) ** 2
-    ar_log = np.log(sigma2[order] / denom)
+    ar_log = np.log(sigma2 / denom)
 
     pgram = np.abs(np.fft.rfft(x - x.mean())) ** 2 / n
     freqs = np.arange(len(pgram)) / n

@@ -99,10 +99,7 @@ def _prior_from(cfg):
 
 def cmd_simulate(args):
     cfg = _load_config(args)
-    try:
-        source = spectrum_source_from_dict(cfg)
-    except KeyError as exc:
-        raise ConfigError(str(exc))
+    source = spectrum_source_from_dict(cfg)
     n = int(_require(cfg, "n"))
     seed = int(cfg.get("seed", 0))
     series = simulate(source, n, seed)
@@ -115,10 +112,7 @@ def cmd_simulate(args):
 
 def cmd_spectrum(args):
     cfg = _load_config(args)
-    try:
-        source = spectrum_source_from_dict(cfg)
-    except KeyError as exc:
-        raise ConfigError(str(exc))
+    source = spectrum_source_from_dict(cfg)
     delta = int(cfg.get("delta", 1))
     n_grid = int(cfg.get("grid_points", 512))
     grid = np.linspace(0.0, 0.5, n_grid)
@@ -257,7 +251,7 @@ def cmd_compare_interp(args):
 
 def cmd_pc_fan(args):
     cfg = _load_config(args)
-    state = _belief_from_cfg(cfg)
+    state = _read_belief(_require(cfg, "belief"))
     n_components = int(cfg.get("components", 9))
     grid = standard_grid(int(cfg.get("grid_points", 128)))
     header, columns = ["omega"], [grid]
@@ -291,23 +285,19 @@ def cmd_quadrature(args):
 def cmd_kolmogorov(args):
     cfg = _load_config(args)
     if "belief" in cfg:
-        source = LogSpectrum(np.asarray(belief_from_dict(read_json(cfg["belief"])).mean))
+        source = LogSpectrum(np.asarray(_read_belief(cfg["belief"]).mean))
     else:
-        try:
-            source = spectrum_source_from_dict(cfg)
-        except KeyError as exc:
-            raise ConfigError(str(exc))
+        source = spectrum_source_from_dict(cfg)
     value = kolmogorov_variance(source, int(cfg.get("quad_points", 4096)))
     print("%.17g" % value)
     write_csv(_outpath(args, "kolmogorov.csv"), ["prediction_variance"], [[value]])
     _manifest(args, "kolmogorov", cfg)
 
 
-def _belief_from_cfg(cfg):
-    path = _require(cfg, "belief")
+def _read_belief(path):
     try:
         return belief_from_dict(read_json(path))
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigError("cannot read belief %s: %s" % (path, exc))
 
 
@@ -316,12 +306,7 @@ def cmd_diff_grid(args):
     paths = _require(cfg, "beliefs")
     if not isinstance(paths, list) or len(paths) < 2:
         raise ConfigError("'beliefs' must list at least two belief JSON files")
-    states = []
-    for path in paths:
-        try:
-            states.append(belief_from_dict(read_json(path)))
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
-            raise ConfigError("cannot read belief %s: %s" % (path, exc))
+    states = [_read_belief(path) for path in paths]
     grid = standard_grid(int(cfg.get("grid_points", 128)))
     curves = difference_grid(states, grid)
     k = len(states)

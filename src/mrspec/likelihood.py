@@ -4,14 +4,15 @@ Monte Carlo likelihood-surface experiments for the AR(2) peak-frequency scan."""
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, solve_triangular
 
 from .models import (
     NotPositiveDefiniteError,
     SpectralModel,
     ar2_from_omega,
     autocovariance,
-    simulate,
+    simulate,  # noqa: F401  unused here, but perfbench/spans.py traces models.simulate by this name
+    simulate_replicates,
 )
 
 __all__ = [
@@ -90,20 +91,30 @@ class ExperimentDesign:
         return np.concatenate([low, high]).astype(int)
 
 
-def _gaussian_loglik_from_gamma(gamma, indices, values):
-    lags = np.abs(np.subtract.outer(indices, indices))
-    cov = gamma[lags]
-    try:
-        chol, lower = cho_factor(cov, lower=True)
-    except np.linalg.LinAlgError:
-        pivot = float(np.min(np.linalg.eigvalsh(cov)))
-        raise NotPositiveDefiniteError(
-            "observation covariance not positive definite (smallest pivot %.6g)" % pivot,
-            pivot,
-        )
-    resid = cho_solve((chol, lower), values)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return -0.5 * (len(values) * _LOG_2PI + logdet + values @ resid)
+def _gaussian_factor(cov):
+    """(Cholesky factor, log-density constant) of a covariance matrix; raises
+    LinAlgError when it is not positive definite."""
+    chol, _ = cho_factor(cov, lower=True)
+    return chol, -0.5 * (len(cov) * _LOG_2PI + 2.0 * np.sum(np.log(np.diag(chol))))
+
+
+def _data_columns(values, n):
+    """Datasets as the columns of an (n, R) matrix: ``values`` is one dataset
+    of shape (n,) or R datasets as the rows of an (R, n) matrix."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim not in (1, 2) or values.shape[-1] != n:
+        raise ValueError("data must have shape (%d,) or (replicates, %d)" % (n, n))
+    if not np.all(np.isfinite(values)):
+        raise ValueError("data must not contain infs or NaNs")
+    return np.atleast_2d(values).T
+
+
+def _gaussian_loglik(factor, data):
+    """Log-densities of the columns of ``data`` under the factored covariance:
+    one triangular solve, then column sums of squares of L^-1 data."""
+    chol, const = factor
+    w = solve_triangular(chol, data, lower=True, check_finite=False)
+    return const - 0.5 * np.einsum("ij,ij->j", w, w)
 
 
 def exact_loglik(model, observations, quad_points=4096):
@@ -121,7 +132,16 @@ def exact_loglik(model, observations, quad_points=4096):
     if np.any(indices < 0) or len(np.unique(indices)) != len(indices):
         raise ValueError("indices must be distinct and non-negative")
     gamma = autocovariance(model, int(np.max(indices) - np.min(indices)), quad_points)
-    return _gaussian_loglik_from_gamma(gamma, indices, values)
+    cov = gamma[np.abs(np.subtract.outer(indices, indices))]
+    try:
+        factor = _gaussian_factor(cov)
+    except np.linalg.LinAlgError:
+        pivot = float(np.min(np.linalg.eigvalsh(cov)))
+        raise NotPositiveDefiniteError(
+            "observation covariance not positive definite (smallest pivot %.6g)" % pivot,
+            pivot,
+        )
+    return _gaussian_loglik(factor, _data_columns(values, len(values)))[0]
 
 
 class SurfaceScanner:
@@ -136,33 +156,28 @@ class SurfaceScanner:
         self.grid = np.asarray(grid, dtype=float)
         self.modulus = modulus
         self.sigma2 = sigma2
-        n = len(self.indices)
         lags = np.abs(np.subtract.outer(self.indices, self.indices))
         max_lag = int(lags.max())
         self._factors = []
         for omega0 in self.grid:
-            phi1, phi2 = ar2_from_omega(omega0, modulus)
-            model = SpectralModel(ar=(phi1, phi2), innovation_variance=sigma2)
+            model = SpectralModel(ar=ar2_from_omega(omega0, modulus), innovation_variance=sigma2)
             gamma = autocovariance(model, max_lag, quad_points)
             try:
-                chol, lower = cho_factor(gamma[lags], lower=True)
+                self._factors.append(_gaussian_factor(gamma[lags]))
             except np.linalg.LinAlgError:
                 self._factors.append(None)
-                continue
-            logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-            const = -0.5 * (n * _LOG_2PI + logdet)
-            self._factors.append((chol, lower, const))
 
     def loglik(self, values):
-        """Log-likelihood vector over the grid; failed points come back NaN."""
-        values = np.asarray(values, dtype=float)
-        out = np.full(len(self.grid), np.nan)
-        for i, fac in enumerate(self._factors):
-            if fac is None:
-                continue
-            chol, lower, const = fac
-            out[i] = const - 0.5 * (values @ cho_solve((chol, lower), values))
-        return out
+        """Log-likelihood over the grid: a (G,) vector for one dataset of shape
+        (n,), or an (R, G) matrix for R datasets given as the rows of an (R, n)
+        matrix.  Grid points whose covariance failed to factor come back NaN;
+        non-finite data raises ValueError."""
+        data = _data_columns(values, len(self.indices))
+        out = np.full((data.shape[1], len(self.grid)), np.nan)
+        for i, factor in enumerate(self._factors):
+            if factor is not None:
+                out[:, i] = _gaussian_loglik(factor, data)
+        return out if np.ndim(values) == 2 else out[0]
 
 
 def omega_surface(indices, values, grid, modulus=0.9, sigma2=1.0, quad_points=4096):
@@ -186,14 +201,11 @@ def mc_average_surface(design, quad_points=4096, keep_replicates=False):
     as a (replicates, grid) matrix, for standard-error estimates.
     """
     indices = design.base_indices()
-    phi1, phi2 = ar2_from_omega(design.omega_true, design.modulus)
-    truth = SpectralModel(ar=(phi1, phi2))
+    truth = SpectralModel(ar=ar2_from_omega(design.omega_true, design.modulus))
     scanner = SurfaceScanner(indices, design.grid, design.modulus, 1.0, quad_points)
-    n_path = int(indices[-1]) + 1
-    per_rep = np.empty((design.replicates, len(design.grid)))
-    for r in range(design.replicates):
-        path = simulate(truth, n_path, design.seed ^ r, quad_points)
-        per_rep[r] = scanner.loglik(path.values[indices])
+    seeds = [design.seed ^ r for r in range(design.replicates)]
+    paths = simulate_replicates(truth, int(indices[-1]) + 1, seeds, quad_points)
+    per_rep = scanner.loglik(paths[:, indices])
     counts = np.isfinite(per_rep).sum(axis=0)
     avg = np.where(counts > 0, np.nansum(per_rep, axis=0) / np.maximum(counts, 1), np.nan)
     surface = LikelihoodSurface(design.grid, avg - np.nanmax(avg), aligned=True)

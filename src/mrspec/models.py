@@ -20,7 +20,9 @@ __all__ = [
     "spectral_density",
     "basis_matrix",
     "autocovariance",
+    "levinson",
     "simulate",
+    "simulate_replicates",
     "subsample",
 ]
 
@@ -247,43 +249,65 @@ def autocovariance(source, max_lag, quad_points=4096):
     return (series + c[0] + signs * c[-1])[: max_lag + 1]
 
 
-def simulate(source, n, seed, quad_points=4096):
-    """Zero-mean Gaussian path of length n with Toeplitz(gamma) covariance.
+def levinson(gamma):
+    """Durbin-Levinson recursion on autocovariances gamma(0..p).
 
-    Uses the Durbin-Levinson innovation recursion (distributionally identical
-    to a dense Toeplitz Cholesky, O(n^2) instead of O(n^3)).  Deterministic
-    given the seed; the one-step innovation variances are exactly the pivots
-    of the Toeplitz Cholesky, so a non-positive pivot signals a non-PD
-    covariance.
+    Yields (phi_t, v_t) for orders t = 0..p: phi_t holds the coefficients of
+    the best linear predictor of x_t from x_{t-1}, ..., x_0 (most recent
+    first) and v_t its innovation variance, the t-th pivot of the Cholesky
+    factorisation of Toeplitz(gamma), so v_t <= 0 means that matrix is not
+    positive definite.  phi_t is a view the next step overwrites.
     """
+    phi = np.empty(len(gamma) - 1)
+    v = gamma[0]
+    yield phi[:0], v
+    for t in range(1, len(gamma)):
+        k = t - 1
+        a = (gamma[t] - phi[:k] @ gamma[k:0:-1]) / v
+        phi[:k] -= a * phi[:k][::-1].copy()
+        phi[k] = a
+        v *= 1.0 - a * a
+        yield phi[:t], v
+
+
+def _gaussian_paths(source, z, quad_points):
+    """Colour standard normals ``z`` (time along the first axis, one column per
+    path when 2-d) into paths with the autocovariance of ``source``."""
+    n = len(z)
     if n < 1:
         raise ValueError("n must be >= 1")
-    gamma = autocovariance(source, n - 1, quad_points)
-    z = np.random.default_rng(seed).standard_normal(n)
-    x = np.empty(n)
-    v = gamma[0]
-    if v <= 0:
-        raise NotPositiveDefiniteError(
-            "covariance not positive definite (smallest pivot %.6g)" % v, v
-        )
-    x[0] = np.sqrt(v) * z[0]
-    phi = np.empty(n)
-    phi_len = 0
-    for t in range(1, n):
-        num = gamma[t] - phi[:phi_len] @ gamma[t - 1 : t - 1 - phi_len : -1] if phi_len else gamma[t]
-        a = num / v
-        if phi_len:
-            phi[:phi_len] -= a * phi[phi_len - 1 :: -1].copy()
-        phi[phi_len] = a
-        phi_len += 1
-        v *= 1.0 - a * a
+    x = np.empty_like(z)
+    for t, (phi, v) in enumerate(levinson(autocovariance(source, n - 1, quad_points))):
         if v <= 0:
             raise NotPositiveDefiniteError(
                 "covariance not positive definite at step %d (smallest pivot %.6g)" % (t, v),
                 v,
             )
-        x[t] = phi[:phi_len] @ x[t - 1 :: -1][:phi_len] + np.sqrt(v) * z[t]
-    return SampledSeries(x, stride=1, offset=0)
+        x[t] = phi @ x[t - 1 :: -1][:t] + np.sqrt(v) * z[t]
+    return x
+
+
+def simulate(source, n, seed, quad_points=4096):
+    """Zero-mean Gaussian path of length n with Toeplitz(gamma) covariance.
+
+    Uses the Durbin-Levinson innovation recursion (distributionally identical
+    to a dense Toeplitz Cholesky, O(n^2) instead of O(n^3)).  Deterministic
+    given the seed; a non-positive Cholesky pivot raises
+    NotPositiveDefiniteError.
+    """
+    z = np.random.default_rng(seed).standard_normal(max(n, 0))
+    return SampledSeries(_gaussian_paths(source, z, quad_points), stride=1, offset=0)
+
+
+def simulate_replicates(source, n, seeds, quad_points=4096):
+    """Paths of ``simulate`` for many seeds of one process, as the rows of a
+    (len(seeds), n) array.
+
+    Row r equals ``simulate(source, n, seeds[r], quad_points).values`` bit for
+    bit; the autocovariance and the recursion are computed once for all rows.
+    """
+    z = np.stack([np.random.default_rng(s).standard_normal(max(n, 0)) for s in seeds], axis=1)
+    return _gaussian_paths(source, z, quad_points).T
 
 
 def subsample(series, delta, offset=0):

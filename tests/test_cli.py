@@ -181,6 +181,14 @@ class TestKolmogorov:
         assert value[0] == pytest.approx(2.0, abs=1e-6)
         assert "2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
+    def test_unreadable_belief_is_config_error(self, tmp_path, content):
+        path = tmp_path / "belief.json"
+        if content is not None:
+            path.write_text(content)
+        code, _ = run(tmp_path, "kolmogorov", {"belief": str(path)})
+        assert code == 2
+
 
 class TestExitCodes:
     def test_missing_required_field_is_config_error(self, tmp_path):

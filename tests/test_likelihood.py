@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal, norm
 
+from mrspec import likelihood
 from mrspec.likelihood import (
     ExperimentDesign,
     LikelihoodSurface,
@@ -157,7 +158,73 @@ class TestSurfaceScanner:
             assert np.allclose(scanner.loglik(values), fresh.loglik)
 
 
+class TestBatchedLoglik:
+    indices = np.array([0, 2, 4, 6, 7, 8, 9])
+    grid = np.array([0.1, 0.2, 0.3, 0.4])
+
+    def _values(self, replicates):
+        return np.random.default_rng(8).standard_normal((replicates, len(self.indices)))
+
+    def test_rows_match_single_calls_and_exact_loglik(self):
+        scanner = SurfaceScanner(self.indices, self.grid)
+        values = self._values(5)
+        batch = scanner.loglik(values)
+        assert batch.shape == (5, len(self.grid))
+        for row, v in zip(batch, values):
+            assert np.allclose(row, scanner.loglik(v), rtol=0, atol=1e-9)
+            for ll, g in zip(row, self.grid):
+                model = SpectralModel(ar=ar2_from_omega(g, 0.9))
+                assert ll == pytest.approx(exact_loglik(model, zip(self.indices, v)), abs=1e-9)
+
+    def test_failed_factorisation_is_nan_column(self, monkeypatch):
+        real, calls = likelihood.cho_factor, []
+
+        def fails_second(cov, lower):
+            calls.append(None)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("forced failure")
+            return real(cov, lower=lower)
+
+        monkeypatch.setattr(likelihood, "cho_factor", fails_second)
+        scanner = SurfaceScanner(self.indices, self.grid)
+        batch = scanner.loglik(self._values(3))
+        assert np.isnan(batch[:, 1]).all()
+        assert np.isfinite(np.delete(batch, 1, axis=1)).all()
+        single = scanner.loglik(self._values(1)[0])
+        assert np.isnan(single[1]) and np.isfinite(np.delete(single, 1)).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_data_raises(self, bad):
+        scanner = SurfaceScanner(self.indices, self.grid)
+        values = self._values(3)
+        values[1, 4] = bad
+        with pytest.raises(ValueError):
+            scanner.loglik(values)
+        with pytest.raises(ValueError):
+            scanner.loglik(values[1])
+        with pytest.raises(ValueError):
+            exact_loglik(SpectralModel(), zip(self.indices, values[1]))
+
+    def test_wrong_length_raises(self):
+        scanner = SurfaceScanner(self.indices, self.grid)
+        with pytest.raises(ValueError):
+            scanner.loglik(np.zeros((2, len(self.indices) + 1)))
+
+
 class TestMcAverageSurface:
+    def test_per_rep_matches_replicate_loop(self):
+        design = ExperimentDesign(
+            n_low=12, n_high=5, replicates=4, omega_true=0.2,
+            grid=default_omega_grid(11), seed=5,
+        )
+        _, per_rep = mc_average_surface(design, quad_points=1024, keep_replicates=True)
+        indices = design.base_indices()
+        scanner = SurfaceScanner(indices, design.grid, quad_points=1024)
+        truth = SpectralModel(ar=ar2_from_omega(design.omega_true, design.modulus))
+        for r, row in enumerate(per_rep):
+            path = simulate(truth, int(indices[-1]) + 1, design.seed ^ r, 1024)
+            assert np.allclose(row, scanner.loglik(path.values[indices]), rtol=0, atol=1e-9)
+
     def test_aligned_and_deterministic(self):
         design = ExperimentDesign(
             n_low=20, n_high=4, replicates=3, omega_true=0.3,

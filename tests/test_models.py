@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
+from mrspec import models
 from mrspec.models import (
     LogSpectrum,
     ModelInvariantError,
+    NotPositiveDefiniteError,
     SampledSeries,
     SpectralModel,
     ar2_from_omega,
     autocovariance,
+    levinson,
     simpson_grid,
     simulate,
+    simulate_replicates,
     spectral_density,
     subsample,
 )
@@ -162,6 +167,42 @@ class TestSimulate:
         x = s.values - s.values.mean()
         rho1 = (x[:-1] @ x[1:] / len(x)) / x.var()
         assert abs(rho1 - gamma[1] / gamma[0]) < 0.02
+
+
+class TestLevinson:
+    def test_variances_are_toeplitz_cholesky_pivots(self):
+        gamma = autocovariance(SpectralModel(ar=(0.7, -0.2), ma=(0.3,)), 12)
+        pivots = np.diag(np.linalg.cholesky(toeplitz(gamma))) ** 2
+        variances = np.array([v for _, v in levinson(gamma)])
+        assert variances == pytest.approx(pivots, rel=1e-12)
+
+    def test_recovers_ar_coefficients(self):
+        phi = ar2_from_omega(1.0 / 12.0, 0.9)
+        fits = [(c.copy(), v) for c, v in levinson(yule_walker_gamma(phi, 1.3, 5))]
+        assert [len(c) for c, _ in fits] == list(range(6))
+        for coeffs, v in fits[2:]:
+            assert coeffs[:2] == pytest.approx(phi, abs=1e-10)
+            assert np.abs(coeffs[2:]).max(initial=0.0) < 1e-10
+            assert v == pytest.approx(1.3, rel=1e-10)
+
+
+class TestSimulateReplicates:
+    def test_rows_equal_simulate(self):
+        model = SpectralModel(ar=ar2_from_omega(1.0 / 12.0, 0.9))
+        seeds = [7 ^ r for r in range(6)]
+        paths = simulate_replicates(model, 40, seeds)
+        assert paths.shape == (6, 40)
+        for row, seed in zip(paths, seeds):
+            assert np.array_equal(row, simulate(model, 40, seed).values)
+
+    def test_non_positive_pivot_raises(self, monkeypatch):
+        # Toeplitz([1, 0.9, 0]) has eigenvalue 1 - 0.9 * sqrt(2) < 0
+        monkeypatch.setattr(models, "autocovariance", lambda *args: np.array([1.0, 0.9, 0.0]))
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            simulate(SpectralModel(), 3, 0)
+        assert err.value.smallest_pivot < 0
+        with pytest.raises(NotPositiveDefiniteError):
+            simulate_replicates(SpectralModel(), 3, [0, 1])
 
 
 class TestSubsample:
