@@ -20,6 +20,7 @@ __all__ = [
     "AdjustmentError",
     "log_periodogram",
     "forecast_moments",
+    "adjustment_gain",
     "adjust",
     "sequential_adjust",
     "SpectrumSummary",
@@ -288,6 +289,12 @@ def _degenerate_blocks(var_d, blocks):
     return ", ".join(bad) if bad else "unknown"
 
 
+def adjustment_gain(moments):
+    """The Bayes linear gain Cov(beta, D) Var(D)^-1, shape (M, K); it does not
+    depend on the observed data."""
+    return _ridge_solve(moments.variance, moments.cross.T, moments.blocks).T
+
+
 def adjust(prior, moments, observed):
     """Bayes linear adjustment of the prior by the stacked observations.
 
@@ -297,7 +304,7 @@ def adjust(prior, moments, observed):
     observed = np.asarray(observed, dtype=float)
     if observed.shape != moments.mean.shape:
         raise ValueError("observed vector does not match forecast moments")
-    gain = _ridge_solve(moments.variance, moments.cross.T, moments.blocks).T  # (M, K)
+    gain = adjustment_gain(moments)
     mean = prior.mean + gain @ (observed - moments.mean)
     var = prior.variance - gain @ moments.cross.T
     return BeliefState(mean, var)

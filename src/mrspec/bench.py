@@ -7,14 +7,16 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .beliefs import (
+    BeliefState,
     PeriodogramData,
     PriorSpec,
     adjust,
+    adjustment_gain,
     forecast_moments,
     log_periodogram,
 )
-from .models import (LogSpectrum, SampledSeries, SpectralModel, ar2_from_omega, levinson,
-                     simulate, subsample)
+from .models import (DesignError, LogSpectrum, SampledSeries, SpectralModel, ar2_from_omega,
+                     basis_matrix, levinson, simulate, simulate_log_spectra, subsample)
 
 __all__ = [
     "standard_grid",
@@ -69,10 +71,10 @@ class BenchDesign:
 
     def __post_init__(self):
         if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+            raise DesignError("replicates must be >= 1")
         for delta, n in (self.d1, self.d2):
             if delta < 1 or n < 1:
-                raise ValueError("each segment needs delta >= 1 and N >= 1")
+                raise DesignError("each segment needs delta >= 1 and N >= 1")
 
 
 @dataclass(frozen=True)
@@ -95,9 +97,17 @@ def run_bench(design, prior=None, quad_points=4096):
     """One Table-style cell: mean discrepancy of the Bayes linear estimate
     over replicated draws from the prior.
 
-    Forecast moments depend only on the prior and the data layout, so they
-    are computed once and shared by all replicates.  Deterministic given the
-    design seed; replicate reduction is in index order.
+    All replicates go through one batched pass.  Shared by the replicates and
+    computed once: the forecast moments (they depend only on the prior and
+    the data layout), the prior belief state, the gain Cov(beta, D) Var(D)^-1
+    with the check that the adjusted variance is positive semi-definite, the
+    cosine bases on the quadrature nodes and on the scoring grid, and one
+    stacked DCT and Durbin-Levinson recursion over all truths.  Per
+    replicate there remain the matrix-vector products, the log-periodograms
+    and the score.  The result equals, bit for bit, a loop that runs
+    ``simulate``, ``log_periodogram`` and ``adjust`` on each replicate and
+    counts a replicate as failed when any of them raises.  Deterministic
+    given the design seed; replicate reduction is in index order.
     """
     prior = prior or PriorSpec()
     (delta1, n1), (delta2, n2) = design.d1, design.d2
@@ -107,25 +117,39 @@ def run_bench(design, prior=None, quad_points=4096):
     ]
     root = np.random.SeedSequence(design.seed)
     moment_seed, *rep_seeds = root.spawn(design.replicates + 1)
-    moments = forecast_moments(prior.to_state(), layouts, design.mc_samples, moment_seed)
-    grid = standard_grid(design.n_omega)
-    path_len = delta1 * n1 + delta2 * n2
+    prior_state = prior.to_state()
+    moments = forecast_moments(prior_state, layouts, design.mc_samples, moment_seed)
+    sim_seeds, proc_seeds = zip(*(rep_seed.spawn(2) for rep_seed in rep_seeds))
+    try:
+        # a truth is rejected only when the prior itself yields non-finite
+        # coefficients, and then every replicate's truth is
+        truths = [random_process(seed, prior) for seed in proc_seeds]
+        paths, simulated = simulate_log_spectra(
+            truths, delta1 * n1 + delta2 * n2, sim_seeds, quad_points
+        )
+        gain = adjustment_gain(moments)
+        # every replicate has the same adjusted variance; BeliefState rejects
+        # it here, once, when it is not positive semi-definite
+        BeliefState(prior_state.mean, prior_state.variance - gain @ moments.cross.T)
+    except (np.linalg.LinAlgError, ArithmeticError, ValueError):
+        return BenchResult(np.nan, np.nan, np.asarray([]), design.replicates)
+    grid_basis = basis_matrix(standard_grid(design.n_omega), prior.size)
     scores = []
-    failures = 0
-    for rep_seed in rep_seeds:
-        sim_seed, proc_seed = rep_seed.spawn(2)
+    for truth, path, ok in zip(truths, paths, simulated):
+        if not ok:
+            continue
         try:
-            truth = random_process(proc_seed, prior)
-            path = simulate(truth, path_len, sim_seed, quad_points)
-            first, second = _segment_series(path, design)
-            observed = np.concatenate(
-                [log_periodogram(first).log_periodogram, log_periodogram(second).log_periodogram]
-            )
-            state = adjust(prior.to_state(), moments, observed)
-            scores.append(discrepancy(truth.evaluate(grid), state.mean_logspectrum().evaluate(grid)))
-        except (np.linalg.LinAlgError, ArithmeticError, ValueError):
-            failures += 1
+            observed = np.concatenate([
+                log_periodogram(segment).log_periodogram
+                for segment in _segment_series(SampledSeries(path), design)
+            ])
+        except ValueError:  # a segment too short for a periodogram
+            continue
+        estimate = prior_state.mean + gain @ (observed - moments.mean)
+        if np.all(np.isfinite(estimate)):
+            scores.append(discrepancy(grid_basis @ truth.coefficients, grid_basis @ estimate))
     scores = np.asarray(scores)
+    failures = design.replicates - len(scores)
     if len(scores) == 0:
         return BenchResult(np.nan, np.nan, scores, failures)
     stderr = scores.std(ddof=1) / np.sqrt(len(scores)) if len(scores) > 1 else np.nan
@@ -138,7 +162,7 @@ def table_sweep(deltas, ns, replicates, seed, prior=None, d1_cells=None, d2_cell
     with one row per D1 cell and one column per D2 cell."""
     deltas, ns = list(deltas), list(ns)
     if not deltas or not ns:
-        raise ValueError("delta and N grids must be nonempty")
+        raise DesignError("delta and N grids must be nonempty")
     if d1_cells is None:
         d1_cells = [(d, n) for d in deltas for n in ns]
     if d2_cells is None:

@@ -28,6 +28,7 @@ from .beliefs import (
 from .bench import interp_comparison, standard_grid, table_sweep
 from .likelihood import ExperimentDesign, default_omega_grid, mc_average_surface
 from .models import (
+    DesignError,
     LogSpectrum,
     ModelInvariantError,
     NotPositiveDefiniteError,
@@ -161,9 +162,11 @@ def cmd_loglik_surface(args):
 def _read_series_entry(entry):
     if isinstance(entry, str):
         entry = {"csv": entry}
+    if not isinstance(entry, dict):
+        raise ConfigError("each 'series' entry must be a path or an object, got %r" % (entry,))
     csv_path = entry.get("csv")
-    if not csv_path:
-        raise ConfigError("each series entry needs a 'csv' path")
+    if not csv_path or not isinstance(csv_path, str):
+        raise ConfigError("each 'series' entry needs a 'csv' path")
     sidecar = entry.get("sidecar")
     if sidecar is None:
         guess = os.path.splitext(csv_path)[0] + ".json"
@@ -356,7 +359,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         _COMMANDS[args.command](args)
-    except (ConfigError, CsvFormatError, KeyError) as exc:
+    except (ConfigError, CsvFormatError, DesignError, KeyError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except (ModelInvariantError, NotPositiveDefiniteError, AdjustmentError,

@@ -7,6 +7,7 @@ import numpy as np
 from scipy.linalg import cho_factor, solve_triangular
 
 from .models import (
+    DesignError,
     NotPositiveDefiniteError,
     SpectralModel,
     ar2_from_omega,
@@ -77,11 +78,11 @@ class ExperimentDesign:
     def __post_init__(self):
         object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
         if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+            raise DesignError("replicates must be >= 1")
         if self.n_low < 0 or self.n_high < 0 or (self.n_low == 0 and self.n_high == 0):
-            raise ValueError("need n_low >= 0, n_high >= 0 and not both zero")
+            raise DesignError("need n_low >= 0, n_high >= 0 and not both zero")
         if not 0 < self.omega_true < 0.5:
-            raise ValueError("omega_true must lie in (0, 1/2)")
+            raise DesignError("omega_true must lie in (0, 1/2)")
 
     def base_indices(self):
         """Union of the coarse and dense base-grid indices, in order."""

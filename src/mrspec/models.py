@@ -15,6 +15,7 @@ __all__ = [
     "LogSpectrum",
     "SampledSeries",
     "ModelInvariantError",
+    "DesignError",
     "NotPositiveDefiniteError",
     "ar2_from_omega",
     "spectral_density",
@@ -23,12 +24,17 @@ __all__ = [
     "levinson",
     "simulate",
     "simulate_replicates",
+    "simulate_log_spectra",
     "subsample",
 ]
 
 
 class ModelInvariantError(ValueError):
     """A model violates causality, invertibility or positivity constraints."""
+
+
+class DesignError(ValueError):
+    """An experiment design is invalid (replicate count, segments or grid)."""
 
 
 class NotPositiveDefiniteError(ArithmeticError):
@@ -226,65 +232,105 @@ def simpson_grid(quad_points):
     return omegas, w * (h / 3.0)
 
 
-def autocovariance(source, max_lag, quad_points=4096):
-    """Autocovariances gamma(0..max_lag) of the process with density ``source``,
-    by Simpson quadrature of 2 * integral f(w) cos(2 pi w h) dw.
-
-    The panel count is raised to at least 2*max_lag so the cosine factor at
-    the largest lag stays resolved (fewer panels would alias it), and the
-    whole lag range is evaluated at once through a type-I DCT.
-    """
+def _autocovariance_nodes(max_lag, quad_points):
+    """Simpson nodes and weights for the lags 0..max_lag.  The panel count is
+    raised to at least 2*max_lag so the cosine factor at the largest lag stays
+    resolved (fewer panels would alias it)."""
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
     if quad_points < 256:
         raise ValueError("quad_points must be >= 256")
-    omegas, weights = simpson_grid(max(quad_points, 2 * max_lag))
+    return simpson_grid(max(quad_points, 2 * max_lag))
+
+
+def _dct_autocovariance(f, weights, max_lag):
+    """gamma(0..max_lag), lags on axis 0, from density values ``f`` at the
+    Simpson nodes (nodes on axis 0, one column per process)."""
+    c = weights[:, None] * f
+    # sum_i c_i cos(pi i h / n_panels) for h = 0..n_panels via DCT-I
+    series = dct(c, type=1, axis=0)
+    signs = np.where(np.arange(len(c)) % 2 == 0, 1.0, -1.0)[:, None]
+    return (series + c[0] + signs * c[-1])[: max_lag + 1]
+
+
+def autocovariance(source, max_lag, quad_points=4096):
+    """Autocovariances gamma(0..max_lag) of the process with density ``source``,
+    by Simpson quadrature of 2 * integral f(w) cos(2 pi w h) dw.
+
+    The panel count is raised to at least 2*max_lag, and the whole lag range
+    is evaluated at once through a type-I DCT.
+    """
+    omegas, weights = _autocovariance_nodes(max_lag, quad_points)
     f = density_of(source)(omegas)
     if np.any(f <= 0) or not np.all(np.isfinite(f)):
         raise ModelInvariantError("spectral density must be finite and positive on [0, 1/2]")
-    c = weights * f
-    # sum_i c_i cos(pi i h / n_panels) for h = 0..n_panels via DCT-I
-    series = dct(c, type=1)
-    signs = np.where(np.arange(len(c)) % 2 == 0, 1.0, -1.0)
-    return (series + c[0] + signs * c[-1])[: max_lag + 1]
+    return _dct_autocovariance(f[:, None], weights, max_lag)[:, 0]
 
 
 def levinson(gamma):
     """Durbin-Levinson recursion on autocovariances gamma(0..p).
 
-    Yields (phi_t, v_t) for orders t = 0..p: phi_t holds the coefficients of
-    the best linear predictor of x_t from x_{t-1}, ..., x_0 (most recent
-    first) and v_t its innovation variance, the t-th pivot of the Cholesky
-    factorisation of Toeplitz(gamma), so v_t <= 0 means that matrix is not
-    positive definite.  phi_t is a view the next step overwrites.
+    Lags run along axis 0; a 2-d ``gamma`` holds one process per column, and
+    one recursion runs them all.  Yields (phi_t, v_t) for orders t = 0..p:
+    phi_t holds the coefficients of the best linear predictor of x_t from
+    x_{t-1}, ..., x_0 (most recent first, lags on axis 0) and v_t its
+    innovation variance, the t-th pivot of the Cholesky factorisation of
+    Toeplitz(gamma), so v_t <= 0 means that matrix is not positive definite.
+    phi_t is a view the next step overwrites.  Each column equals the
+    recursion on that column alone bit for bit: every inner product is summed
+    in lag order.
     """
-    phi = np.empty(len(gamma) - 1)
+    gamma = np.asarray(gamma, dtype=float)
+    phi = np.empty((len(gamma) - 1,) + gamma.shape[1:])
     v = gamma[0]
     yield phi[:0], v
     for t in range(1, len(gamma)):
         k = t - 1
-        a = (gamma[t] - phi[:k] @ gamma[k:0:-1]) / v
-        phi[:k] -= a * phi[:k][::-1].copy()
+        a = (gamma[t] - np.vecdot(phi[:k], gamma[k:0:-1], axis=0)) / v
+        phi[:k] -= a * phi[:k][::-1]
         phi[k] = a
-        v *= 1.0 - a * a
+        v = v * (1.0 - a * a)
         yield phi[:t], v
 
 
-def _gaussian_paths(source, z, quad_points):
-    """Colour standard normals ``z`` (time along the first axis, one column per
-    path when 2-d) into paths with the autocovariance of ``source``."""
+def _gaussian_paths(gamma, z):
+    """Colour standard normals ``z`` (time on axis 0, one column per path when
+    2-d) into paths with covariance Toeplitz(gamma); ``gamma`` is shared by
+    all paths when 1-d and has one column per path when 2-d.
+
+    Returns the paths and the Levinson pivots (one row per step).  A column
+    whose pivot drops to <= 0 runs on with meaningless values, so callers
+    check the pivots; the floating-point warnings of such columns are muted.
+    """
+    x = np.empty_like(z)
+    pivots = np.empty(gamma.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for t, (phi, v) in enumerate(levinson(gamma)):
+            pivots[t] = v
+            x[t] = np.vecdot(phi, x[t - 1 :: -1][:t], axis=0) + np.sqrt(v) * z[t]
+    return x, pivots
+
+
+def _one_process_paths(source, z, quad_points):
+    """Paths with the autocovariance of ``source`` from standard normals ``z``
+    (time on axis 0); raises NotPositiveDefiniteError at the first pivot <= 0."""
     n = len(z)
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = np.empty_like(z)
-    for t, (phi, v) in enumerate(levinson(autocovariance(source, n - 1, quad_points))):
-        if v <= 0:
-            raise NotPositiveDefiniteError(
-                "covariance not positive definite at step %d (smallest pivot %.6g)" % (t, v),
-                v,
-            )
-        x[t] = phi @ x[t - 1 :: -1][:t] + np.sqrt(v) * z[t]
+    x, pivots = _gaussian_paths(autocovariance(source, n - 1, quad_points), z)
+    bad = np.flatnonzero(pivots <= 0)
+    if bad.size:
+        t = int(bad[0])
+        raise NotPositiveDefiniteError(
+            "covariance not positive definite at step %d (smallest pivot %.6g)" % (t, pivots[t]),
+            pivots[t],
+        )
     return x
+
+
+def _normals(n, seeds):
+    """Standard normals, one column of length n per seed."""
+    return np.stack([np.random.default_rng(s).standard_normal(n) for s in seeds], axis=1)
 
 
 def simulate(source, n, seed, quad_points=4096):
@@ -296,7 +342,7 @@ def simulate(source, n, seed, quad_points=4096):
     NotPositiveDefiniteError.
     """
     z = np.random.default_rng(seed).standard_normal(max(n, 0))
-    return SampledSeries(_gaussian_paths(source, z, quad_points), stride=1, offset=0)
+    return SampledSeries(_one_process_paths(source, z, quad_points), stride=1, offset=0)
 
 
 def simulate_replicates(source, n, seeds, quad_points=4096):
@@ -306,8 +352,34 @@ def simulate_replicates(source, n, seeds, quad_points=4096):
     Row r equals ``simulate(source, n, seeds[r], quad_points).values`` bit for
     bit; the autocovariance and the recursion are computed once for all rows.
     """
-    z = np.stack([np.random.default_rng(s).standard_normal(max(n, 0)) for s in seeds], axis=1)
-    return _gaussian_paths(source, z, quad_points).T
+    return _one_process_paths(source, _normals(max(n, 0), seeds), quad_points).T
+
+
+def simulate_log_spectra(log_spectra, n, seeds, quad_points=4096):
+    """Paths of ``simulate`` for many LogSpectrum processes of one basis size,
+    one seed each.  Returns the paths as the rows of a (len(seeds), n) array
+    and a boolean mask of the rows that were simulated.
+
+    ``ok[r]`` is False exactly where ``simulate(log_spectra[r], n, seeds[r],
+    quad_points)`` raises ModelInvariantError or NotPositiveDefiniteError,
+    and row r holds no path then; elsewhere row r equals that call's path bit
+    for bit.  The cosine basis on the quadrature nodes, one DCT and one
+    Durbin-Levinson recursion serve all rows.  Each log-density stays its own
+    matrix-vector product, because a stacked matrix product changes the last
+    bits.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    omegas, weights = _autocovariance_nodes(n - 1, quad_points)
+    basis = basis_matrix(omegas, log_spectra[0].size)
+    f = np.empty((len(omegas), len(log_spectra)))
+    for r, spectrum in enumerate(log_spectra):
+        f[:, r] = np.exp(basis @ spectrum.coefficients)
+    ok = np.all(f > 0, axis=0) & np.all(np.isfinite(f), axis=0)
+    f[:, ~ok] = 1.0  # white noise keeps the recursion of rejected columns finite
+    x, pivots = _gaussian_paths(_dct_autocovariance(f, weights, n - 1), _normals(n, seeds))
+    ok &= ~np.any(pivots <= 0, axis=0)
+    return np.ascontiguousarray(x.T), ok
 
 
 def subsample(series, delta, offset=0):

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from mrspec.beliefs import PriorSpec
+from mrspec import beliefs, bench
+from mrspec.beliefs import AdjustmentError, PeriodogramData, PriorSpec
 from mrspec.bench import (
     BenchDesign,
+    BenchResult,
     InterpComparison,
     baseline_spectra,
     discrepancy,
@@ -61,6 +63,91 @@ class TestRandomProcess:
         sd = draws.std(axis=0)
         want = np.sqrt(prior.variances())
         assert np.allclose(sd, want, rtol=0.25)
+
+
+def reference_run_bench(design, prior=None, quad_points=4096):
+    """The per-replicate loop that ``run_bench`` batches: simulate, take the
+    log-periodograms and adjust each replicate on its own, counting one that
+    raises as failed.  Calls go through ``bench`` so patches reach both."""
+    prior = prior or PriorSpec()
+    (delta1, n1), (delta2, n2) = design.d1, design.d2
+    layouts = [PeriodogramData.layout("d1", delta1, n1), PeriodogramData.layout("d2", delta2, n2)]
+    moment_seed, *rep_seeds = np.random.SeedSequence(design.seed).spawn(design.replicates + 1)
+    moments = bench.forecast_moments(prior.to_state(), layouts, design.mc_samples, moment_seed)
+    grid = standard_grid(design.n_omega)
+    scores, failures = [], 0
+    for rep_seed in rep_seeds:
+        sim_seed, proc_seed = rep_seed.spawn(2)
+        try:
+            truth = random_process(proc_seed, prior)
+            path = bench.simulate(truth, delta1 * n1 + delta2 * n2, sim_seed, quad_points)
+            first, second = bench._segment_series(path, design)
+            observed = np.concatenate([bench.log_periodogram(first).log_periodogram,
+                                       bench.log_periodogram(second).log_periodogram])
+            state = bench.adjust(prior.to_state(), moments, observed)
+            scores.append(discrepancy(truth.evaluate(grid),
+                                      state.mean_logspectrum().evaluate(grid)))
+        except (np.linalg.LinAlgError, ArithmeticError, ValueError):
+            failures += 1
+    scores = np.asarray(scores)
+    if len(scores) == 0:
+        return BenchResult(np.nan, np.nan, scores, failures)
+    stderr = scores.std(ddof=1) / np.sqrt(len(scores)) if len(scores) > 1 else np.nan
+    return BenchResult(float(scores.mean()), float(stderr), scores, failures)
+
+
+def assert_same_result(got, want):
+    assert np.array_equal(got.scores, want.scores)
+    assert got.failures == want.failures
+    for a, b in ((got.mean, want.mean), (got.stderr, want.stderr)):
+        assert a == b or (np.isnan(a) and np.isnan(b))
+
+
+# 9 of its 20 replicates hit a non-positive Levinson pivot under PriorSpec(scale=60)
+FAILING_DESIGN = BenchDesign(d1=(1, 32), d2=(2, 32), replicates=20, seed=3, mc_samples=600)
+
+
+class TestRunBenchMatchesReplicateLoop:
+    @pytest.mark.parametrize("prior,failures", [(None, 0), (PriorSpec(scale=60), 9)])
+    def test_bit_identical(self, prior, failures):
+        got = run_bench(FAILING_DESIGN, prior, quad_points=1024)
+        assert_same_result(got, reference_run_bench(FAILING_DESIGN, prior, quad_points=1024))
+        assert got.failures == failures
+
+    def test_non_finite_adjusted_mean_fails_its_replicate(self, monkeypatch):
+        # a zero periodogram ordinate makes the adjusted mean -inf; the calls
+        # come in replicate order, so the same replicate is hit in both runs
+        calls = []
+
+        def log_periodogram(series, series_id="series"):
+            data = beliefs.log_periodogram(series, series_id)
+            calls.append(None)
+            if len(calls) == 5:
+                data.log_periodogram[0] = -np.inf
+            return data
+
+        monkeypatch.setattr(bench, "log_periodogram", log_periodogram)
+        got = run_bench(FAILING_DESIGN, quad_points=1024)
+        calls.clear()
+        assert_same_result(got, reference_run_bench(FAILING_DESIGN, quad_points=1024))
+        assert got.failures == 1
+
+    @pytest.mark.parametrize("broken", ["raises", "not_psd"])
+    def test_shared_gain_failure_fails_every_replicate(self, monkeypatch, broken):
+        real = beliefs.adjustment_gain
+
+        def adjustment_gain(moments):
+            if broken == "raises":
+                raise AdjustmentError("data variance singular")
+            return 10.0 * real(moments)  # the adjusted variance is not PSD
+
+        monkeypatch.setattr(bench, "adjustment_gain", adjustment_gain)
+        monkeypatch.setattr(beliefs, "adjustment_gain", adjustment_gain)
+        design = BenchDesign(d1=(1, 32), d2=(2, 32), replicates=4, seed=3, mc_samples=600)
+        got = run_bench(design, quad_points=1024)
+        assert_same_result(got, reference_run_bench(design, quad_points=1024))
+        assert np.isnan(got.mean) and np.isnan(got.stderr)
+        assert len(got.scores) == 0 and got.failures == 4
 
 
 class TestRunBench:

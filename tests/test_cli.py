@@ -214,6 +214,20 @@ class TestExitCodes:
         code, _ = run(tmp_path, "quadrature", {"d": 40, "level": 2})
         assert code == 2
 
+    def test_non_object_series_entry_is_config_error(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "estimate", {"series": [5]})
+        assert code == 2
+        assert "'series'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("loglik-surface", {"n_low": 10, "n_high": 2, "omega_true": 0.3, "grid_points": 7}),
+        ("bench", {"d1_cells": [[1, 16]], "d2_cells": [[1, 16]]}),
+    ])
+    def test_zero_replicates_is_config_error(self, tmp_path, capsys, command, cfg):
+        code, _ = run(tmp_path, command, dict(cfg, replicates=0))
+        assert code == 2
+        assert "replicates" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):

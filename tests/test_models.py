@@ -14,6 +14,7 @@ from mrspec.models import (
     levinson,
     simpson_grid,
     simulate,
+    simulate_log_spectra,
     simulate_replicates,
     spectral_density,
     subsample,
@@ -186,6 +187,43 @@ class TestLevinson:
             assert v == pytest.approx(1.3, rel=1e-10)
 
 
+    def test_stacked_columns_equal_1d_recursion(self):
+        sources = [SpectralModel(ar=(0.7, -0.2), ma=(0.3,)),
+                   SpectralModel(ar=ar2_from_omega(0.3, 0.95)),
+                   LogSpectrum(np.array([0.2, -0.5, 0.3]))]
+        gammas = np.stack([autocovariance(s, 80) for s in sources], axis=1)
+        stacked = [(phi.copy(), v.copy()) for phi, v in levinson(gammas)]
+        assert stacked[-1][0].shape == (80, 3)
+        for j in range(len(sources)):
+            single = levinson(gammas[:, j].copy())
+            for (phi, v), (phi1, v1) in zip(stacked, single, strict=True):
+                assert np.array_equal(phi[:, j], phi1)
+                assert v[j] == v1
+
+
+class TestSimulateLogSpectra:
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_rows_equal_simulate_or_fail_where_it_raises(self):
+        rng = np.random.default_rng(1)
+        spectra = [LogSpectrum(rng.standard_normal(8) * s) for s in (0.3, 1.0, 6.0, 6.0)]
+        # densities that underflow to 0 and overflow to inf
+        spectra += [LogSpectrum(np.r_[c, np.zeros(7)]) for c in (-800.0, 800.0)]
+        seeds = list(range(len(spectra)))
+        paths, ok = simulate_log_spectra(spectra, 300, seeds, 1024)
+        assert paths.shape == (6, 300)
+        raised = []
+        for spectrum, seed, path, row_ok in zip(spectra, seeds, paths, ok):
+            try:
+                want = simulate(spectrum, 300, seed, 1024).values
+            except (ModelInvariantError, NotPositiveDefiniteError) as exc:
+                raised.append(type(exc))
+                assert not row_ok
+            else:
+                assert row_ok
+                assert np.array_equal(path, want)
+        assert raised == [NotPositiveDefiniteError, ModelInvariantError, ModelInvariantError]
+
+
 class TestSimulateReplicates:
     def test_rows_equal_simulate(self):
         model = SpectralModel(ar=ar2_from_omega(1.0 / 12.0, 0.9))
@@ -196,13 +234,15 @@ class TestSimulateReplicates:
             assert np.array_equal(row, simulate(model, 40, seed).values)
 
     def test_non_positive_pivot_raises(self, monkeypatch):
-        # Toeplitz([1, 0.9, 0]) has eigenvalue 1 - 0.9 * sqrt(2) < 0
-        monkeypatch.setattr(models, "autocovariance", lambda *args: np.array([1.0, 0.9, 0.0]))
-        with pytest.raises(NotPositiveDefiniteError) as err:
-            simulate(SpectralModel(), 3, 0)
-        assert err.value.smallest_pivot < 0
-        with pytest.raises(NotPositiveDefiniteError):
-            simulate_replicates(SpectralModel(), 3, [0, 1])
+        # Toeplitz([1, 0.9, 0]) has eigenvalue 1 - 0.9 * sqrt(2) < 0; the
+        # pivots of steps 2 and 3 are both negative, and step 2 is reported
+        gamma = np.array([1.0, 0.9, 0.0, -0.9, 0.0])
+        monkeypatch.setattr(models, "autocovariance", lambda *args: gamma)
+        with pytest.raises(NotPositiveDefiniteError, match="at step 2 ") as err:
+            simulate(SpectralModel(), 5, 0)
+        assert err.value.smallest_pivot == pytest.approx(-3.2631578947368434, rel=1e-12)
+        with pytest.raises(NotPositiveDefiniteError, match="at step 2 "):
+            simulate_replicates(SpectralModel(), 5, [0, 1])
 
 
 class TestSubsample:
