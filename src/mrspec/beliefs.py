@@ -2,17 +2,19 @@
 log-periodograms of series observed at mixed strides."""
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .aliasing import principal_frequency
-from .models import LogSpectrum, basis_matrix
+from .models import DesignError, LogSpectrum, basis_matrix
 
 __all__ = [
     "EULER_GAMMA",
     "LOG_PGRAM_VARIANCE",
+    "MIN_PERIODOGRAM_N",
     "BeliefState",
     "PriorSpec",
     "PeriodogramData",
@@ -31,6 +33,8 @@ __all__ = [
 EULER_GAMMA = float(np.euler_gamma)
 # asymptotic variance of a log-periodogram ordinate at interior frequencies
 LOG_PGRAM_VARIANCE = np.pi**2 / 6.0
+# shortest series log_periodogram accepts
+MIN_PERIODOGRAM_N = 8
 
 
 class AdjustmentError(ArithmeticError):
@@ -85,8 +89,16 @@ class PriorSpec:
     cutoff: float = 4.0
 
     def __post_init__(self):
-        if self.size < 1 or self.scale <= 0 or self.smoothness <= 0 or self.cutoff <= 0:
-            raise ValueError("invalid prior specification")
+        size = self.size
+        if isinstance(size, bool) or not isinstance(size, Integral) or size < 1:
+            raise DesignError("prior.size must be an integer >= 1, got %r" % (size,))
+        for name in ("intercept_mean", "scale", "smoothness", "cutoff"):
+            value = getattr(self, name)
+            positive = name != "intercept_mean"
+            if (isinstance(value, bool) or not isinstance(value, Real)
+                    or not np.isfinite(value) or positive and value <= 0):
+                raise DesignError("prior.%s must be a finite number%s, got %r"
+                                  % (name, " > 0" if positive else "", value))
 
     def variances(self):
         m = np.arange(self.size)
@@ -138,8 +150,8 @@ def log_periodogram(series, series_id="series"):
     E[I] ~ f_delta under the 2*integral(f) = gamma(0) spectral convention.
     """
     n = len(series)
-    if n < 8:
-        raise ValueError("series too short for a periodogram (need N >= 8)")
+    if n < MIN_PERIODOGRAM_N:
+        raise ValueError("series too short for a periodogram (need N >= %d)" % MIN_PERIODOGRAM_N)
     x = series.values - series.values.mean()
     spec = np.fft.rfft(x)
     j = np.arange(1, (n - 1) // 2 + 1)
@@ -366,7 +378,7 @@ def spectrum_summary(state, grid, levels=(0.5, 0.9), exponentiate=False):
     sd = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", psi, state.variance, psi), 0.0))
     bands = {}
     for level in levels:
-        z = norm.ppf(0.5 + level / 2.0)
+        z = ndtri(0.5 + level / 2.0)
         lo, hi = mean - z * sd, mean + z * sd
         bands[level] = (np.exp(lo), np.exp(hi)) if exponentiate else (lo, hi)
     return SpectrumSummary(

@@ -2,11 +2,12 @@
 log-spectrum discrepancy, plus the interpolation-based comparison baselines."""
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .beliefs import (
+    MIN_PERIODOGRAM_N,
     BeliefState,
     PeriodogramData,
     PriorSpec,
@@ -72,9 +73,17 @@ class BenchDesign:
     def __post_init__(self):
         if self.replicates < 1:
             raise DesignError("replicates must be >= 1")
-        for delta, n in (self.d1, self.d2):
-            if delta < 1 or n < 1:
-                raise DesignError("each segment needs delta >= 1 and N >= 1")
+        for name, segment in (("d1", self.d1), ("d2", self.d2)):
+            if np.shape(segment) != (2,) or not all(
+                    isinstance(v, Integral) and not isinstance(v, bool) for v in segment):
+                raise DesignError("segment %s=%r must be an integer pair (delta, N)"
+                                  % (name, segment))
+            delta, n = segment
+            if delta < 1:
+                raise DesignError("segment %s=%r needs delta >= 1" % (name, segment))
+            if n < MIN_PERIODOGRAM_N:
+                raise DesignError("segment %s=%r needs N >= %d for a log-periodogram"
+                                  % (name, segment, MIN_PERIODOGRAM_N))
 
 
 @dataclass(frozen=True)
@@ -169,15 +178,16 @@ def table_sweep(deltas, ns, replicates, seed, prior=None, d1_cells=None, d2_cell
         d2_cells = [(d, n) for d in deltas for n in ns]
     means = np.full((len(d1_cells), len(d2_cells)), np.nan)
     stderrs = np.full_like(means, np.nan)
-    for i, d1 in enumerate(d1_cells):
-        for j, d2 in enumerate(d2_cells):
-            cell_seed = np.random.SeedSequence(entropy=seed, spawn_key=(i, j))
-            design = BenchDesign(
-                d1=d1, d2=d2, replicates=replicates, seed=cell_seed.generate_state(1)[0]
-            )
-            result = run_bench(design, prior)
-            means[i, j] = result.mean
-            stderrs[i, j] = result.stderr
+    # every cell's design is built before any cell runs, so a bad cell fails at once
+    designs = {
+        (i, j): BenchDesign(d1=d1, d2=d2, replicates=replicates, seed=np.random.SeedSequence(
+            entropy=seed, spawn_key=(i, j)).generate_state(1)[0])
+        for i, d1 in enumerate(d1_cells) for j, d2 in enumerate(d2_cells)
+    }
+    for (i, j), design in designs.items():
+        result = run_bench(design, prior)
+        means[i, j] = result.mean
+        stderrs[i, j] = result.stderr
     return d1_cells, d2_cells, means, stderrs
 
 
@@ -188,6 +198,9 @@ def spline_interpolate(series):
         return SampledSeries(series.values.copy(), stride=1, offset=0, base_step=series.base_step)
     if len(series) < 4:
         raise ValueError("need at least 4 points for cubic spline interpolation")
+    # imported here, its one caller, so that `import mrspec` skips scipy.interpolate
+    from scipy.interpolate import CubicSpline
+
     idx = series.base_indices()
     spline = CubicSpline(idx, series.values, bc_type="natural")
     dense = spline(np.arange(idx[0], idx[-1] + 1))

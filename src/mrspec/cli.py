@@ -89,6 +89,8 @@ def _manifest(args, command, cfg):
 
 def _prior_from(cfg):
     p = cfg.get("prior", {})
+    if not isinstance(p, dict):
+        raise ConfigError("'prior' must be an object, got %r" % (p,))
     return PriorSpec(
         size=p.get("size", 32),
         intercept_mean=p.get("intercept_mean", 0.0),

@@ -34,7 +34,8 @@ class ModelInvariantError(ValueError):
 
 
 class DesignError(ValueError):
-    """An experiment design is invalid (replicate count, segments or grid)."""
+    """An experiment design is invalid (replicate count, segments, grid or
+    prior specification)."""
 
 
 class NotPositiveDefiniteError(ArithmeticError):

@@ -8,7 +8,7 @@ from math import comb
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .models import LogSpectrum, basis_matrix, density_of, simpson_grid
 
@@ -22,7 +22,7 @@ __all__ = [
     "kolmogorov_variance",
 ]
 
-FAN_QUANTILES = norm.ppf(np.arange(1, 10) / 10.0)
+FAN_QUANTILES = ndtri(np.arange(1, 10) / 10.0)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from mrspec.beliefs import (
     sequential_adjust,
     spectrum_summary,
 )
-from mrspec.models import SampledSeries, SpectralModel, simulate, subsample
+from mrspec.models import DesignError, SampledSeries, SpectralModel, simulate, subsample
 
 
 class TestBeliefState:
@@ -63,6 +63,15 @@ class TestPriorSpec:
             PriorSpec(size=0)
         with pytest.raises(ValueError):
             PriorSpec(scale=-1.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("size", 0), ("size", 8.0), ("size", True), ("intercept_mean", "x"),
+        ("intercept_mean", float("nan")), ("scale", 0), ("scale", "x"),
+        ("smoothness", -1.0), ("cutoff", float("inf")), ("cutoff", None),
+    ])
+    def test_error_names_the_field(self, field, value):
+        with pytest.raises(DesignError, match="prior.%s must be" % field):
+            PriorSpec(**{field: value})
 
 
 class TestFourierFrequencies:
@@ -250,6 +259,17 @@ class TestSpectrumSummary:
         lo, hi = s.bands[0.9]
         z = norm.ppf(0.95)
         assert np.allclose(hi - lo, 2 * z * 0.5)
+
+    def test_default_bands_are_normal_quantiles(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((4, 4))
+        state = BeliefState(rng.standard_normal(4), a @ a.T)
+        s = spectrum_summary(state, np.linspace(0.0, 0.5, 9))
+        assert sorted(s.bands) == [0.5, 0.9]
+        for level, (lo, hi) in s.bands.items():
+            z = norm.ppf(0.5 + level / 2.0)
+            assert np.array_equal(lo, s.mean - z * s.sd)
+            assert np.array_equal(hi, s.mean + z * s.sd)
 
     def test_exponentiate(self):
         state = BeliefState(np.array([1.0]), np.array([[0.0]]))

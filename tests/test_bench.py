@@ -18,7 +18,8 @@ from mrspec.bench import (
     standard_grid,
     table_sweep,
 )
-from mrspec.models import SampledSeries, SpectralModel, ar2_from_omega, simulate, subsample
+from mrspec.models import (DesignError, SampledSeries, SpectralModel, ar2_from_omega, simulate,
+                           subsample)
 
 
 class TestStandardGrid:
@@ -173,6 +174,21 @@ class TestRunBench:
         with pytest.raises(ValueError):
             BenchDesign(d1=(1, 32), d2=(1, 32), replicates=0)
 
+    @pytest.mark.parametrize("d1,d2,message", [
+        ((1, 4), (1, 32), r"segment d1=\(1, 4\) needs N >= 8"),
+        ((1, 32), (2, 7), r"segment d2=\(2, 7\) needs N >= 8"),
+        ((1,), (1, 32), "segment d1=.* integer pair"),
+        ((1, 32), (1, "x"), "segment d2=.* integer pair"),
+        ((1, 16.5), (1, 32), "segment d1=.* integer pair"),
+        ((1, 32), 5, "segment d2=5 must be an integer pair"),
+    ])
+    def test_rejects_malformed_or_short_segment(self, d1, d2, message):
+        with pytest.raises(DesignError, match=message):
+            BenchDesign(d1=d1, d2=d2, replicates=4)
+
+    def test_accepts_shortest_periodogram_segment(self):
+        BenchDesign(d1=(1, 8), d2=[np.int64(2), np.int64(8)], replicates=4)
+
 
 class TestTableSweep:
     def test_shape_and_determinism(self):
@@ -187,6 +203,15 @@ class TestTableSweep:
             d1_cells=[(1, 16)], d2_cells=[(1, 16), (2, 16)],
         )
         assert np.array_equal(means, means2)
+
+    def test_short_cell_fails_before_any_cell_runs(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("run_bench called before every design was checked")
+
+        monkeypatch.setattr(bench, "run_bench", fail)
+        with pytest.raises(DesignError, match=r"segment d2=\(2, 4\)"):
+            table_sweep([1], [16], replicates=2, seed=0,
+                        d1_cells=[(1, 16)], d2_cells=[(1, 16), (2, 4)])
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):

@@ -229,6 +229,27 @@ class TestExitCodes:
         assert "replicates" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("prior,field", [
+        ({"scale": 0}, "prior.scale"),
+        ({"scale": "x"}, "prior.scale"),
+        ({"size": 2.5}, "prior.size"),
+        ("wide", "'prior'"),
+    ])
+    def test_bad_prior_is_config_error_naming_field(self, tmp_path, capsys, prior, field):
+        code, _ = run(tmp_path, "bench", {"d1_cells": [[1, 16]], "d2_cells": [[1, 16]],
+                                          "replicates": 2, "prior": prior})
+        assert code == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", [[1, 4], [1], [1, "x"]])
+    def test_bad_bench_segment_is_config_error(self, tmp_path, capsys, cell):
+        code, out = run(tmp_path, "bench", {"d1_cells": [cell], "d2_cells": [[1, 16]],
+                                            "replicates": 2})
+        assert code == 2
+        assert "segment d1=" in capsys.readouterr().err
+        assert not (out / "table.csv").exists()
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
         cfg = {"model": {"ar": [0.5], "sigma2": 1.0}, "n": 48, "seed": 9}

@@ -51,7 +51,7 @@ class TestPCFan:
     def test_quantiles_are_deciles(self):
         from scipy.stats import norm
 
-        assert np.allclose(FAN_QUANTILES, norm.ppf(np.arange(1, 10) / 10.0))
+        assert np.array_equal(FAN_QUANTILES, norm.ppf(np.arange(1, 10) / 10.0))
         assert np.allclose(FAN_QUANTILES, -FAN_QUANTILES[::-1])
 
     def test_fan_monotone_pointwise(self):
