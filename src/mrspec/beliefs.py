@@ -194,7 +194,7 @@ def forecast_moments(prior, datasets, mc_samples=2000, seed=0):
     added analytically to the diagonal of Var(D).
     """
     if mc_samples < 500:
-        raise ValueError("mc_samples must be >= 500")
+        raise DesignError("mc_samples must be >= 500, got %r" % (mc_samples,))
     size = prior.size
     vals, vecs = np.linalg.eigh(prior.variance)
     root = vecs * np.sqrt(np.clip(vals, 0.0, None))

@@ -77,6 +77,28 @@ def _require(cfg, key):
     return cfg[key]
 
 
+def _number(kind, key, value):
+    """Config field ``key``'s ``value`` converted by ``kind`` (int or float);
+    a value that does not convert is a ConfigError naming the key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("config field %r must be %s, got %r"
+                          % (key, "an integer" if kind is int else "a number", value))
+
+
+def _cell_list(cfg, key):
+    """``cfg[key]`` as a list of tuples, or None when the key is absent; a
+    value that is not a list of lists is a ConfigError naming the key."""
+    if key not in cfg:
+        return None
+    cells = cfg[key]
+    if not isinstance(cells, list) or not all(isinstance(c, list) for c in cells):
+        raise ConfigError("config field %r must be a list of [delta, N] pairs, got %r"
+                          % (key, cells))
+    return [tuple(c) for c in cells]
+
+
 def _outpath(args, name):
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
@@ -103,12 +125,12 @@ def _prior_from(cfg):
 def cmd_simulate(args):
     cfg = _load_config(args)
     source = spectrum_source_from_dict(cfg)
-    n = int(_require(cfg, "n"))
-    seed = int(cfg.get("seed", 0))
+    n = _number(int, "n", _require(cfg, "n"))
+    seed = _number(int, "seed", cfg.get("seed", 0))
     series = simulate(source, n, seed)
-    delta = int(cfg.get("delta", 1))
+    delta = _number(int, "delta", cfg.get("delta", 1))
     if delta > 1:
-        series = subsample(series, delta, int(cfg.get("offset", 0)))
+        series = subsample(series, delta, _number(int, "offset", cfg.get("offset", 0)))
     write_series(_outpath(args, "series.csv"), _outpath(args, "series.json"), series)
     _manifest(args, "simulate", cfg)
 
@@ -116,8 +138,8 @@ def cmd_simulate(args):
 def cmd_spectrum(args):
     cfg = _load_config(args)
     source = spectrum_source_from_dict(cfg)
-    delta = int(cfg.get("delta", 1))
-    n_grid = int(cfg.get("grid_points", 512))
+    delta = _number(int, "delta", cfg.get("delta", 1))
+    n_grid = _number(int, "grid_points", cfg.get("grid_points", 512))
     grid = np.linspace(0.0, 0.5, n_grid)
     values = fold(source, delta, grid)
     write_csv(_outpath(args, "spectrum.csv"), ["omega", "f"], [grid, values])
@@ -128,27 +150,28 @@ def cmd_spectrum(args):
 
 def cmd_loglik_surface(args):
     cfg = _load_config(args)
-    n_high_values = cfg.get("n_high_list")
+    n_high_key, n_high_values = "n_high_list", cfg.get("n_high_list")
     if n_high_values is None:
-        n_high_values = [int(_require(cfg, "n_high"))]
+        n_high_key, n_high_values = "n_high", [_require(cfg, "n_high")]
     if not isinstance(n_high_values, list) or not n_high_values and "n_high" not in cfg:
         raise ConfigError("n_high_list must be a nonempty list")
-    grid_n = int(cfg.get("grid_points", 201))
+    n_high_values = [_number(int, n_high_key, n_high) for n_high in n_high_values]
+    grid_n = _number(int, "grid_points", cfg.get("grid_points", 201))
     if grid_n < 1:
         raise ConfigError("grid_points must be >= 1")
-    omega_true = float(_require(cfg, "omega_true"))
+    omega_true = _number(float, "omega_true", _require(cfg, "omega_true"))
     curves, labels = [], []
     grid = default_omega_grid(grid_n)
     for n_high in n_high_values:
         design = ExperimentDesign(
-            n_low=int(_require(cfg, "n_low")),
-            n_high=int(n_high),
-            replicates=int(cfg.get("replicates", 100)),
+            n_low=_number(int, "n_low", _require(cfg, "n_low")),
+            n_high=n_high,
+            replicates=_number(int, "replicates", cfg.get("replicates", 100)),
             omega_true=omega_true,
-            modulus=float(cfg.get("modulus", 0.9)),
-            delta_low=int(cfg.get("delta_low", 2)),
+            modulus=_number(float, "modulus", cfg.get("modulus", 0.9)),
+            delta_low=_number(int, "delta_low", cfg.get("delta_low", 2)),
             grid=grid,
-            seed=int(cfg.get("seed", 0)),
+            seed=_number(int, "seed", cfg.get("seed", 0)),
         )
         surface = mc_average_surface(design)
         labels.append("n_high=%d" % n_high)
@@ -187,8 +210,8 @@ def cmd_estimate(args):
         raise ConfigError("'series' must be a nonempty list")
     named = [_read_series_entry(e) for e in entries]
     prior = _prior_from(cfg)
-    mc_samples = int(cfg.get("mc_samples", 2000))
-    seed = int(cfg.get("seed", 0))
+    mc_samples = _number(int, "mc_samples", cfg.get("mc_samples", 2000))
+    seed = _number(int, "seed", cfg.get("seed", 0))
     datasets = [log_periodogram(series, name) for name, series in named]
     observed = [d.log_periodogram for d in datasets]
     if len(datasets) == 1:
@@ -201,7 +224,7 @@ def cmd_estimate(args):
     write_json(_outpath(args, "belief.json"), belief_to_dict(state))
     for k, snap in enumerate(snapshots, start=1):
         write_json(_outpath(args, "belief_stage%d.json" % k), belief_to_dict(snap))
-    grid = standard_grid(int(cfg.get("grid_points", 128)))
+    grid = standard_grid(_number(int, "grid_points", cfg.get("grid_points", 128)))
     summary = spectrum_summary(state, grid)
     lo50, hi50 = summary.bands[0.5]
     lo90, hi90 = summary.bands[0.9]
@@ -217,10 +240,13 @@ def cmd_bench(args):
     cfg = _load_config(args)
     deltas = cfg.get("deltas", [1, 2, 3, 4, 5, 6])
     ns = cfg.get("ns", [16, 32, 64, 128])
-    replicates = int(cfg.get("replicates", 100))
-    seed = int(cfg.get("seed", 0))
-    d1_cells = [tuple(c) for c in cfg["d1_cells"]] if "d1_cells" in cfg else None
-    d2_cells = [tuple(c) for c in cfg["d2_cells"]] if "d2_cells" in cfg else None
+    for key, grid in (("deltas", deltas), ("ns", ns)):
+        if not isinstance(grid, list):
+            raise ConfigError("config field %r must be a list, got %r" % (key, grid))
+    replicates = _number(int, "replicates", cfg.get("replicates", 100))
+    seed = _number(int, "seed", cfg.get("seed", 0))
+    d1_cells = _cell_list(cfg, "d1_cells")
+    d2_cells = _cell_list(cfg, "d2_cells")
     rows, cols, means, stderrs = table_sweep(deltas, ns, replicates, seed,
                                              _prior_from(cfg), d1_cells, d2_cells)
     header = ["d1_delta", "d1_n"] + ["d%d_n%d" % c for c in cols]
@@ -236,13 +262,13 @@ def cmd_bench(args):
 def cmd_compare_interp(args):
     cfg = _load_config(args)
     result = interp_comparison(
-        seed=int(cfg.get("seed", 0)),
-        omega0=float(cfg.get("omega0", 0.35)),
-        modulus=float(cfg.get("modulus", 0.9)),
-        n_total=int(cfg.get("n_total", 600)),
-        delta=int(cfg.get("delta", 2)),
+        seed=_number(int, "seed", cfg.get("seed", 0)),
+        omega0=_number(float, "omega0", cfg.get("omega0", 0.35)),
+        modulus=_number(float, "modulus", cfg.get("modulus", 0.9)),
+        n_total=_number(int, "n_total", cfg.get("n_total", 600)),
+        delta=_number(int, "delta", cfg.get("delta", 2)),
         prior=_prior_from(cfg),
-        mc_samples=int(cfg.get("mc_samples", 2000)),
+        mc_samples=_number(int, "mc_samples", cfg.get("mc_samples", 2000)),
     )
     names = ["truth", "blm_raw", "blm_interp", "ar_fit", "smoothed_pgram"]
     curves = [result.truth, result.blm_raw, result.blm_interp,
@@ -257,8 +283,8 @@ def cmd_compare_interp(args):
 def cmd_pc_fan(args):
     cfg = _load_config(args)
     state = _read_belief(_require(cfg, "belief"))
-    n_components = int(cfg.get("components", 9))
-    grid = standard_grid(int(cfg.get("grid_points", 128)))
+    n_components = _number(int, "components", cfg.get("components", 9))
+    grid = standard_grid(_number(int, "grid_points", cfg.get("grid_points", 128)))
     header, columns = ["omega"], [grid]
     panels = []
     for k in range(n_components):
@@ -275,8 +301,8 @@ def cmd_pc_fan(args):
 
 def cmd_quadrature(args):
     cfg = _load_config(args)
-    d = int(_require(cfg, "d"))
-    level = int(_require(cfg, "level"))
+    d = _number(int, "d", _require(cfg, "d"))
+    level = _number(int, "level", _require(cfg, "level"))
     try:
         grid = sparse_grid(d, level)
     except ValueError as exc:
@@ -293,7 +319,7 @@ def cmd_kolmogorov(args):
         source = LogSpectrum(np.asarray(_read_belief(cfg["belief"]).mean))
     else:
         source = spectrum_source_from_dict(cfg)
-    value = kolmogorov_variance(source, int(cfg.get("quad_points", 4096)))
+    value = kolmogorov_variance(source, _number(int, "quad_points", cfg.get("quad_points", 4096)))
     print("%.17g" % value)
     write_csv(_outpath(args, "kolmogorov.csv"), ["prediction_variance"], [[value]])
     _manifest(args, "kolmogorov", cfg)
@@ -312,7 +338,7 @@ def cmd_diff_grid(args):
     if not isinstance(paths, list) or len(paths) < 2:
         raise ConfigError("'beliefs' must list at least two belief JSON files")
     states = [_read_belief(path) for path in paths]
-    grid = standard_grid(int(cfg.get("grid_points", 128)))
+    grid = standard_grid(_number(int, "grid_points", cfg.get("grid_points", 128)))
     curves = difference_grid(states, grid)
     k = len(states)
     header, columns, panels = ["omega"], [grid], []

@@ -11,7 +11,9 @@ from .models import (
     NotPositiveDefiniteError,
     SpectralModel,
     ar2_from_omega,
+    arma_autocovariance,
     autocovariance,
+    check_lag_range,
     simulate,  # noqa: F401  unused here, but perfbench/spans.py traces models.simulate by this name
     simulate_replicates,
 )
@@ -149,7 +151,11 @@ class SurfaceScanner:
     """Precomputed likelihood scan over an omega0 grid for one index pattern.
 
     The covariance factorizations depend only on (grid, indices, modulus,
-    sigma2), so replicated datasets on the same pattern reuse them.
+    sigma2), so replicated datasets on the same pattern reuse them.  The
+    exact autocovariances of the whole grid come from one batched
+    arma_autocovariance call; column i equals ``autocovariance`` of the AR(2)
+    SpectralModel at grid[i] bit for bit.  ``quad_points`` is checked as
+    ``autocovariance`` checks it.
     """
 
     def __init__(self, indices, grid, modulus=0.9, sigma2=1.0, quad_points=4096):
@@ -159,10 +165,11 @@ class SurfaceScanner:
         self.sigma2 = sigma2
         lags = np.abs(np.subtract.outer(self.indices, self.indices))
         max_lag = int(lags.max())
+        check_lag_range(max_lag, quad_points)
+        phi = np.stack(np.broadcast_arrays(*ar2_from_omega(self.grid, modulus)))
+        gammas = arma_autocovariance(phi, (), sigma2, max_lag)
         self._factors = []
-        for omega0 in self.grid:
-            model = SpectralModel(ar=ar2_from_omega(omega0, modulus), innovation_variance=sigma2)
-            gamma = autocovariance(model, max_lag, quad_points)
+        for gamma in gammas.T:
             try:
                 self._factors.append(_gaussian_factor(gamma[lags]))
             except np.linalg.LinAlgError:

@@ -20,6 +20,7 @@ __all__ = [
     "ar2_from_omega",
     "spectral_density",
     "basis_matrix",
+    "arma_autocovariance",
     "autocovariance",
     "levinson",
     "simulate",
@@ -119,9 +120,12 @@ def ar2_from_omega(omega0, modulus):
     """AR(2) coefficients for conjugate roots of given modulus whose argument
     places the spectral peak near ``omega0``.
 
-    Returns (phi1, phi2) = (2*modulus*cos(2*pi*omega0), -modulus**2).
+    Returns (phi1, phi2) = (2*modulus*cos(2*pi*omega0), -modulus**2); an
+    array of ``omega0`` gives an array of phi1, each entry equal to the call
+    on that entry alone.  The domain checks make every result causal.
     """
-    if not 0.0 < omega0 < 0.5:
+    omega0 = np.asarray(omega0, dtype=float)
+    if not np.all((0.0 < omega0) & (omega0 < 0.5)):
         raise ValueError("omega0 must lie in the open interval (0, 1/2)")
     if not 0.0 < modulus < 1.0:
         raise ValueError("modulus must lie in the open interval (0, 1)")
@@ -233,14 +237,20 @@ def simpson_grid(quad_points):
     return omegas, w * (h / 3.0)
 
 
-def _autocovariance_nodes(max_lag, quad_points):
-    """Simpson nodes and weights for the lags 0..max_lag.  The panel count is
-    raised to at least 2*max_lag so the cosine factor at the largest lag stays
-    resolved (fewer panels would alias it)."""
+def check_lag_range(max_lag, quad_points):
+    """The argument checks every autocovariance source shares, whether or not
+    it is computed by quadrature."""
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
     if quad_points < 256:
         raise ValueError("quad_points must be >= 256")
+
+
+def _autocovariance_nodes(max_lag, quad_points):
+    """Simpson nodes and weights for the lags 0..max_lag.  The panel count is
+    raised to at least 2*max_lag so the cosine factor at the largest lag stays
+    resolved (fewer panels would alias it)."""
+    check_lag_range(max_lag, quad_points)
     return simpson_grid(max(quad_points, 2 * max_lag))
 
 
@@ -254,13 +264,68 @@ def _dct_autocovariance(f, weights, max_lag):
     return (series + c[0] + signs * c[-1])[: max_lag + 1]
 
 
-def autocovariance(source, max_lag, quad_points=4096):
-    """Autocovariances gamma(0..max_lag) of the process with density ``source``,
-    by Simpson quadrature of 2 * integral f(w) cos(2 pi w h) dw.
+def arma_autocovariance(phi, theta, sigma2, max_lag):
+    """Exact autocovariances gamma(0..max_lag) of causal ARMA processes
+    phi(B) X_t = theta(B) Z_t with Var(Z_t) = sigma2, by the linear-system
+    method of Brockwell & Davis, Time Series: Theory and Methods, sec. 3.3.
 
-    The panel count is raised to at least 2*max_lag, and the whole lag range
-    is evaluated at once through a type-I DCT.
+    ``phi`` (p,) and ``theta`` (q,) hold the full coefficients, seasonal
+    factors multiplied through: phi(B) = 1 - phi_1 B - ... - phi_p B^p and
+    theta(B) = 1 + theta_1 B + ... + theta_q B^q.  A trailing axis of length
+    G on either, or a (G,) ``sigma2``, describes G processes; lags then run
+    along axis 0 of the (max_lag + 1, G) result, one column per process, and
+    each column equals the call on that process alone bit for bit.
+
+    With psi_0..psi_q the leading psi-weights and M = max(p, q) + 1, one
+    M x M solve per process gives gamma(0..M-1) from
+        gamma(k) - sum_j phi_j gamma(|k - j|) = sigma2 sum_{j>=k} theta_j psi_{j-k},
+    and the AR recursion gamma(h) = sum_j phi_j gamma(h - j) gives the higher
+    lags.  Causality is the caller's to ensure (SpectralModel and
+    ar2_from_omega check it); lags beyond q of a pure MA process are exactly 0.
     """
+    phi = np.asarray(phi, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if max_lag < 0:
+        raise ValueError("max_lag must be >= 0")
+    if not np.all(np.asarray(sigma2) > 0):
+        raise ModelInvariantError("innovation variance must be positive")
+    batch = np.broadcast_shapes(phi.shape[1:], theta.shape[1:], np.shape(sigma2))
+    p, q = len(phi), len(theta)
+    m = max(p, q) + 1
+    theta = [1.0] + list(theta)
+    psi = [1.0]
+    for j in range(1, q + 1):
+        psi.append(theta[j] + sum(phi[k - 1] * psi[j - k] for k in range(1, min(j, p) + 1)))
+    system = np.zeros(batch + (m, m))
+    rows = np.arange(m)
+    system[..., rows, rows] = 1.0
+    for j in range(1, p + 1):
+        system[..., rows, np.abs(rows - j)] -= phi[j - 1][..., None]
+    rhs = np.zeros(batch + (m, 1))
+    for k in range(q + 1):
+        rhs[..., k, 0] = sigma2 * sum(theta[j] * psi[j - k] for j in range(k, q + 1))
+    head = np.moveaxis(np.linalg.solve(system, rhs)[..., 0], -1, 0)
+    gamma = np.empty((max_lag + 1,) + batch)
+    gamma[:m] = head[: max_lag + 1]
+    for h in range(m, max_lag + 1):
+        # one product per coefficient, summed in lag order, so columns stay independent
+        gamma[h] = sum(phi[j - 1] * gamma[h - j] for j in range(1, p + 1))
+    return gamma
+
+
+def autocovariance(source, max_lag, quad_points=4096):
+    """Autocovariances gamma(0..max_lag) of the process with density ``source``.
+
+    A SpectralModel gets them exactly, in closed form (arma_autocovariance).
+    A LogSpectrum or plain callable density gets them by Simpson quadrature
+    of 2 * integral f(w) cos(2 pi w h) dw: the panel count is raised to at
+    least 2*max_lag, and the whole lag range is evaluated at once through a
+    type-I DCT.  ``quad_points`` must be >= 256 for every source.
+    """
+    if isinstance(source, SpectralModel):
+        check_lag_range(max_lag, quad_points)
+        return arma_autocovariance(-source.full_ar_poly()[1:], source.full_ma_poly()[1:],
+                                   source.innovation_variance, max_lag)
     omegas, weights = _autocovariance_nodes(max_lag, quad_points)
     f = density_of(source)(omegas)
     if np.any(f <= 0) or not np.all(np.isfinite(f)):

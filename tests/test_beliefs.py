@@ -164,6 +164,11 @@ class TestForecastMoments:
         with pytest.raises(ValueError):
             forecast_moments(prior, [PeriodogramData.layout("a", 1, 16)], mc_samples=10)
 
+    def test_small_sample_is_design_error_naming_mc_samples(self):
+        prior = PriorSpec(size=4).to_state()
+        with pytest.raises(DesignError, match="mc_samples must be >= 500, got 3"):
+            forecast_moments(prior, [PeriodogramData.layout("a", 1, 16)], mc_samples=3)
+
 
 class TestAdjust:
     def test_scalar_conjugate_case(self):

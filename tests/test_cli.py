@@ -241,6 +241,49 @@ class TestExitCodes:
         assert code == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,cfg,key", [
+        ("bench", {"d1_cells": [[1, 16]], "d2_cells": [[1, 16]], "replicates": "x"},
+         "'replicates'"),
+        ("bench", {"d1_cells": [[1, 16]], "d2_cells": [[1, 16]], "seed": None}, "'seed'"),
+        ("simulate", {"model": {"sigma2": 1.0}, "n": "ten"}, "'n'"),
+        ("simulate", {"model": {"sigma2": 1.0}, "n": 8, "delta": [2]}, "'delta'"),
+        ("loglik-surface", {"n_low": 10, "n_high_list": [2, "y"], "omega_true": 0.3,
+                            "grid_points": 7, "replicates": 2}, "'n_high_list'"),
+        ("loglik-surface", {"n_low": 10, "n_high": 2, "omega_true": "0.3x"}, "'omega_true'"),
+        ("compare-interp", {"modulus": "high"}, "'modulus'"),
+        ("quadrature", {"d": 2, "level": 1e400}, "'level'"),
+        ("kolmogorov", {"model": {"sigma2": 1.0}, "quad_points": "many"}, "'quad_points'"),
+    ])
+    def test_non_numeric_scalar_is_config_error_naming_key(self, tmp_path, capsys, command,
+                                                           cfg, key):
+        code, out = run(tmp_path, command, cfg)
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cfg,key", [
+        ({"d1_cells": 5}, "'d1_cells'"),
+        ({"d1_cells": [[1, 16]], "d2_cells": [5]}, "'d2_cells'"),
+        ({"deltas": 5}, "'deltas'"),
+        ({"ns": "ab"}, "'ns'"),
+    ])
+    def test_malformed_bench_grid_is_config_error(self, tmp_path, capsys, cfg, key):
+        code, out = run(tmp_path, "bench", dict(cfg, replicates=2))
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compare-interp", "estimate"])
+    def test_small_mc_samples_is_config_error(self, tmp_path, capsys, command):
+        cfg = {"mc_samples": 3, "n_total": 300}
+        if command == "estimate":
+            code, sim = run(tmp_path, "simulate", {"model": {"sigma2": 1.0}, "n": 32}, out="sim")
+            assert code == 0
+            cfg = {"mc_samples": 3, "series": [str(sim / "series.csv")]}
+        code, _ = run(tmp_path, command, cfg)
+        assert code == 2
+        assert "mc_samples" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cell", [[1, 4], [1], [1, "x"]])
     def test_bad_bench_segment_is_config_error(self, tmp_path, capsys, cell):
         code, out = run(tmp_path, "bench", {"d1_cells": [cell], "d2_cells": [[1, 16]],

@@ -14,7 +14,7 @@ from mrspec.likelihood import (
     mc_average_surface,
     omega_surface,
 )
-from mrspec.models import SpectralModel, ar2_from_omega, simulate
+from mrspec.models import SpectralModel, ar2_from_omega, autocovariance, simulate
 
 
 class TestDefaultOmegaGrid:
@@ -156,6 +156,30 @@ class TestSurfaceScanner:
             values = rng.standard_normal(len(indices))
             fresh = omega_surface(indices, values, grid)
             assert np.allclose(scanner.loglik(values), fresh.loglik)
+
+    @pytest.mark.parametrize("modulus", [0.9, 0.999])
+    def test_covariances_use_exact_model_autocovariances(self, monkeypatch, modulus):
+        real, covariances = likelihood.cho_factor, []
+
+        def recording(cov, lower):
+            covariances.append(cov)
+            return real(cov, lower=lower)
+
+        monkeypatch.setattr(likelihood, "cho_factor", recording)
+        indices = np.array([0, 2, 4, 6, 7, 8, 9])
+        grid = default_omega_grid(25)
+        SurfaceScanner(indices, grid, modulus, sigma2=1.3)
+        lags = np.abs(np.subtract.outer(indices, indices))
+        assert len(covariances) == len(grid)
+        for omega0, cov in zip(grid, covariances):
+            model = SpectralModel(ar=ar2_from_omega(omega0, modulus), innovation_variance=1.3)
+            assert np.array_equal(cov, autocovariance(model, 9)[lags])
+
+    def test_argument_contract(self):
+        with pytest.raises(ValueError, match="quad_points"):
+            SurfaceScanner(np.arange(4), np.array([0.2]), quad_points=100)
+        with pytest.raises(ValueError, match="omega0"):
+            SurfaceScanner(np.arange(4), np.array([0.2, 0.5]))
 
 
 class TestBatchedLoglik:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 from mrspec import models
@@ -10,6 +12,7 @@ from mrspec.models import (
     SampledSeries,
     SpectralModel,
     ar2_from_omega,
+    arma_autocovariance,
     autocovariance,
     levinson,
     simpson_grid,
@@ -62,6 +65,18 @@ class TestAr2FromOmega:
     def test_resulting_model_is_causal(self):
         for omega in (0.01, 0.1, 0.25, 0.49):
             SpectralModel(ar=ar2_from_omega(omega, 0.95))
+
+    def test_array_equals_scalar_calls(self):
+        grid = 0.5 * np.arange(1, 202) / 202
+        phi1, phi2 = ar2_from_omega(grid, 0.9)
+        assert phi1.shape == grid.shape
+        assert np.array_equal(phi1, [ar2_from_omega(w, 0.9)[0] for w in grid])
+        assert phi2 == ar2_from_omega(0.1, 0.9)[1]
+
+    @pytest.mark.parametrize("bad", [0.0, 0.5, -0.1, np.nan])
+    def test_array_rejects_one_bad_entry(self, bad):
+        with pytest.raises(ValueError, match="omega0"):
+            ar2_from_omega(np.array([0.1, 0.2, bad, 0.3]), 0.9)
 
 
 class TestSpectralModel:
@@ -144,6 +159,101 @@ class TestAutocovariance:
         flat = LogSpectrum(np.array([np.log(3.0)]))
         gamma = autocovariance(flat, 3)
         assert gamma[0] == pytest.approx(3.0, rel=1e-10)
+
+
+def ar2_closed_form(phi, sigma2, max_lag):
+    """gamma(h) of a causal AR(2) from its reciprocal roots a, b:
+    sigma2 [a^(h+1) / (1 - a^2) - b^(h+1) / (1 - b^2)] / ((a - b)(1 - ab))."""
+    a, b = np.roots([1.0, -phi[0], -phi[1]]).astype(complex)
+    h = np.arange(max_lag + 1)
+    gamma = (a ** (h + 1) / (1 - a * a) - b ** (h + 1) / (1 - b * b)) / ((a - b) * (1 - a * b))
+    return sigma2 * gamma.real
+
+
+def psi_weight_gamma(phi, theta, sigma2, max_lag, terms=4000):
+    """ARMA(1,1) autocovariance as the psi-weight sum
+    sigma2 sum_j psi_j psi_{j+h}, psi_0 = 1, psi_j = (phi + theta) phi^(j-1)."""
+    psi = np.concatenate([[1.0], (phi + theta) * phi ** np.arange(terms - 1)])
+    return sigma2 * np.array([psi[: terms - h] @ psi[h:] for h in range(max_lag + 1)])
+
+
+def assert_close_to(gamma, want, rel):
+    """Agreement to ``rel`` relative to each lag, or to gamma(0) where a lag is
+    near a zero crossing."""
+    np.testing.assert_allclose(gamma, want, rtol=rel, atol=rel * abs(want[0]))
+
+
+# coefficients on a 1e-3 lattice: SpectralModel's root check overflows on a
+# subnormal coefficient, which is not what these properties are about
+COEFFICIENTS = st.integers(-950, 950).map(lambda k: k / 1000.0)
+
+
+class TestExactAutocovariance:
+    def test_ar1_closed_form(self):
+        for phi in (0.5, -0.9, 0.999):
+            gamma = autocovariance(SpectralModel(ar=(phi,), innovation_variance=1.7), 200)
+            assert_close_to(gamma, 1.7 * phi ** np.arange(201) / (1 - phi * phi), 1e-12)
+
+    @pytest.mark.parametrize("modulus", [0.5, 0.9, 0.99, 0.999])
+    @pytest.mark.parametrize("omega0", [1.0 / 12.0, 0.3])
+    def test_ar2_closed_form(self, omega0, modulus):
+        phi = ar2_from_omega(omega0, modulus)
+        gamma = autocovariance(SpectralModel(ar=phi, innovation_variance=0.8), 300)
+        assert_close_to(gamma, ar2_closed_form(phi, 0.8, 300), 1e-12)
+
+    def test_ma_closed_form_and_exact_zeros(self):
+        theta = np.array([0.4, -0.3, 0.2])
+        gamma = autocovariance(SpectralModel(ma=theta, innovation_variance=1.7), 10)
+        full = np.concatenate([[1.0], theta])
+        want = [1.7 * full[: 4 - h] @ full[h:] for h in range(4)]
+        assert_close_to(gamma[:4], want, 1e-12)
+        assert np.all(gamma[4:] == 0.0)
+
+    def test_seasonal_arma_matches_fine_quadrature(self):
+        model = SpectralModel(ar=(0.5,), ma=(0.4,), seasonal_ar=(0.6,), seasonal_ma=(0.3,),
+                              season_period=12)
+        exact = autocovariance(model, 60)
+        # a plain callable takes the Simpson path; 2^17 panels resolve this density
+        quadrature = autocovariance(model.density, 60, 2**17)
+        assert_close_to(exact, quadrature, 1e-12)
+
+    def test_batched_columns_equal_single_calls(self):
+        rng = np.random.default_rng(6)
+        phi = rng.uniform(-0.2, 0.2, (3, 5))
+        theta = rng.uniform(-0.5, 0.5, (2, 5))
+        sigma2 = rng.uniform(0.5, 2.0, 5)
+        batch = arma_autocovariance(phi, theta, sigma2, 40)
+        assert batch.shape == (41, 5)
+        for j in range(5):
+            assert np.array_equal(batch[:, j], arma_autocovariance(phi[:, j], theta[:, j],
+                                                                    sigma2[j], 40))
+            model = SpectralModel(ar=phi[:, j], ma=theta[:, j], innovation_variance=sigma2[j])
+            assert np.array_equal(batch[:, j], autocovariance(model, 40))
+
+    def test_argument_checks(self):
+        with pytest.raises(ValueError, match="quad_points"):
+            autocovariance(SpectralModel(ar=(0.5,)), 4, quad_points=100)
+        with pytest.raises(ValueError, match="max_lag"):
+            autocovariance(SpectralModel(ar=(0.5,)), -1)
+        with pytest.raises(ModelInvariantError):
+            arma_autocovariance([0.5], [], np.array([1.0, 0.0]), 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(phi2=COEFFICIENTS, u=COEFFICIENTS, sigma2=st.floats(0.1, 10.0))
+    def test_random_causal_ar2(self, phi2, u, sigma2):
+        # phi1 = u (1 - phi2) keeps (phi1, phi2) inside the causal triangle
+        phi = (u * (1.0 - phi2), phi2)
+        gamma = autocovariance(SpectralModel(ar=phi, innovation_variance=sigma2), 40)
+        assert_close_to(gamma, yule_walker_gamma(phi, sigma2, 40), 1e-10)
+        assert all(v > 0 for _, v in levinson(gamma))
+
+    @settings(max_examples=60, deadline=None)
+    @given(phi=COEFFICIENTS, theta=COEFFICIENTS, sigma2=st.floats(0.1, 10.0))
+    def test_random_arma11(self, phi, theta, sigma2):
+        model = SpectralModel(ar=(phi,), ma=(theta,), innovation_variance=sigma2)
+        gamma = autocovariance(model, 40)
+        assert_close_to(gamma, psi_weight_gamma(phi, theta, sigma2, 40), 1e-10)
+        assert all(v > 0 for _, v in levinson(gamma))
 
 
 class TestSimulate:
