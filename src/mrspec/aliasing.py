@@ -4,7 +4,7 @@ import numpy as np
 
 from .models import density_of
 
-__all__ = ["principal_frequency", "fold", "fold_evaluator", "aliased_partners"]
+__all__ = ["principal_frequency", "fold_branches", "fold", "fold_evaluator", "aliased_partners"]
 
 _TIE_TOL = 1e-12
 
@@ -13,6 +13,12 @@ def principal_frequency(omega):
     """Map arbitrary frequencies into [0, 1/2] by the even, period-1 extension."""
     u = np.mod(np.asarray(omega, dtype=float), 1.0)
     return np.where(u > 0.5, 1.0 - u, u)
+
+
+def fold_branches(nus, delta):
+    """The source frequencies principal_frequency((nu + k)/delta), k < delta, that
+    stride-``delta`` sampling folds onto each coarse frequency nu, on a new last axis."""
+    return principal_frequency((np.asarray(nus, dtype=float)[..., None] + np.arange(delta)) / delta)
 
 
 def fold(source, delta, nus):
@@ -27,9 +33,8 @@ def fold(source, delta, nus):
     nus = np.asarray(nus, dtype=float)
     if np.any(nus < 0) or np.any(nus > 0.5):
         raise ValueError("frequencies must lie in [0, 1/2]")
-    f = density_of(source)
-    branches = (nus[..., None] + np.arange(delta)) / delta
-    vals = f(principal_frequency(branches).ravel()).reshape(branches.shape)
+    branches = fold_branches(nus, delta)
+    vals = density_of(source)(branches.ravel()).reshape(branches.shape)
     return vals.mean(axis=-1)
 
 

@@ -1,14 +1,15 @@
 """Bayes linear adjustment of log-spectrum basis coefficients from
 log-periodograms of series observed at mixed strides."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral, Real
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import ndtri
 
-from .aliasing import principal_frequency
+from .aliasing import fold_branches
 from .models import DesignError, LogSpectrum, basis_matrix
 
 __all__ = [
@@ -175,15 +176,32 @@ class ForecastMoments:
             start += length
         return out
 
+    @cached_property
+    def factor(self):
+        """Lower Cholesky factor of Var(D) in cho_factor's (c, lower) form, made
+        on first use.  A ridge is added only as a fallback: the noise floor
+        pi^2/6 on the diagonal keeps Var(D) well conditioned in normal use, and
+        the exact factor preserves closed-form conjugate cases to machine precision."""
+        var_d = self.variance
+        try:
+            return cho_factor(var_d, lower=True)
+        except np.linalg.LinAlgError:
+            pass
+        k = var_d.shape[0]
+        ridge = 1e-10 * np.trace(var_d) / k
+        try:
+            return cho_factor(var_d + ridge * np.eye(k), lower=True)
+        except np.linalg.LinAlgError:
+            names = _degenerate_blocks(var_d, self.blocks)
+            raise AdjustmentError(
+                "data variance singular after ridge (degenerate dataset(s): %s)" % names
+            )
+
 
 def _branch_basis(datasets, size):
     """Basis matrices at the folded branch frequencies of each dataset."""
-    mats = []
-    for data in datasets:
-        nus = data.frequencies
-        branches = (nus[:, None] + np.arange(data.stride)) / data.stride
-        mats.append(basis_matrix(principal_frequency(branches).ravel(), size))
-    return mats
+    return [basis_matrix(fold_branches(data.frequencies, data.stride).ravel(), size)
+            for data in datasets]
 
 
 def forecast_moments(prior, datasets, mc_samples=2000, seed=0):
@@ -225,9 +243,11 @@ def forecast_moments(prior, datasets, mc_samples=2000, seed=0):
     denom = mc_samples - 1
     var_d = centered_d.T @ centered_d / denom + LOG_PGRAM_VARIANCE * np.eye(mu.shape[1])
     cross = centered_b.T @ centered_d / denom
-    cross = _cap_canonical_correlations(prior.variance, var_d, cross)
     blocks = tuple((d.series_id, len(d.frequencies)) for d in datasets)
-    return ForecastMoments(mean_d, var_d, cross, blocks)
+    moments = ForecastMoments(mean_d, var_d, cross, blocks)
+    object.__setattr__(moments, "cross",
+                       _cap_canonical_correlations(prior.variance, moments.factor, cross))
+    return moments
 
 
 def _reflection_signs(size):
@@ -246,52 +266,33 @@ def _reflection_symmetric(prior, datasets):
     return np.allclose(reflected, prior.variance, atol=1e-12 * max(np.trace(prior.variance), 1.0))
 
 
-def _cap_canonical_correlations(var_b, var_d, cross):
+def _cap_canonical_correlations(var_b, factor_d, cross):
     """Shrink the sampled cross-covariance so its canonical correlations with
     the exact prior variance stay <= 1.
 
     Monte Carlo noise can make Cov(beta, D) slightly too strong relative to
     Var(beta), which would drive adjusted variances negative; capping the
-    correlations restores a valid joint second-order specification."""
+    correlations restores a valid joint second-order specification.  D is
+    whitened by the lower Cholesky factor L of Var(D) (``factor_d``, as
+    cho_factor returns it): canonical correlations do not depend on which
+    square root whitens.  Uncapped input comes back unchanged."""
     vals_b, vecs_b = np.linalg.eigh(var_b)
     vals_b = np.clip(vals_b, 0.0, None)
     root_b = np.sqrt(vals_b)
     inv_root_b = np.where(root_b > 0, 1.0 / np.where(root_b > 0, root_b, 1.0), 0.0)
-    vals_d, vecs_d = np.linalg.eigh(var_d)
-    root_d = np.sqrt(np.clip(vals_d, 0.0, None))
-    inv_root_d = np.where(root_d > 0, 1.0 / np.where(root_d > 0, root_d, 1.0), 0.0)
-    white = (inv_root_b[:, None] * (vecs_b.T @ cross @ vecs_d)) * inv_root_d
-    u, s, vt = np.linalg.svd(white, full_matrices=False)
+    chol_d = np.tril(factor_d[0])
+    # whitened Var(beta)^-1/2 Cov(beta, D) L^-T, transposed, by numpy: numpy and scipy each
+    # bundle an OpenBLAS thread pool, and a threaded scipy solve here leaves its workers
+    # spinning through the numpy-heavy simulation after it (~12% of a bench cell, 2 cores)
+    white_t = np.linalg.solve(chol_d, (cross.T @ vecs_b) * inv_root_b)
+    u, s, vt = np.linalg.svd(white_t.T, full_matrices=False)
     if s.size == 0 or s[0] <= 1.0:
         return cross
     capped = u * np.minimum(s, 1.0) @ vt
-    return (vecs_b * root_b) @ capped @ (root_d[:, None] * vecs_d.T)
-
-
-def _ridge_solve(var_d, rhs, blocks=None):
-    # ridge only as a fallback: the noise floor pi^2/6 on the diagonal keeps
-    # Var(D) well conditioned in normal use, and the exact solve preserves
-    # closed-form conjugate cases to machine precision
-    k = var_d.shape[0]
-    try:
-        c = cho_factor(var_d, lower=True)
-        return cho_solve(c, rhs)
-    except np.linalg.LinAlgError:
-        pass
-    ridge = 1e-10 * np.trace(var_d) / k
-    try:
-        c = cho_factor(var_d + ridge * np.eye(k), lower=True)
-        return cho_solve(c, rhs)
-    except np.linalg.LinAlgError:
-        names = _degenerate_blocks(var_d, blocks)
-        raise AdjustmentError(
-            "data variance singular after ridge (degenerate dataset(s): %s)" % names
-        )
+    return (vecs_b * root_b) @ capped @ chol_d.T
 
 
 def _degenerate_blocks(var_d, blocks):
-    if not blocks:
-        return "unknown"
     bad, start = [], 0
     for name, length in blocks:
         sub = var_d[start : start + length, start : start + length]
@@ -304,14 +305,14 @@ def _degenerate_blocks(var_d, blocks):
 def adjustment_gain(moments):
     """The Bayes linear gain Cov(beta, D) Var(D)^-1, shape (M, K); it does not
     depend on the observed data."""
-    return _ridge_solve(moments.variance, moments.cross.T, moments.blocks).T
+    return cho_solve(moments.factor, moments.cross.T).T
 
 
 def adjust(prior, moments, observed):
     """Bayes linear adjustment of the prior by the stacked observations.
 
     E_D(beta) = E(beta) + Cov(beta,D) Var(D)^-1 (d - E(D)) and the matching
-    variance reduction, with a small ridge on Var(D) before solving.
+    variance reduction, solved with the moments' carried factor of Var(D).
     """
     observed = np.asarray(observed, dtype=float)
     if observed.shape != moments.mean.shape:
@@ -325,33 +326,27 @@ def adjust(prior, moments, observed):
 def sequential_adjust(prior, datasets, observed_list, mc_samples=2000, seed=0):
     """Adjust one dataset at a time, exposing the intermediate belief states.
 
-    Joint moments are forecast once from the prior over the stacked data;
-    each stage then updates the beliefs about (beta, remaining data) jointly,
-    so the final state matches single-shot adjustment on the stacked vector.
+    Moments are forecast once from the prior over the stacked data.  Stage k
+    is ``adjust`` on their leading k blocks, whose Var(D) factor is the
+    leading block of the one factor of the whole Var(D), so no stage factors
+    anything again and the final state is ``adjust`` on the stacked vector.
     Returns (final_state, [state_after_stage_1, ...]).
     """
     if len(datasets) != len(observed_list):
         raise ValueError("need one observed vector per dataset")
     moments = forecast_moments(prior, datasets, mc_samples, seed)
-    size = prior.size
-    slices = [s for _, s in moments.block_slices()]
-    mean = np.concatenate([prior.mean, moments.mean])
-    var = np.block(
-        [[prior.variance, moments.cross], [moments.cross.T, moments.variance]]
-    )
-    snapshots = []
-    for data, observed, sl in zip(datasets, observed_list, slices):
-        idx = np.arange(size + sl.start, size + sl.stop)
-        d_obs = np.asarray(observed, dtype=float)
+    observed = [np.asarray(d_obs, dtype=float) for d_obs in observed_list]
+    for data, d_obs, (_, sl) in zip(datasets, observed, moments.block_slices()):
         if d_obs.shape != (sl.stop - sl.start,):
             raise ValueError("observed vector does not match dataset %r" % data.series_id)
-        var_dd = var[np.ix_(idx, idx)]
-        cov_all_d = var[:, idx]
-        gain = _ridge_solve(var_dd, cov_all_d.T, [(data.series_id, len(idx))]).T
-        mean = mean + gain @ (d_obs - mean[idx])
-        var = var - gain @ cov_all_d.T
-        var = 0.5 * (var + var.T)
-        snapshots.append(BeliefState(mean[:size], var[:size, :size]))
+    chol, lower = moments.factor
+    snapshots = []
+    for k, (_, sl) in enumerate(moments.block_slices(), start=1):
+        e = sl.stop
+        head = ForecastMoments(moments.mean[:e], moments.variance[:e, :e],
+                               moments.cross[:, :e], moments.blocks[:k])
+        object.__setattr__(head, "factor", (chol[:e, :e], lower))
+        snapshots.append(adjust(prior, head, np.concatenate(observed[:k])))
     return snapshots[-1], snapshots
 
 

@@ -104,16 +104,19 @@ class SpectralModel:
 
 
 def _check_roots(poly, name):
-    # poly is ascending in the backshift operator; roots of the reversed
-    # polynomial must lie strictly outside the unit circle
-    if len(poly) <= 1:
-        return
-    roots = np.roots(poly[::-1])
-    if len(roots) and np.min(np.abs(roots)) <= 1.0:
-        raise ModelInvariantError(
-            "%s polynomial has a root on or inside the unit circle "
-            "(min modulus %.6g)" % (name, float(np.min(np.abs(roots))))
-        )
+    """Reject a lag polynomial 1 + c_1 B + ... (ascending ``poly``) with a root
+    on or inside the unit circle: by the Schur-Cohn step-down, ``levinson`` run
+    backwards, it has none exactly when every reflection coefficient has
+    modulus below 1.  No root finding, so subnormal coefficients are harmless."""
+    phi = -np.asarray(poly[1:], dtype=float)
+    for order in range(len(phi), 0, -1):
+        kappa = phi[order - 1]
+        if not abs(kappa) < 1.0:
+            raise ModelInvariantError(
+                "%s polynomial %s has a root on or inside the unit circle "
+                "(reflection coefficient %.6g at order %d)" % (name, poly.tolist(), kappa, order)
+            )
+        phi = (phi[: order - 1] + kappa * phi[: order - 1][::-1]) / (1.0 - kappa * kappa)
 
 
 def ar2_from_omega(omega0, modulus):

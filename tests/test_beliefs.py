@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
+from mrspec import beliefs, bench
 from mrspec.beliefs import (
     EULER_GAMMA,
     LOG_PGRAM_VARIANCE,
@@ -13,6 +16,7 @@ from mrspec.beliefs import (
     PeriodogramData,
     PriorSpec,
     adjust,
+    adjustment_gain,
     difference_grid,
     forecast_moments,
     fourier_frequencies,
@@ -252,6 +256,144 @@ class TestSequentialAdjust:
         a = PeriodogramData.layout("a", 1, 16)
         with pytest.raises(ValueError):
             sequential_adjust(prior, [a], [])
+
+
+def assert_close(got, want, rel):
+    """Agreement to ``rel`` relative to the largest entry of ``want`` (or 1)."""
+    np.testing.assert_allclose(got, want, rtol=0, atol=rel * max(np.abs(want).max(), 1.0))
+
+
+def leading_moments(moments, count):
+    """The moments of the first ``count`` blocks, sliced by hand; their Var(D)
+    factor is made afresh on first use."""
+    end = sum(length for _, length in moments.blocks[:count])
+    return ForecastMoments(moments.mean[:end], moments.variance[:end, :end],
+                           moments.cross[:, :end], moments.blocks[:count])
+
+
+# a stacking of 1-3 series layouts, each (stride, N)
+STACKINGS = st.lists(st.tuples(st.integers(1, 4), st.integers(16, 40)), min_size=1, max_size=3)
+
+
+def stacked_layouts(cells):
+    return [PeriodogramData.layout("s%d" % i, stride, n) for i, (stride, n) in enumerate(cells)]
+
+
+class TestSequentialAdjustProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(cells=STACKINGS, size=st.integers(3, 10), seed=st.integers(0, 2**32 - 1))
+    def test_stages_are_adjust_on_leading_blocks(self, cells, size, seed):
+        prior = PriorSpec(size=size).to_state()
+        layouts = stacked_layouts(cells)
+        rng = np.random.default_rng(seed)
+        observed = [rng.standard_normal(len(l.frequencies)) - EULER_GAMMA for l in layouts]
+        final, stages = sequential_adjust(prior, layouts, observed, mc_samples=500, seed=seed)
+        moments = forecast_moments(prior, layouts, 500, seed)
+        joint = adjust(prior, moments, np.concatenate(observed))
+        assert np.array_equal(final.mean, joint.mean)
+        assert np.array_equal(final.variance, joint.variance)
+        assert len(stages) == len(layouts)
+        for k, stage in enumerate(stages, start=1):
+            want = adjust(prior, leading_moments(moments, k), np.concatenate(observed[:k]))
+            assert_close(stage.mean, want.mean, 1e-12)
+            assert_close(stage.variance, want.variance, 1e-12)
+
+    @settings(max_examples=15, deadline=None)
+    @given(cells=STACKINGS, pick=st.integers(0, 2))
+    def test_zero_variance_block_is_named(self, cells, pick):
+        # zeroing one block's variance, but not its covariance with the other
+        # blocks, leaves a Var(D) that no ridge makes positive definite
+        layouts = stacked_layouts(cells)
+        bad = pick % len(layouts)
+        real = beliefs.forecast_moments
+
+        def zeroed(*args):
+            moments = real(*args)
+            variance = moments.variance.copy()
+            sl = moments.block_slices()[bad][1]
+            variance[sl, sl] = 0.0
+            return ForecastMoments(moments.mean, variance, moments.cross, moments.blocks)
+
+        observed = [np.zeros(len(l.frequencies)) for l in layouts]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(beliefs, "forecast_moments", zeroed)
+            with pytest.raises(AdjustmentError, match=r"dataset\(s\): s%d\)$" % bad):
+                sequential_adjust(PriorSpec(size=6).to_state(), layouts, observed,
+                                  mc_samples=500, seed=0)
+
+
+def eigh_capped_cross(var_b, var_d, cross):
+    """Reference cap by the symmetric square roots (eigh) of both variances:
+    the capped Cov(beta, D) and the largest canonical correlation before it."""
+    roots = []
+    for var in (var_b, var_d):
+        vals, vecs = np.linalg.eigh(var)
+        roots.append((vecs * np.sqrt(vals) @ vecs.T, vecs / np.sqrt(vals) @ vecs.T))
+    (root_b, inv_b), (root_d, inv_d) = roots
+    u, s, vt = np.linalg.svd(inv_b @ cross @ inv_d, full_matrices=False)
+    return root_b @ (u * np.minimum(s, 1.0) @ vt) @ root_d, s[0]
+
+
+class TestOneFactorisation:
+    def test_var_d_factored_once_and_no_data_sized_eigh(self, monkeypatch):
+        prior = PriorSpec(size=8).to_state()
+        layouts = [PeriodogramData.layout("a", 2, 20), PeriodogramData.layout("b", 1, 16),
+                   PeriodogramData.layout("c", 3, 24)]
+        observed = [np.zeros(len(l.frequencies)) for l in layouts]
+        factored, eigh_shapes = [], []
+        real_cho, real_eigh = beliefs.cho_factor, np.linalg.eigh
+
+        def cho_factor(a, *args, **kwargs):
+            factored.append(a.shape)
+            return real_cho(a, *args, **kwargs)
+
+        def eigh(a, *args, **kwargs):
+            eigh_shapes.append(np.shape(a))
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(beliefs, "cho_factor", cho_factor)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        k = sum(len(l.frequencies) for l in layouts)
+        sequential_adjust(prior, layouts, observed, mc_samples=600, seed=0)
+        assert factored == [(k, k)]
+        moments = forecast_moments(prior, layouts, 600, 1)
+        adjust(prior, moments, np.concatenate(observed))
+        adjustment_gain(moments)
+        assert factored == [(k, k)] * 2
+        assert set(eigh_shapes) == {(8, 8)}
+
+    def test_cap_matches_eigh_whitening(self, monkeypatch):
+        # interp_comparison(0)'s three layouts all fire the cap
+        uncapped, moments = [], []
+        real_cap, real_forecast = beliefs._cap_canonical_correlations, bench.forecast_moments
+
+        def cap(var_b, factor_d, cross):
+            uncapped.append(cross)
+            return real_cap(var_b, factor_d, cross)
+
+        def forecast(*args):
+            moments.append(real_forecast(*args))
+            return moments[-1]
+
+        monkeypatch.setattr(beliefs, "_cap_canonical_correlations", cap)
+        monkeypatch.setattr(bench, "forecast_moments", forecast)
+        bench.interp_comparison(0)
+        var_b = PriorSpec().to_state().variance
+        assert len(moments) == len(uncapped) == 3
+        for cross, m in zip(uncapped, moments):
+            want, top = eigh_capped_cross(var_b, m.variance, cross)
+            assert top > 1.0
+            assert_close(m.cross, want, 1e-12)
+            _, top_after = eigh_capped_cross(var_b, m.variance, m.cross)
+            assert top_after <= 1.0 + 1e-12
+
+    def test_uncapped_cross_comes_back_unchanged(self):
+        prior = PriorSpec(size=8).to_state()
+        m = forecast_moments(prior, [PeriodogramData.layout("a", 2, 30)], 600, 0)
+        cross = 0.5 * m.cross
+        _, top = eigh_capped_cross(prior.variance, m.variance, cross)
+        assert top < 1.0
+        assert beliefs._cap_canonical_correlations(prior.variance, m.factor, cross) is cross
 
 
 class TestSpectrumSummary:

@@ -210,6 +210,18 @@ class TestExitCodes:
                       {"model": {"ar": [1.01], "sigma2": 1.0}, "n": 16})
         assert code == 3
 
+    def test_subnormal_coefficient_is_accepted(self, tmp_path):
+        code, out = run(tmp_path, "simulate", {"model": {"ar": [1e-310], "sigma2": 1.0}, "n": 16})
+        assert code == 0
+        assert (out / "series.csv").exists()
+
+    def test_empty_n_high_list_is_config_error(self, tmp_path, capsys):
+        code, out = run(tmp_path, "loglik-surface", {"n_low": 10, "n_high": 2, "n_high_list": [],
+                                                     "omega_true": 0.3, "grid_points": 7})
+        assert code == 2
+        assert "'n_high_list'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_quadrature_dimension_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "quadrature", {"d": 40, "level": 2})
         assert code == 2

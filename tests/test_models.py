@@ -88,6 +88,36 @@ class TestSpectralModel:
         with pytest.raises(ModelInvariantError):
             SpectralModel(ma=(-1.0,))
 
+    def test_rejection_names_polynomial_and_coefficient(self):
+        with pytest.raises(ModelInvariantError,
+                           match=r"AR polynomial \[1.0, -1.2\] .*reflection coefficient 1.2 "):
+            SpectralModel(ar=(1.2,))
+        with pytest.raises(ModelInvariantError, match=r"MA polynomial \[1.0, 0.0, 1.0\] "):
+            SpectralModel(ma=(0.0, 1.0))
+
+    def test_subnormal_coefficient_accepted(self):
+        assert SpectralModel(ar=(1e-310,), ma=(-5e-324,)).ar == (1e-310,)
+
+    @settings(max_examples=100, deadline=None)
+    @given(roots=st.lists(st.tuples(st.floats(0.0, 1.5).filter(lambda r: abs(r - 1.0) > 0.05),
+                                    st.floats(0.0, np.pi)), min_size=1, max_size=3))
+    def test_causal_exactly_when_roots_inside(self, roots):
+        # reciprocal roots r e^{+-i theta}: a factor 1 - 2 r cos(theta) B + r^2 B^2
+        # each, real (theta = 0) or a conjugate pair, so the model is causal
+        # exactly when every r < 1.  The margin about r = 1 covers a root of
+        # multiplicity up to 6, which rounding the coefficients moves by up
+        # to about eps**(1/6) ~ 2e-3
+        poly = np.ones(1)
+        for r, theta in roots:
+            poly = np.convolve(poly, [1.0, -2.0 * r * np.cos(theta), r * r])
+        causal = all(r < 1.0 for r, _ in roots)
+        try:
+            SpectralModel(ar=-poly[1:])
+        except ModelInvariantError:
+            assert not causal
+        else:
+            assert causal
+
     def test_bad_variance(self):
         with pytest.raises(ModelInvariantError):
             SpectralModel(innovation_variance=0.0)
@@ -183,9 +213,7 @@ def assert_close_to(gamma, want, rel):
     np.testing.assert_allclose(gamma, want, rtol=rel, atol=rel * abs(want[0]))
 
 
-# coefficients on a 1e-3 lattice: SpectralModel's root check overflows on a
-# subnormal coefficient, which is not what these properties are about
-COEFFICIENTS = st.integers(-950, 950).map(lambda k: k / 1000.0)
+COEFFICIENTS = st.floats(-0.95, 0.95)
 
 
 class TestExactAutocovariance:
