@@ -109,13 +109,14 @@ def run_bench(design, prior=None, quad_points=4096):
     All replicates go through one batched pass.  Shared by the replicates and
     computed once: the forecast moments (they depend only on the prior and
     the data layout), the prior belief state, the gain Cov(beta, D) Var(D)^-1
-    with the check that the adjusted variance is positive semi-definite, the
-    cosine bases on the quadrature nodes and on the scoring grid, and one
-    stacked DCT and Durbin-Levinson recursion over all truths.  Per
-    replicate there remain the matrix-vector products, the log-periodograms
-    and the score.  The result equals, bit for bit, a loop that runs
-    ``simulate``, ``log_periodogram`` and ``adjust`` on each replicate and
-    counts a replicate as failed when any of them raises.  Deterministic
+    with the check that the adjusted variance is positive semi-definite, and
+    the cosine bases on the embedding nodes and on the scoring grid; the
+    truths are simulated by circulant embedding, one batched FFT per chunk of
+    replicates (``simulate_log_spectra``).  Per replicate there remain the
+    matrix-vector products, the log-periodograms and the score.  The result
+    equals, bit for bit, a loop that runs ``simulate``, ``log_periodogram``
+    and ``adjust`` on each replicate and counts a replicate as failed when
+    any of them raises.  Deterministic
     given the design seed; replicate reduction is in index order.
     """
     prior = prior or PriorSpec()

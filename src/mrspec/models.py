@@ -5,10 +5,10 @@ Spectral convention used throughout the package: the density f is defined on
 White noise with unit innovation variance therefore has f == 1.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
+from scipy.fft import irfft
 
 __all__ = [
     "SpectralModel",
@@ -74,10 +74,8 @@ class SpectralModel:
     innovation_variance: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "ar", tuple(float(c) for c in self.ar))
-        object.__setattr__(self, "ma", tuple(float(c) for c in self.ma))
-        object.__setattr__(self, "seasonal_ar", tuple(float(c) for c in self.seasonal_ar))
-        object.__setattr__(self, "seasonal_ma", tuple(float(c) for c in self.seasonal_ma))
+        for name in ("ar", "ma", "seasonal_ar", "seasonal_ma"):
+            object.__setattr__(self, name, tuple(float(c) for c in getattr(self, name)))
         if self.season_period < 1:
             raise ModelInvariantError("season_period must be a positive integer")
         if not self.innovation_variance > 0:
@@ -215,9 +213,7 @@ class SampledSeries:
 def density_of(source):
     """Coerce a SpectralModel, LogSpectrum or plain callable to a density
     evaluator on [0, 1/2]."""
-    if isinstance(source, SpectralModel):
-        return source.density
-    if isinstance(source, LogSpectrum):
+    if isinstance(source, (SpectralModel, LogSpectrum)):
         return source.density
     if callable(source):
         return source
@@ -250,21 +246,22 @@ def check_lag_range(max_lag, quad_points):
 
 
 def _autocovariance_nodes(max_lag, quad_points):
-    """Simpson nodes and weights for the lags 0..max_lag.  The panel count is
-    raised to at least 2*max_lag so the cosine factor at the largest lag stays
-    resolved (fewer panels would alias it)."""
+    """The nodes j / (2m), j = 0..m, for the lags 0..max_lag: m is ``quad_points``
+    raised to at least 2*max_lag, which resolves every lag, and rounded to even."""
     check_lag_range(max_lag, quad_points)
-    return simpson_grid(max(quad_points, 2 * max_lag))
+    return simpson_grid(max(quad_points, 2 * max_lag))[0]
 
 
-def _dct_autocovariance(f, weights, max_lag):
-    """gamma(0..max_lag), lags on axis 0, from density values ``f`` at the
-    Simpson nodes (nodes on axis 0, one column per process)."""
-    c = weights[:, None] * f
-    # sum_i c_i cos(pi i h / n_panels) for h = 0..n_panels via DCT-I
-    series = dct(c, type=1, axis=0)
-    signs = np.where(np.arange(len(c)) % 2 == 0, 1.0, -1.0)[:, None]
-    return (series + c[0] + signs * c[-1])[: max_lag + 1]
+def _admissible(f):
+    """Per row of density values: finite and positive at every node."""
+    return np.all((f > 0) & np.isfinite(f), axis=-1)
+
+
+def _node_density(source, max_lag, quad_points):
+    f = density_of(source)(_autocovariance_nodes(max_lag, quad_points))
+    if not _admissible(f):
+        raise ModelInvariantError("spectral density must be finite and positive on [0, 1/2]")
+    return f
 
 
 def arma_autocovariance(phi, theta, sigma2, max_lag):
@@ -320,20 +317,19 @@ def autocovariance(source, max_lag, quad_points=4096):
     """Autocovariances gamma(0..max_lag) of the process with density ``source``.
 
     A SpectralModel gets them exactly, in closed form (arma_autocovariance).
-    A LogSpectrum or plain callable density gets them by Simpson quadrature
-    of 2 * integral f(w) cos(2 pi w h) dw: the panel count is raised to at
-    least 2*max_lag, and the whole lag range is evaluated at once through a
-    type-I DCT.  ``quad_points`` must be >= 256 for every source.
+    A LogSpectrum or plain callable density f gets gamma~, the m-panel
+    trapezoid rule for 2 * integral f(w) cos(2 pi w h) dw, from one real FFT:
+    exactly the autocovariance of the 2m-point circulant with eigenvalues
+    f(j / 2m) that ``simulate`` realises, off from gamma by the aliased lags,
+    gamma~(h) = sum_k gamma(h + 2mk).  ``quad_points`` must be >= 256 for
+    every source.
     """
     if isinstance(source, SpectralModel):
         check_lag_range(max_lag, quad_points)
         return arma_autocovariance(-source.full_ar_poly()[1:], source.full_ma_poly()[1:],
                                    source.innovation_variance, max_lag)
-    omegas, weights = _autocovariance_nodes(max_lag, quad_points)
-    f = density_of(source)(omegas)
-    if np.any(f <= 0) or not np.all(np.isfinite(f)):
-        raise ModelInvariantError("spectral density must be finite and positive on [0, 1/2]")
-    return _dct_autocovariance(f[:, None], weights, max_lag)[:, 0]
+    f = _node_density(source, max_lag, quad_points)
+    return irfft(f, 2 * (len(f) - 1))[: max_lag + 1]
 
 
 def levinson(gamma):
@@ -362,93 +358,96 @@ def levinson(gamma):
         yield phi[:t], v
 
 
-def _gaussian_paths(gamma, z):
+def _levinson_paths(gamma, z):
     """Colour standard normals ``z`` (time on axis 0, one column per path when
-    2-d) into paths with covariance Toeplitz(gamma); ``gamma`` is shared by
-    all paths when 1-d and has one column per path when 2-d.
-
-    Returns the paths and the Levinson pivots (one row per step).  A column
-    whose pivot drops to <= 0 runs on with meaningless values, so callers
-    check the pivots; the floating-point warnings of such columns are muted.
-    """
+    2-d) into paths with covariance Toeplitz(gamma) by the Durbin-Levinson
+    innovation recursion; NotPositiveDefiniteError at the first pivot <= 0."""
     x = np.empty_like(z)
-    pivots = np.empty(gamma.shape)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for t, (phi, v) in enumerate(levinson(gamma)):
-            pivots[t] = v
-            x[t] = np.vecdot(phi, x[t - 1 :: -1][:t], axis=0) + np.sqrt(v) * z[t]
-    return x, pivots
-
-
-def _one_process_paths(source, z, quad_points):
-    """Paths with the autocovariance of ``source`` from standard normals ``z``
-    (time on axis 0); raises NotPositiveDefiniteError at the first pivot <= 0."""
-    n = len(z)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    x, pivots = _gaussian_paths(autocovariance(source, n - 1, quad_points), z)
-    bad = np.flatnonzero(pivots <= 0)
-    if bad.size:
-        t = int(bad[0])
-        raise NotPositiveDefiniteError(
-            "covariance not positive definite at step %d (smallest pivot %.6g)" % (t, pivots[t]),
-            pivots[t],
-        )
+    for t, (phi, v) in enumerate(levinson(gamma)):
+        if v <= 0:
+            raise NotPositiveDefiniteError("covariance not positive definite at step %d "
+                                           "(smallest pivot %.6g)" % (t, v), v)
+        x[t] = np.vecdot(phi, x[t - 1 :: -1][:t], axis=0) + np.sqrt(v) * z[t]
     return x
 
 
 def _normals(n, seeds):
-    """Standard normals, one column of length n per seed."""
-    return np.stack([np.random.default_rng(s).standard_normal(n) for s in seeds], axis=1)
+    """Standard normals, one row of n per seed, drawn in place."""
+    z = np.empty((len(seeds), n))
+    for row, seed in zip(z, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    return z
+
+
+def _circulant_paths(f, z, n):
+    """Paths sqrt(2m) irfft(sqrt(f) xi, 2m)[:, :n] with covariance Toeplitz(gamma~),
+    from densities ``f`` at j / (2m), j = 0..m (a row per path, or one for all)
+    and (R, 2m) normals z: xi_0 = z_0, xi_m = z_1, xi_j = (z_{j+1} + i z_{m+j})
+    / sqrt(2).  Circulant embedding: Davies & Harte 1987; Wood & Chan 1994."""
+    m = f.shape[-1] - 1
+    xi = np.zeros((len(z), m + 1), dtype=complex)
+    xi.real[:, 0], xi.real[:, m] = z[:, 0], z[:, 1]
+    xi.real[:, 1:m] = z[:, 2 : m + 1] * np.sqrt(0.5)
+    xi.imag[:, 1:m] = z[:, m + 1 :] * np.sqrt(0.5)
+    xi *= np.sqrt(f)
+    return np.sqrt(2.0 * m) * irfft(xi, 2 * m, axis=-1)[:, :n]
+
+
+def _max_lag(n):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return n - 1
 
 
 def simulate(source, n, seed, quad_points=4096):
-    """Zero-mean Gaussian path of length n with Toeplitz(gamma) covariance.
+    """Zero-mean Gaussian path of length n, deterministic given the seed.
 
-    Uses the Durbin-Levinson innovation recursion (distributionally identical
-    to a dense Toeplitz Cholesky, O(n^2) instead of O(n^3)).  Deterministic
-    given the seed; a non-positive Cholesky pivot raises
-    NotPositiveDefiniteError.
-    """
+    A SpectralModel path has its exact Toeplitz(gamma) covariance, by the
+    Durbin-Levinson recursion (NotPositiveDefiniteError at a pivot <= 0).  A
+    LogSpectrum or callable path has exactly the Toeplitz(gamma~) of
+    ``autocovariance``, by circulant embedding, which has no pivot to fail;
+    a density that is not finite and positive raises ModelInvariantError."""
+    if not isinstance(source, SpectralModel):
+        return SampledSeries(simulate_replicates(source, n, [seed], quad_points)[0])
     z = np.random.default_rng(seed).standard_normal(max(n, 0))
-    return SampledSeries(_one_process_paths(source, z, quad_points), stride=1, offset=0)
+    return SampledSeries(_levinson_paths(autocovariance(source, _max_lag(n), quad_points), z))
 
 
 def simulate_replicates(source, n, seeds, quad_points=4096):
     """Paths of ``simulate`` for many seeds of one process, as the rows of a
-    (len(seeds), n) array.
+    (len(seeds), n) array; row r equals ``simulate(source, n, seeds[r],
+    quad_points).values`` bit for bit.  The autocovariance and recursion, or
+    the density and FFT, are computed once for all rows."""
+    if not isinstance(source, SpectralModel):
+        f = _node_density(source, _max_lag(n), quad_points)
+        return _circulant_paths(f, _normals(2 * len(f) - 2, seeds), n)
+    gamma = autocovariance(source, _max_lag(n), quad_points)
+    return _levinson_paths(gamma, np.ascontiguousarray(_normals(n, seeds).T)).T
 
-    Row r equals ``simulate(source, n, seeds[r], quad_points).values`` bit for
-    bit; the autocovariance and the recursion are computed once for all rows.
-    """
-    return _one_process_paths(source, _normals(max(n, 0), seeds), quad_points).T
+
+_CHUNK = 25  # paths per FFT batch, which bounds the (chunk, 2m) transients
 
 
 def simulate_log_spectra(log_spectra, n, seeds, quad_points=4096):
     """Paths of ``simulate`` for many LogSpectrum processes of one basis size,
-    one seed each.  Returns the paths as the rows of a (len(seeds), n) array
-    and a boolean mask of the rows that were simulated.
+    one seed each, as the rows of a (len(seeds), n) array, and a mask ``ok``.
 
-    ``ok[r]`` is False exactly where ``simulate(log_spectra[r], n, seeds[r],
-    quad_points)`` raises ModelInvariantError or NotPositiveDefiniteError,
-    and row r holds no path then; elsewhere row r equals that call's path bit
-    for bit.  The cosine basis on the quadrature nodes, one DCT and one
-    Durbin-Levinson recursion serve all rows.  Each log-density stays its own
-    matrix-vector product, because a stacked matrix product changes the last
-    bits.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    omegas, weights = _autocovariance_nodes(n - 1, quad_points)
-    basis = basis_matrix(omegas, log_spectra[0].size)
-    f = np.empty((len(omegas), len(log_spectra)))
-    for r, spectrum in enumerate(log_spectra):
-        f[:, r] = np.exp(basis @ spectrum.coefficients)
-    ok = np.all(f > 0, axis=0) & np.all(np.isfinite(f), axis=0)
-    f[:, ~ok] = 1.0  # white noise keeps the recursion of rejected columns finite
-    x, pivots = _gaussian_paths(_dct_autocovariance(f, weights, n - 1), _normals(n, seeds))
-    ok &= ~np.any(pivots <= 0, axis=0)
-    return np.ascontiguousarray(x.T), ok
+    ``ok[r]`` is False, and row r NaN, exactly where ``simulate(log_spectra[r],
+    n, seeds[r], quad_points)`` raises ModelInvariantError; elsewhere row r
+    equals that path bit for bit.  The cosine basis on the nodes is shared and
+    one FFT colours each batch of ``_CHUNK`` rows; each log-density stays its
+    own matrix-vector product, as a stacked product changes the last bits."""
+    basis = basis_matrix(_autocovariance_nodes(_max_lag(n), quad_points), log_spectra[0].size)
+    paths = np.full((len(seeds), n), np.nan)
+    ok = np.zeros(len(seeds), dtype=bool)
+    for start in range(0, len(seeds), _CHUNK):
+        rows = np.arange(start, min(start + _CHUNK, len(seeds)))
+        f = np.stack([np.exp(basis @ log_spectra[r].coefficients) for r in rows])
+        ok[rows] = good = _admissible(f)
+        if good.any():
+            z = _normals(2 * len(basis) - 2, [seeds[r] for r in rows[good]])
+            paths[rows[good]] = _circulant_paths(f[good], z, n)
+    return paths, ok
 
 
 def subsample(series, delta, offset=0):

@@ -10,7 +10,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import ndtri
 
-from .models import LogSpectrum, basis_matrix, density_of, simpson_grid
+from .models import LogSpectrum, SpectralModel, basis_matrix, density_of, simpson_grid
 
 __all__ = [
     "PCDecomposition",
@@ -71,7 +71,7 @@ class QuadratureGrid:
     weights: np.ndarray
 
     def integrate(self, func):
-        return float(sum(w * func(x) for w, x in zip(self.weights, self.nodes)))
+        return float(self.weights @ np.array([func(x) for x in self.nodes], dtype=float))
 
 
 def _gauss_hermite_prob(n):
@@ -126,26 +126,32 @@ def propagate(state, d, level, functional):
         raise ValueError("d exceeds the coefficient dimension")
     grid = sparse_grid(d, level)
     loadings = decomp.eigenvectors[:, :d] * np.sqrt(decomp.eigenvalues[:d])
-    total = 0.0
-    for i, (w, x) in enumerate(zip(grid.weights, grid.nodes)):
+    values = np.empty(len(grid.weights))
+    for i, x in enumerate(grid.nodes):
         try:
-            value = functional(LogSpectrum(state.mean + loadings @ x))
+            values[i] = functional(LogSpectrum(state.mean + loadings @ x))
         except Exception as exc:
             raise ArithmeticError("functional failed at quadrature node %d: %s" % (i, exc))
-        total += w * value
-    return float(total)
+    return float(grid.weights @ values)
 
 
 def kolmogorov_variance(source, quad_points=4096):
-    """One-step-ahead prediction error variance
-    exp(2 * integral_0^{1/2} log f(w) dw) by composite Simpson quadrature."""
+    """One-step-ahead prediction error variance exp(2 * integral_0^{1/2} log f(w) dw)
+    (Kolmogorov-Szego).  Closed forms where they exist: exp(beta_0) for a
+    LogSpectrum, whose cosine terms integrate to 0, and the innovation
+    variance of a SpectralModel, causal and invertible by construction, so
+    its AR and MA factors integrate to 0 in the log.  A plain callable gets
+    composite Simpson quadrature.  ``quad_points`` must be >= 256 for every
+    source."""
     if quad_points < 256:
         raise ValueError("quad_points must be >= 256")
-    omegas, weights = simpson_grid(quad_points)
     if isinstance(source, LogSpectrum):
-        logf = source.evaluate(omegas)
-    else:
-        logf = np.log(density_of(source)(omegas))
-    if not np.all(np.isfinite(logf)):
+        return float(np.exp(source.coefficients[0]))
+    if isinstance(source, SpectralModel):
+        return float(source.innovation_variance)
+    omegas, weights = simpson_grid(quad_points)
+    f = density_of(source)(omegas)
+    # checked before the log, which would warn on a zero or negative value
+    if not np.all((f > 0) & np.isfinite(f)):
         raise ValueError("log spectral density must be finite on [0, 1/2]")
-    return float(np.exp(2.0 * weights @ logf))
+    return float(np.exp(2.0 * weights @ np.log(f)))

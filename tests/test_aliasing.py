@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrspec.aliasing import aliased_partners, fold, fold_evaluator
 from mrspec.models import (
@@ -11,6 +13,13 @@ from mrspec.models import (
 )
 
 AR2 = SpectralModel(ar=ar2_from_omega(1.0 / 12.0, 0.9))
+
+# causal, invertible ARMA(2, 1) models whose autocovariances decay fast
+# enough that 4096 trapezoid panels resolve every fold used below
+COEFF = st.floats(-0.9, 0.9)
+ARMA = st.builds(lambda u, phi2, theta, sigma2: SpectralModel(
+    ar=(u * (1.0 - phi2), phi2), ma=(theta,), innovation_variance=sigma2),
+    COEFF, COEFF, COEFF, st.floats(0.1, 10.0))
 
 
 class TestFold:
@@ -48,6 +57,21 @@ class TestFold:
         nus = np.linspace(0, 0.5, 33)
         double = fold(fold_evaluator(AR2, 2), 3, nus)
         assert double == pytest.approx(fold(AR2, 6, nus), abs=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=ARMA, delta=st.integers(1, 8))
+    def test_power_conservation_property(self, model, delta):
+        # 2 integral f_delta = gamma_delta(0) = gamma(0) = 2 integral f
+        folded = autocovariance(fold_evaluator(model, delta), 0, 4096)[0]
+        assert folded == pytest.approx(autocovariance(model, 0)[0], rel=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=ARMA, delta1=st.integers(1, 5), delta2=st.integers(1, 5),
+           nus=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=20))
+    def test_composition_property(self, model, delta1, delta2, nus):
+        twice = fold(fold_evaluator(model, delta1), delta2, nus)
+        once = fold(model, delta1 * delta2, nus)
+        np.testing.assert_allclose(twice, once, rtol=1e-12)
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):

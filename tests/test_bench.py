@@ -104,15 +104,16 @@ def assert_same_result(got, want):
         assert a == b or (np.isnan(a) and np.isnan(b))
 
 
-# 9 of its 20 replicates hit a non-positive Levinson pivot under PriorSpec(scale=60)
-FAILING_DESIGN = BenchDesign(d1=(1, 32), d2=(2, 32), replicates=20, seed=3, mc_samples=600)
+# a wide-prior design: under PriorSpec(scale=60) a Durbin-Levinson simulation
+# lost 9 of its 20 replicates at round-off pivots; circulant embedding loses none
+WIDE_PRIOR_DESIGN = BenchDesign(d1=(1, 32), d2=(2, 32), replicates=20, seed=3, mc_samples=600)
 
 
 class TestRunBenchMatchesReplicateLoop:
-    @pytest.mark.parametrize("prior,failures", [(None, 0), (PriorSpec(scale=60), 9)])
+    @pytest.mark.parametrize("prior,failures", [(None, 0), (PriorSpec(scale=60), 0)])
     def test_bit_identical(self, prior, failures):
-        got = run_bench(FAILING_DESIGN, prior, quad_points=1024)
-        assert_same_result(got, reference_run_bench(FAILING_DESIGN, prior, quad_points=1024))
+        got = run_bench(WIDE_PRIOR_DESIGN, prior, quad_points=1024)
+        assert_same_result(got, reference_run_bench(WIDE_PRIOR_DESIGN, prior, quad_points=1024))
         assert got.failures == failures
 
     def test_non_finite_adjusted_mean_fails_its_replicate(self, monkeypatch):
@@ -128,9 +129,9 @@ class TestRunBenchMatchesReplicateLoop:
             return data
 
         monkeypatch.setattr(bench, "log_periodogram", log_periodogram)
-        got = run_bench(FAILING_DESIGN, quad_points=1024)
+        got = run_bench(WIDE_PRIOR_DESIGN, quad_points=1024)
         calls.clear()
-        assert_same_result(got, reference_run_bench(FAILING_DESIGN, quad_points=1024))
+        assert_same_result(got, reference_run_bench(WIDE_PRIOR_DESIGN, quad_points=1024))
         assert got.failures == 1
 
     @pytest.mark.parametrize("broken", ["raises", "not_psd"])
@@ -152,6 +153,14 @@ class TestRunBenchMatchesReplicateLoop:
 
 
 class TestRunBench:
+    @pytest.mark.parametrize("scale", [1, 30, 60, 100])
+    def test_wide_priors_lose_no_replicate(self, scale):
+        # a Durbin-Levinson simulation lost 0, 2, 9 and 13 of these 20
+        # replicates at round-off pivots, although every density is positive
+        result = run_bench(WIDE_PRIOR_DESIGN, PriorSpec(scale=scale), quad_points=1024)
+        assert result.failures == 0
+        assert np.all(np.isfinite(result.scores))
+
     def test_deterministic(self):
         design = BenchDesign(d1=(1, 32), d2=(1, 32), replicates=4,
                              seed=9, mc_samples=600)

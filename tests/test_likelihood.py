@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cholesky, solve_triangular
 from scipy.stats import multivariate_normal, norm
 
 from mrspec import likelihood
@@ -110,6 +113,24 @@ class TestExactLoglik:
         cov = gamma[lags]
         want = multivariate_normal(cov=cov).logpdf(values)
         assert got == pytest.approx(want, abs=1e-8)
+
+    @settings(max_examples=50, deadline=None)
+    @given(phi2=st.floats(-0.9, 0.9), u=st.floats(-0.9, 0.9), theta=st.floats(-0.9, 0.9),
+           sigma2=st.floats(0.1, 10.0),
+           indices=st.lists(st.integers(0, 200), min_size=1, max_size=25, unique=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_index_sets_match_dense_cholesky(self, phi2, u, theta, sigma2, indices,
+                                                    seed):
+        model = SpectralModel(ar=(u * (1.0 - phi2), phi2), ma=(theta,),
+                              innovation_variance=sigma2)
+        indices = np.asarray(indices)
+        values = np.random.default_rng(seed).standard_normal(len(indices)) * np.sqrt(sigma2)
+        gamma = autocovariance(model, int(indices.max() - indices.min()))
+        chol = cholesky(gamma[np.abs(np.subtract.outer(indices, indices))], lower=True)
+        w = solve_triangular(chol, values, lower=True)
+        want = -0.5 * (len(values) * np.log(2 * np.pi) + w @ w) - np.sum(np.log(np.diag(chol)))
+        got = exact_loglik(model, list(zip(indices, values)))
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
     def test_rejects_duplicate_indices(self):
         with pytest.raises(ValueError):

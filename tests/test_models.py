@@ -241,7 +241,7 @@ class TestExactAutocovariance:
         model = SpectralModel(ar=(0.5,), ma=(0.4,), seasonal_ar=(0.6,), seasonal_ma=(0.3,),
                               season_period=12)
         exact = autocovariance(model, 60)
-        # a plain callable takes the Simpson path; 2^17 panels resolve this density
+        # a plain callable takes the trapezoid path; 2^17 panels resolve this density
         quadrature = autocovariance(model.density, 60, 2**17)
         assert_close_to(exact, quadrature, 1e-12)
 
@@ -353,13 +353,24 @@ class TestSimulateLogSpectra:
         for spectrum, seed, path, row_ok in zip(spectra, seeds, paths, ok):
             try:
                 want = simulate(spectrum, 300, seed, 1024).values
-            except (ModelInvariantError, NotPositiveDefiniteError) as exc:
+            except ModelInvariantError as exc:
                 raised.append(type(exc))
                 assert not row_ok
+                assert np.all(np.isnan(path))
             else:
                 assert row_ok
                 assert np.array_equal(path, want)
-        assert raised == [NotPositiveDefiniteError, ModelInvariantError, ModelInvariantError]
+        assert raised == [ModelInvariantError, ModelInvariantError]
+
+    def test_rows_do_not_depend_on_their_batch(self):
+        rng = np.random.default_rng(2)
+        spectra = [LogSpectrum(rng.standard_normal(5)) for _ in range(2 * models._CHUNK + 3)]
+        seeds = [9 ^ r for r in range(len(spectra))]
+        paths, ok = simulate_log_spectra(spectra, 64, seeds, 256)
+        assert ok.all()
+        for r in (0, models._CHUNK - 1, models._CHUNK, len(spectra) - 1):
+            alone, _ = simulate_log_spectra(spectra[r : r + 1], 64, seeds[r : r + 1], 256)
+            assert np.array_equal(alone[0], paths[r])
 
 
 class TestSimulateReplicates:
@@ -381,6 +392,47 @@ class TestSimulateReplicates:
         assert err.value.smallest_pivot == pytest.approx(-3.2631578947368434, rel=1e-12)
         with pytest.raises(NotPositiveDefiniteError, match="at step 2 "):
             simulate_replicates(SpectralModel(), 5, [0, 1])
+
+
+def ar1_density(w):
+    return spectral_density(SpectralModel(ar=(0.8,)), w)
+
+
+class TestCirculantEmbedding:
+    @pytest.mark.parametrize("source,n,quad_points", [
+        (LogSpectrum(np.array([0.3, 1.2, -0.8, 0.5])), 40, 256),
+        # 2 * (n - 1) panels exceed quad_points, so the embedding grows with n
+        (ar1_density, 300, 256),
+    ])
+    def test_covariance_of_linear_map_is_toeplitz_of_autocovariance(self, source, n,
+                                                                      quad_points):
+        gamma = autocovariance(source, n - 1, quad_points)
+        f = models._node_density(source, n - 1, quad_points)
+        normals = 2 * (len(f) - 1)
+        # column k is the path the k-th unit normal gives; simulate is linear in its normals
+        linear_map = models._circulant_paths(f, np.eye(normals), n).T
+        cov = linear_map @ linear_map.T
+        assert np.abs(cov - toeplitz(gamma)).max() <= 1e-12 * gamma[0]
+        z = np.random.default_rng(5).standard_normal(normals)
+        np.testing.assert_allclose(simulate(source, n, 5, quad_points).values,
+                                   linear_map @ z, rtol=0, atol=1e-12 * np.sqrt(gamma[0]))
+
+    def test_trapezoid_autocovariance_matches_exact(self):
+        # gamma~ differs from gamma by the aliased lags h + 2mk, negligible here
+        coarse = autocovariance(ar1_density, 30, 256)
+        fine = autocovariance(SpectralModel(ar=(0.8,)), 30)
+        np.testing.assert_allclose(coarse, fine, rtol=0, atol=1e-12 * fine[0])
+
+    def test_replicate_rows_equal_simulate(self):
+        source = LogSpectrum(np.array([0.1, -0.4, 0.2]))
+        seeds = [3, 4, 5]
+        paths = simulate_replicates(source, 50, seeds, 256)
+        for row, seed in zip(paths, seeds):
+            assert np.array_equal(row, simulate(source, 50, seed, 256).values)
+
+    def test_non_positive_density_raises(self):
+        with pytest.raises(ModelInvariantError):
+            simulate(lambda w: np.cos(4 * np.pi * w), 10, 0, 256)
 
 
 class TestSubsample:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mrspec.beliefs import BeliefState
-from mrspec.models import LogSpectrum, SpectralModel
+from mrspec.models import LogSpectrum, SpectralModel, ar2_from_omega
 from mrspec.uncertainty import (
     FAN_QUANTILES,
     QuadratureGrid,
@@ -173,8 +173,43 @@ class TestKolmogorovVariance:
         with pytest.raises(ValueError):
             kolmogorov_variance(SpectralModel(), quad_points=64)
 
+    @pytest.mark.parametrize("source", [LogSpectrum(np.array([0.8])), lambda w: np.ones_like(w)])
+    def test_every_source_rejects_coarse_quadrature(self, source):
+        with pytest.raises(ValueError, match="quad_points"):
+            kolmogorov_variance(source, quad_points=255)
+
+    def test_closed_forms_are_exact(self):
+        # AR(2) at modulus 0.999 with an MA term: Simpson quadrature was off
+        # by 4.4e-6 relative here
+        model = SpectralModel(ar=ar2_from_omega(0.1, 0.999), ma=(0.5,), innovation_variance=2.0)
+        assert kolmogorov_variance(model) == 2.0
+        assert kolmogorov_variance(LogSpectrum(np.array([0.8, 0.5, -0.3]))) == np.exp(0.8)
+
+    @pytest.mark.parametrize("density", [lambda w: np.cos(4 * np.pi * w), lambda w: 0.0 * w])
+    def test_non_positive_callable_raises_without_warning(self, density):
+        with pytest.raises(ValueError, match="finite"):
+            kolmogorov_variance(density)
+
+    def test_callable_uses_quadrature(self):
+        model = SpectralModel(ar=(0.5, -0.3), ma=(0.4,), innovation_variance=1.7)
+        assert kolmogorov_variance(model.density) == pytest.approx(1.7, rel=1e-9)
+
 
 class TestQuadratureGridIntegrate:
     def test_integrate_matches_dot_product(self):
         grid = QuadratureGrid(1, 1, np.array([[1.0], [2.0]]), np.array([0.5, 0.5]))
         assert grid.integrate(lambda x: x[0]) == pytest.approx(1.5)
+
+    def test_sums_match_the_node_loop(self):
+        # the node-by-node sums that the weights @ values products replace;
+        # only the summation order differs
+        grid = sparse_grid(3, 4)
+        func = lambda x: float(np.exp(0.3 * x[0] - 0.2 * x[1] + 0.1 * x[2] ** 2))
+        loop = sum(w * func(x) for w, x in zip(grid.weights, grid.nodes))
+        assert grid.integrate(func) == pytest.approx(loop, rel=1e-13)
+        state = BeliefState(np.array([0.2, -0.1, 0.3]), np.diag([0.3, 0.2, 0.1]))
+        decomp = pc_decomposition(state)
+        loadings = decomp.eigenvectors * np.sqrt(decomp.eigenvalues)
+        loop = sum(w * kolmogorov_variance(LogSpectrum(state.mean + loadings @ x))
+                   for w, x in zip(grid.weights, grid.nodes))
+        assert propagate(state, 3, 4, kolmogorov_variance) == pytest.approx(loop, rel=1e-13)
