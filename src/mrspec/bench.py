@@ -35,7 +35,10 @@ __all__ = [
 
 
 def standard_grid(n_omega=128):
-    """The scoring grid omega_j = j / (2 * (n_omega - 1)), j = 0..n_omega-1."""
+    """The scoring grid omega_j = j / (2 * (n_omega - 1)), j = 0..n_omega-1;
+    it has both endpoints, so ``n_omega`` must be >= 2."""
+    if n_omega < 2:
+        raise ValueError("n_omega must be >= 2, got %r" % (n_omega,))
     return np.arange(n_omega) / (2.0 * (n_omega - 1))
 
 

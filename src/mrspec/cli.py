@@ -1,12 +1,16 @@
 """Command-line front end: config ingestion, experiment orchestration and
 CSV/JSON/SVG emission.
 
-Exit codes: 0 success, 2 input/config error, 3 numerical failure.  Every run
-writes a manifest echoing the resolved config, and reruns with the same
+Each command's config keys, with their readers and defaults, are one entry of
+``_FIELDS``; a key outside it is a config error.  Exit codes: 0 success, 2
+input/config error, 3 numerical failure.  Every run writes a manifest echoing
+the config as given (with ``--seed`` applied), and reruns with the same
 config produce byte-identical CSV output.
 """
 
 import argparse
+import dataclasses
+import functools
 import json
 import os
 import sys
@@ -16,7 +20,6 @@ import numpy as np
 from . import __version__, svgplot
 from .beliefs import (
     AdjustmentError,
-    PeriodogramData,
     PriorSpec,
     # unused; perfbench/spans.py checks cli.adjust is beliefs.adjust in the CI traced smoke step
     adjust,  # noqa: F401
@@ -38,6 +41,7 @@ from .models import (
 )
 from .aliasing import fold
 from .serialize import (
+    MODEL_KEYS,
     CsvFormatError,
     belief_from_dict,
     belief_to_dict,
@@ -48,7 +52,7 @@ from .serialize import (
     write_json,
     write_series,
 )
-from .uncertainty import FAN_QUANTILES, kolmogorov_variance, pc_fan, sparse_grid
+from .uncertainty import kolmogorov_variance, pc_fan, sparse_grid
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -58,228 +62,229 @@ class ConfigError(ValueError):
     pass
 
 
+# Readers: each takes a field's JSON value and returns what the command uses; a
+# ValueError, TypeError, KeyError or OSError it raises is a config error naming the field.
+
+def _number(value, integral=False):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or integral and not (isinstance(value, int) or value.is_integer())):
+        raise ConfigError("must be %s, got %r" % ("an integer" if integral else "a number", value))
+    return int(value) if integral else float(value)
+
+
+def _int(low=None):
+    """Reader of an integer, at least ``low`` when given."""
+    def read(value):
+        number = _number(value, integral=True)
+        if low is not None and number < low:
+            raise ConfigError("must be >= %d, got %r" % (low, value))
+        return number
+    return read
+
+
+def _list(item, min_len=1):
+    """Reader of a list of at least ``min_len`` values, each read by ``item``."""
+    def read(value):
+        if not isinstance(value, list) or len(value) < min_len:
+            raise ConfigError("must be a list of at least %d item(s), got %r" % (min_len, value))
+        return [item(v) for v in value]
+    return read
+
+
+def _known(obj, keys):
+    """``obj``, checked to be a JSON object with no key outside ``keys``."""
+    if not isinstance(obj, dict):
+        raise ConfigError("must be a JSON object, got %r" % (obj,))
+    for key in obj:
+        if key not in keys:
+            raise ConfigError("unknown key %r; known keys are %s" % (key, ", ".join(keys)))
+    return obj
+
+
+def _cell(value):
+    if not isinstance(value, list):
+        raise ConfigError("each cell must be a [delta, N] pair, got %r" % (value,))
+    return tuple(value)
+
+
+def _path(value):
+    if not isinstance(value, str) or not value:
+        raise ConfigError("must be a file path string, got %r" % (value,))
+    return value
+
+
+def _belief(value):
+    return belief_from_dict(read_json(_path(value)))
+
+
+def _series(entry):
+    """A CSV path, or {"csv", "sidecar", "id"}; returns (id, series).  Without
+    a sidecar, the CSV's ``.json`` neighbour is used when it exists."""
+    if isinstance(entry, str):
+        entry = {"csv": entry}
+    entry = _known(entry, ("csv", "sidecar", "id"))
+    csv_path = _path(entry.get("csv"))
+    if entry.get("sidecar") is not None:
+        sidecar = _path(entry["sidecar"])
+    else:
+        guess = os.path.splitext(csv_path)[0] + ".json"
+        sidecar = guess if os.path.exists(guess) else None
+    return entry.get("id", os.path.basename(csv_path)), read_series(csv_path, sidecar)
+
+
+def _prior(value):
+    return PriorSpec(**_known(value, [f.name for f in dataclasses.fields(PriorSpec)]))
+
+
+_float = _number
+REQUIRED = object()  # default of a field the config must give
+ABSENT = object()  # default of a field left out of the values when not given
+
+_SOURCE = {"model": (functools.partial(_known, keys=MODEL_KEYS), ABSENT),
+           "logspectrum": (_list(_float), ABSENT)}
+_GRID = (_int(2), 128)
+_SEED = (_int(0), 0)
+
+# command -> {key: (reader, default)}
+_FIELDS = {
+    "simulate": dict(_SOURCE, n=(_int(1), REQUIRED), seed=_SEED, delta=(_int(1), 1),
+                     offset=(_int(0), 0)),
+    "spectrum": dict(_SOURCE, delta=(_int(1), 1), grid_points=(_int(1), 512)),
+    "loglik-surface": {
+        "n_low": (_int(0), REQUIRED), "n_high": (_int(0), ABSENT),
+        "n_high_list": (_list(_int(0)), ABSENT), "omega_true": (_float, REQUIRED),
+        "grid_points": (_int(1), 201), "replicates": (_int(1), 100),
+        "modulus": (_float, 0.9), "delta_low": (_int(1), 2), "seed": _SEED},
+    "estimate": {"series": (_list(_series), REQUIRED), "prior": (_prior, PriorSpec()),
+                 "mc_samples": (_int(), 2000), "seed": _SEED, "grid_points": _GRID},
+    # table_sweep's parameters
+    "bench": {"deltas": (_list(_int()), [1, 2, 3, 4, 5, 6]),
+              "ns": (_list(_int()), [16, 32, 64, 128]), "replicates": (_int(1), 100),
+              "seed": _SEED, "prior": (_prior, ABSENT), "d1_cells": (_list(_cell), ABSENT),
+              "d2_cells": (_list(_cell), ABSENT)},
+    # interp_comparison's parameters; an absent one takes its default there
+    "compare-interp": {"seed": _SEED, "omega0": (_float, ABSENT), "modulus": (_float, ABSENT),
+                       "n_total": (_int(1), ABSENT), "delta": (_int(1), ABSENT),
+                       "prior": (_prior, ABSENT), "mc_samples": (_int(), ABSENT)},
+    "pc-fan": {"belief": (_belief, REQUIRED), "components": (_int(1), 9), "grid_points": _GRID},
+    "quadrature": {"d": (_int(), REQUIRED), "level": (_int(), REQUIRED)},
+    "kolmogorov": dict(_SOURCE, belief=(_belief, ABSENT), quad_points=(_int(256), 4096)),
+    "diff-grid": {"beliefs": (_list(_belief, 2), REQUIRED), "grid_points": _GRID},
+}
+
+
 def _load_config(args):
-    cfg = {}
-    if args.config:
-        try:
-            cfg = read_json(args.config)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError("cannot read config %s: %s" % (args.config, exc))
-        if not isinstance(cfg, dict):
-            raise ConfigError("config must be a JSON object")
-    if args.seed is not None:
+    """The config as given, checked to be an object of the command's fields,
+    with ``--seed`` applied."""
+    try:
+        cfg = read_json(args.config) if args.config else {}
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError("cannot read config %s: %s" % (args.config, exc))
+    _known(cfg, _FIELDS[args.command])
+    if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
     return cfg
 
 
-def _require(cfg, key):
-    if key not in cfg:
-        raise ConfigError("config is missing required field %r" % key)
-    return cfg[key]
+def _read_fields(fields, cfg):
+    """The command's values: every key of ``cfg`` read by its field's reader,
+    then the defaults of the fields ``cfg`` leaves out."""
+    values = {}
+    for key, (reader, default) in fields.items():
+        if key in cfg:
+            try:
+                values[key] = reader(cfg[key])
+            except (ValueError, TypeError, KeyError, OSError) as exc:
+                raise ConfigError("config field %r: %s" % (key, exc))
+        elif default is REQUIRED:
+            raise ConfigError("config is missing required field %r" % key)
+        elif default is not ABSENT:
+            values[key] = default
+    return values
 
 
-def _number(kind, key, value):
-    """Config field ``key``'s ``value`` converted by ``kind`` (int or float);
-    a value that does not convert is a ConfigError naming the key."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError("config field %r must be %s, got %r"
-                          % (key, "an integer" if kind is int else "a number", value))
+def cmd_simulate(values, out):
+    series = simulate(spectrum_source_from_dict(values), values["n"], values["seed"])
+    if values["delta"] > 1:
+        series = subsample(series, values["delta"], values["offset"])
+    write_series(out("series.csv"), out("series.json"), series)
 
 
-def _cell_list(cfg, key):
-    """``cfg[key]`` as a list of tuples, or None when the key is absent; a
-    value that is not a list of lists is a ConfigError naming the key."""
-    if key not in cfg:
-        return None
-    cells = cfg[key]
-    if not isinstance(cells, list) or not all(isinstance(c, list) for c in cells):
-        raise ConfigError("config field %r must be a list of [delta, N] pairs, got %r"
-                          % (key, cells))
-    return [tuple(c) for c in cells]
+def cmd_spectrum(values, out):
+    grid = np.linspace(0.0, 0.5, values["grid_points"])
+    curve = fold(spectrum_source_from_dict(values), values["delta"], grid)
+    write_csv(out("spectrum.csv"), ["omega", "f"], [grid, curve])
+    svgplot.line_plot(out("spectrum.svg"), grid, [curve],
+                      title="spectral density (delta=%d)" % values["delta"], ylabel="f")
 
 
-def _outpath(args, name):
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
-
-
-def _manifest(args, command, cfg):
-    write_json(_outpath(args, "manifest.json"),
-               {"command": command, "config": cfg, "version": __version__})
-
-
-def _prior_from(cfg):
-    p = cfg.get("prior", {})
-    if not isinstance(p, dict):
-        raise ConfigError("'prior' must be an object, got %r" % (p,))
-    return PriorSpec(
-        size=p.get("size", 32),
-        intercept_mean=p.get("intercept_mean", 0.0),
-        scale=p.get("scale", 1.0),
-        smoothness=p.get("smoothness", 2.0),
-        cutoff=p.get("cutoff", 4.0),
-    )
-
-
-def cmd_simulate(args):
-    cfg = _load_config(args)
-    source = spectrum_source_from_dict(cfg)
-    n = _number(int, "n", _require(cfg, "n"))
-    seed = _number(int, "seed", cfg.get("seed", 0))
-    series = simulate(source, n, seed)
-    delta = _number(int, "delta", cfg.get("delta", 1))
-    if delta > 1:
-        series = subsample(series, delta, _number(int, "offset", cfg.get("offset", 0)))
-    write_series(_outpath(args, "series.csv"), _outpath(args, "series.json"), series)
-    _manifest(args, "simulate", cfg)
-
-
-def cmd_spectrum(args):
-    cfg = _load_config(args)
-    source = spectrum_source_from_dict(cfg)
-    delta = _number(int, "delta", cfg.get("delta", 1))
-    n_grid = _number(int, "grid_points", cfg.get("grid_points", 512))
-    grid = np.linspace(0.0, 0.5, n_grid)
-    values = fold(source, delta, grid)
-    write_csv(_outpath(args, "spectrum.csv"), ["omega", "f"], [grid, values])
-    svgplot.line_plot(_outpath(args, "spectrum.svg"), grid, [values],
-                      title="spectral density (delta=%d)" % delta, ylabel="f")
-    _manifest(args, "spectrum", cfg)
-
-
-def cmd_loglik_surface(args):
-    cfg = _load_config(args)
-    n_high_key, n_high_values = "n_high_list", cfg.get("n_high_list")
-    if n_high_key not in cfg:
-        n_high_key, n_high_values = "n_high", [_require(cfg, "n_high")]
-    if not isinstance(n_high_values, list) or not n_high_values:
-        raise ConfigError("'n_high_list' must be a nonempty list, got %r" % (n_high_values,))
-    n_high_values = [_number(int, n_high_key, n_high) for n_high in n_high_values]
-    grid_n = _number(int, "grid_points", cfg.get("grid_points", 201))
-    if grid_n < 1:
-        raise ConfigError("grid_points must be >= 1")
-    omega_true = _number(float, "omega_true", _require(cfg, "omega_true"))
+def cmd_loglik_surface(values, out):
+    if "n_high_list" not in values and "n_high" not in values:
+        raise ConfigError("config is missing required field 'n_high' (or 'n_high_list')")
+    n_high_values = values["n_high_list"] if "n_high_list" in values else [values["n_high"]]
     curves, labels = [], []
-    grid = default_omega_grid(grid_n)
+    grid = default_omega_grid(values["grid_points"])
     for n_high in n_high_values:
         design = ExperimentDesign(
-            n_low=_number(int, "n_low", _require(cfg, "n_low")),
-            n_high=n_high,
-            replicates=_number(int, "replicates", cfg.get("replicates", 100)),
-            omega_true=omega_true,
-            modulus=_number(float, "modulus", cfg.get("modulus", 0.9)),
-            delta_low=_number(int, "delta_low", cfg.get("delta_low", 2)),
-            grid=grid,
-            seed=_number(int, "seed", cfg.get("seed", 0)),
-        )
+            n_low=values["n_low"], n_high=n_high, replicates=values["replicates"],
+            omega_true=values["omega_true"], modulus=values["modulus"],
+            delta_low=values["delta_low"], grid=grid, seed=values["seed"])
         surface = mc_average_surface(design)
         labels.append("n_high=%d" % n_high)
         curves.append(surface.loglik)
         name = "surface.csv" if len(n_high_values) == 1 else "surface_nh%03d.csv" % n_high
-        write_csv(_outpath(args, name), ["omega", "loglik"], [surface.omegas, surface.loglik])
-    svgplot.line_plot(_outpath(args, "surface.svg"), grid, curves, labels,
-                      vline=omega_true, title="average log-likelihood surfaces",
+        write_csv(out(name), ["omega", "loglik"], [surface.omegas, surface.loglik])
+    svgplot.line_plot(out("surface.svg"), grid, curves, labels,
+                      vline=values["omega_true"], title="average log-likelihood surfaces",
                       ylabel="loglik")
-    _manifest(args, "loglik-surface", cfg)
 
 
-def _read_series_entry(entry):
-    if isinstance(entry, str):
-        entry = {"csv": entry}
-    if not isinstance(entry, dict):
-        raise ConfigError("each 'series' entry must be a path or an object, got %r" % (entry,))
-    csv_path = entry.get("csv")
-    if not csv_path or not isinstance(csv_path, str):
-        raise ConfigError("each 'series' entry needs a 'csv' path")
-    sidecar = entry.get("sidecar")
-    if sidecar is None:
-        guess = os.path.splitext(csv_path)[0] + ".json"
-        sidecar = guess if os.path.exists(guess) else None
-    try:
-        series = read_series(csv_path, sidecar)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError("cannot read series %s: %s" % (csv_path, exc))
-    return entry.get("id", os.path.basename(csv_path)), series
-
-
-def cmd_estimate(args):
-    cfg = _load_config(args)
-    entries = _require(cfg, "series")
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError("'series' must be a nonempty list")
-    named = [_read_series_entry(e) for e in entries]
-    prior = _prior_from(cfg)
-    mc_samples = _number(int, "mc_samples", cfg.get("mc_samples", 2000))
-    seed = _number(int, "seed", cfg.get("seed", 0))
-    datasets = [log_periodogram(series, name) for name, series in named]
+def cmd_estimate(values, out):
+    datasets = [log_periodogram(series, name) for name, series in values["series"]]
     observed = [d.log_periodogram for d in datasets]
-    state, snapshots = sequential_adjust(prior.to_state(), datasets, observed, mc_samples, seed)
-    write_json(_outpath(args, "belief.json"), belief_to_dict(state))
+    state, snapshots = sequential_adjust(values["prior"].to_state(), datasets, observed,
+                                         values["mc_samples"], values["seed"])
+    write_json(out("belief.json"), belief_to_dict(state))
     for k, snap in enumerate(snapshots, start=1):
-        write_json(_outpath(args, "belief_stage%d.json" % k), belief_to_dict(snap))
-    grid = standard_grid(_number(int, "grid_points", cfg.get("grid_points", 128)))
+        write_json(out("belief_stage%d.json" % k), belief_to_dict(snap))
+    grid = standard_grid(values["grid_points"])
     summary = spectrum_summary(state, grid)
     lo50, hi50 = summary.bands[0.5]
     lo90, hi90 = summary.bands[0.9]
-    write_csv(_outpath(args, "summary.csv"),
+    write_csv(out("summary.csv"),
               ["omega", "mean", "lo50", "hi50", "lo90", "hi90"],
               [grid, summary.mean, lo50, hi50, lo90, hi90])
-    svgplot.band_plot(_outpath(args, "bands.svg"), grid, summary.mean, summary.bands,
+    svgplot.band_plot(out("bands.svg"), grid, summary.mean, summary.bands,
                       title="adjusted log-spectrum", ylabel="log f")
-    _manifest(args, "estimate", cfg)
 
 
-def cmd_bench(args):
-    cfg = _load_config(args)
-    deltas = cfg.get("deltas", [1, 2, 3, 4, 5, 6])
-    ns = cfg.get("ns", [16, 32, 64, 128])
-    for key, grid in (("deltas", deltas), ("ns", ns)):
-        if not isinstance(grid, list):
-            raise ConfigError("config field %r must be a list, got %r" % (key, grid))
-    replicates = _number(int, "replicates", cfg.get("replicates", 100))
-    seed = _number(int, "seed", cfg.get("seed", 0))
-    d1_cells = _cell_list(cfg, "d1_cells")
-    d2_cells = _cell_list(cfg, "d2_cells")
-    rows, cols, means, stderrs = table_sweep(deltas, ns, replicates, seed,
-                                             _prior_from(cfg), d1_cells, d2_cells)
+def cmd_bench(values, out):
+    rows, cols, means, stderrs = table_sweep(**values)
     header = ["d1_delta", "d1_n"] + ["d%d_n%d" % c for c in cols]
     row_delta = [c[0] for c in rows]
     row_n = [c[1] for c in rows]
-    write_csv(_outpath(args, "table.csv"), header,
+    write_csv(out("table.csv"), header,
               [row_delta, row_n] + [means[:, j] for j in range(len(cols))])
-    write_csv(_outpath(args, "stderr.csv"), header,
+    write_csv(out("stderr.csv"), header,
               [row_delta, row_n] + [stderrs[:, j] for j in range(len(cols))])
-    _manifest(args, "bench", cfg)
 
 
-def cmd_compare_interp(args):
-    cfg = _load_config(args)
-    result = interp_comparison(
-        seed=_number(int, "seed", cfg.get("seed", 0)),
-        omega0=_number(float, "omega0", cfg.get("omega0", 0.35)),
-        modulus=_number(float, "modulus", cfg.get("modulus", 0.9)),
-        n_total=_number(int, "n_total", cfg.get("n_total", 600)),
-        delta=_number(int, "delta", cfg.get("delta", 2)),
-        prior=_prior_from(cfg),
-        mc_samples=_number(int, "mc_samples", cfg.get("mc_samples", 2000)),
-    )
+def cmd_compare_interp(values, out):
+    result = interp_comparison(**values)
     names = ["truth", "blm_raw", "blm_interp", "ar_fit", "smoothed_pgram"]
     curves = [result.truth, result.blm_raw, result.blm_interp,
               result.ar_fit, result.smoothed_pgram]
-    write_csv(_outpath(args, "overlay.csv"), ["omega"] + names,
-              [result.grid] + curves)
-    svgplot.line_plot(_outpath(args, "overlay.svg"), result.grid, curves, names,
+    write_csv(out("overlay.csv"), ["omega"] + names, [result.grid] + curves)
+    svgplot.line_plot(out("overlay.svg"), result.grid, curves, names,
                       title="interpolation comparison", ylabel="log f")
-    _manifest(args, "compare-interp", cfg)
 
 
-def cmd_pc_fan(args):
-    cfg = _load_config(args)
-    state = _read_belief(_require(cfg, "belief"))
-    n_components = _number(int, "components", cfg.get("components", 9))
-    grid = standard_grid(_number(int, "grid_points", cfg.get("grid_points", 128)))
+def cmd_pc_fan(values, out):
+    state, n_components = values["belief"], values["components"]
+    if n_components > state.size:
+        raise ConfigError("config field 'components' must be <= %d, the belief's size, got %d"
+                          % (state.size, n_components))
+    grid = standard_grid(values["grid_points"])
     header, columns = ["omega"], [grid]
     panels = []
     for k in range(n_components):
@@ -288,52 +293,37 @@ def cmd_pc_fan(args):
             header.append("c%d_q%d" % (k + 1, i + 1))
             columns.append(fan[i])
         panels.append(("component %d" % (k + 1), grid, list(fan)))
-    write_csv(_outpath(args, "pc_fan.csv"), header, columns)
-    svgplot.panel_grid(_outpath(args, "pc_fan.svg"), panels, ncols=3,
+    write_csv(out("pc_fan.csv"), header, columns)
+    svgplot.panel_grid(out("pc_fan.svg"), panels, ncols=3,
                        title="principal directions of spectrum uncertainty")
-    _manifest(args, "pc-fan", cfg)
 
 
-def cmd_quadrature(args):
-    cfg = _load_config(args)
-    d = _number(int, "d", _require(cfg, "d"))
-    level = _number(int, "level", _require(cfg, "level"))
+def cmd_quadrature(values, out):
+    d = values["d"]
     try:
-        grid = sparse_grid(d, level)
+        grid = sparse_grid(d, values["level"])
     except ValueError as exc:
         raise ConfigError(str(exc))
     header = ["w"] + ["x%d" % (i + 1) for i in range(d)]
-    write_csv(_outpath(args, "quadrature.csv"), header,
+    write_csv(out("quadrature.csv"), header,
               [grid.weights] + [grid.nodes[:, i] for i in range(d)])
-    _manifest(args, "quadrature", cfg)
 
 
-def cmd_kolmogorov(args):
-    cfg = _load_config(args)
-    if "belief" in cfg:
-        source = LogSpectrum(np.asarray(_read_belief(cfg["belief"]).mean))
+def cmd_kolmogorov(values, out):
+    if "belief" in values:
+        if "model" in values or "logspectrum" in values:
+            raise ConfigError("config has both 'belief' and a 'model' or 'logspectrum'; give one")
+        source = LogSpectrum(np.asarray(values["belief"].mean))
     else:
-        source = spectrum_source_from_dict(cfg)
-    value = kolmogorov_variance(source, _number(int, "quad_points", cfg.get("quad_points", 4096)))
+        source = spectrum_source_from_dict(values)
+    value = kolmogorov_variance(source, values["quad_points"])
     print("%.17g" % value)
-    write_csv(_outpath(args, "kolmogorov.csv"), ["prediction_variance"], [[value]])
-    _manifest(args, "kolmogorov", cfg)
+    write_csv(out("kolmogorov.csv"), ["prediction_variance"], [[value]])
 
 
-def _read_belief(path):
-    try:
-        return belief_from_dict(read_json(path))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ConfigError("cannot read belief %s: %s" % (path, exc))
-
-
-def cmd_diff_grid(args):
-    cfg = _load_config(args)
-    paths = _require(cfg, "beliefs")
-    if not isinstance(paths, list) or len(paths) < 2:
-        raise ConfigError("'beliefs' must list at least two belief JSON files")
-    states = [_read_belief(path) for path in paths]
-    grid = standard_grid(_number(int, "grid_points", cfg.get("grid_points", 128)))
+def cmd_diff_grid(values, out):
+    states = values["beliefs"]
+    grid = standard_grid(values["grid_points"])
     curves = difference_grid(states, grid)
     k = len(states)
     header, columns, panels = ["omega"], [grid], []
@@ -343,10 +333,9 @@ def cmd_diff_grid(args):
             columns.append(curves[i, j])
             label = "mean %d" % (i + 1) if i == j else "mean %d - mean %d" % (i + 1, j + 1)
             panels.append((label, grid, [curves[i, j]]))
-    write_csv(_outpath(args, "diff_grid.csv"), header, columns)
-    svgplot.panel_grid(_outpath(args, "diff_grid.svg"), panels, ncols=k,
+    write_csv(out("diff_grid.csv"), header, columns)
+    svgplot.panel_grid(out("diff_grid.svg"), panels, ncols=k,
                        title="log-spectrum means and differences")
-    _manifest(args, "diff-grid", cfg)
 
 
 _COMMANDS = {
@@ -373,15 +362,24 @@ def build_parser():
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        if "seed" in _FIELDS[name]:
+            p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=".", help="output directory")
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+
+    def out(name):
+        os.makedirs(args.out, exist_ok=True)
+        return os.path.join(args.out, name)
+
     try:
-        _COMMANDS[args.command](args)
+        cfg = _load_config(args)
+        _COMMANDS[args.command](_read_fields(_FIELDS[args.command], cfg), out)
+        write_json(out("manifest.json"),
+                   {"command": args.command, "config": cfg, "version": __version__})
     except (ConfigError, CsvFormatError, DesignError, KeyError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

@@ -83,6 +83,8 @@ class ExperimentDesign:
             raise DesignError("replicates must be >= 1")
         if self.n_low < 0 or self.n_high < 0 or (self.n_low == 0 and self.n_high == 0):
             raise DesignError("need n_low >= 0, n_high >= 0 and not both zero")
+        if self.delta_low < 1:
+            raise DesignError("delta_low must be >= 1")
         if not 0 < self.omega_true < 0.5:
             raise DesignError("omega_true must lie in (0, 1/2)")
 

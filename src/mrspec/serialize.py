@@ -11,6 +11,7 @@ __all__ = [
     "format_value",
     "write_csv",
     "read_csv",
+    "MODEL_KEYS",
     "model_to_dict",
     "model_from_dict",
     "spectrum_source_from_dict",
@@ -79,7 +80,14 @@ def model_to_dict(model):
     }
 
 
+MODEL_KEYS = ("ar", "ma", "sar", "sma", "s", "sigma2")
+
+
 def model_from_dict(cfg):
+    for key in cfg:
+        if key not in MODEL_KEYS:
+            raise KeyError("model config has unknown key %r; known keys are %s"
+                           % (key, ", ".join(MODEL_KEYS)))
     if "sigma2" not in cfg:
         raise KeyError("model config is missing required field 'sigma2'")
     return SpectralModel(
@@ -93,7 +101,10 @@ def model_from_dict(cfg):
 
 
 def spectrum_source_from_dict(cfg):
-    """A model dict under 'model' or cosine coefficients under 'logspectrum'."""
+    """A model dict under 'model' or cosine coefficients under 'logspectrum',
+    not both."""
+    if "model" in cfg and "logspectrum" in cfg:
+        raise KeyError("config has both 'model' and 'logspectrum'; give one")
     if "model" in cfg:
         return model_from_dict(cfg["model"])
     if "logspectrum" in cfg:

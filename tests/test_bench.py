@@ -30,6 +30,12 @@ class TestStandardGrid:
         assert len(grid) == 128
         assert np.allclose(np.diff(grid), 0.5 / 127)
 
+    @pytest.mark.parametrize("n_omega", [1, 0, -3])
+    def test_needs_both_endpoints(self, n_omega):
+        # one point used to divide 0/0 and give [nan]
+        with pytest.raises(ValueError, match="n_omega must be >= 2"):
+            standard_grid(n_omega)
+
 
 class TestDiscrepancy:
     def test_identical_curves(self):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mrspec.cli import main
+from mrspec.cli import _COMMANDS, main
 from mrspec.serialize import read_csv, read_json, write_json
 
 
@@ -320,3 +320,117 @@ class TestDeterminism:
         _, out2 = run(tmp_path, "loglik-surface", cfg, out="r2")
         assert (out1 / "surface.csv").read_bytes() == (out2 / "surface.csv").read_bytes()
         assert (out1 / "surface.svg").read_bytes() == (out2 / "surface.svg").read_bytes()
+
+
+class TestConfigTable:
+    """Every key a command reads is in its field table; anything else is a
+    config error that names the key and writes nothing."""
+
+    @pytest.fixture()
+    def belief_path(self, tmp_path):
+        path = tmp_path / "belief.json"
+        write_json(path, {"mean": [0.2, 0.1, -0.05, 0.0],
+                          "variance": np.diag([0.4, 0.2, 0.1, 0.05]).tolist()})
+        return path
+
+    @pytest.fixture()
+    def series_path(self, tmp_path):
+        code, out = run(tmp_path, "simulate", {"model": {"sigma2": 1.0}, "n": 32}, out="sim")
+        assert code == 0
+        return out / "series.csv"
+
+    def assert_config_error(self, tmp_path, capsys, command, cfg, key, extra=()):
+        code, out = run(tmp_path, command, cfg, extra=extra)
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_unknown_top_level_key(self, tmp_path, capsys, command):
+        self.assert_config_error(tmp_path, capsys, command, {"no_such_key": 1}, "'no_such_key'")
+
+    def test_misspelt_key_is_not_ignored(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, "simulate",
+                                 {"model": {"sigma2": 1.0}, "n": 16, "delt": 3}, "'delt'")
+
+    @pytest.mark.parametrize("command", ["estimate", "bench", "compare-interp"])
+    def test_unknown_prior_key(self, tmp_path, capsys, series_path, command):
+        cfg = {"prior": {"scael": 9}}
+        if command == "estimate":
+            cfg["series"] = [str(series_path)]
+        self.assert_config_error(tmp_path, capsys, command, cfg, "'scael'")
+
+    def test_unknown_model_key(self, tmp_path, capsys):
+        # "AR" used to be dropped, so the run simulated white noise
+        self.assert_config_error(tmp_path, capsys, "simulate",
+                                 {"model": {"sigma2": 1, "AR": [0.9]}, "n": 16}, "'AR'")
+
+    def test_model_and_logspectrum_together(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, "spectrum",
+                                 {"model": {"sigma2": 1.0}, "logspectrum": [0.0]},
+                                 "'logspectrum'")
+
+    def test_belief_and_model_together(self, tmp_path, capsys, belief_path):
+        self.assert_config_error(tmp_path, capsys, "kolmogorov",
+                                 {"belief": str(belief_path), "model": {"sigma2": 1.0}},
+                                 "'belief'")
+
+    @pytest.mark.parametrize("command,cfg,key", [
+        ("simulate", {"model": {"sigma2": 1.0}, "n": 0}, "'n'"),
+        ("simulate", {"model": {"sigma2": 1.0}, "n": 16.5}, "'n'"),
+        ("simulate", {"model": {"sigma2": 1.0}, "n": "16"}, "'n'"),
+        ("simulate", {"model": {"sigma2": 1.0}, "n": 16, "seed": -1}, "'seed'"),
+        ("simulate", {"model": 5, "n": 16}, "'model'"),
+        ("spectrum", {"logspectrum": [0.0], "grid_points": 0}, "'grid_points'"),
+        ("spectrum", {"logspectrum": [0.0], "delta": 0}, "'delta'"),
+        ("spectrum", {"logspectrum": ["a"]}, "'logspectrum'"),
+        ("pc-fan", {"belief": 0}, "'belief'"),
+        ("kolmogorov", {"belief": 0}, "'belief'"),
+        ("kolmogorov", {"logspectrum": [0.0], "quad_points": 10}, "'quad_points'"),
+        ("diff-grid", {"beliefs": ["only-one.json"]}, "'beliefs'"),
+        ("loglik-surface", {"n_low": 10, "omega_true": 0.3}, "'n_high'"),
+        ("loglik-surface", {"n_low": 10, "n_high": 2, "omega_true": 0.3, "delta_low": 0},
+         "'delta_low'"),
+        ("estimate", {"series": [{"csv": "a.csv", "sidcar": "a.json"}]}, "'sidcar'"),
+    ])
+    def test_bad_field_names_key(self, tmp_path, capsys, command, cfg, key):
+        self.assert_config_error(tmp_path, capsys, command, cfg, key)
+
+    @pytest.mark.parametrize("grid_points", [0, 1])
+    @pytest.mark.parametrize("command", ["pc-fan", "diff-grid", "estimate"])
+    def test_grid_points_below_two(self, tmp_path, capsys, belief_path, series_path,
+                                   command, grid_points):
+        cfg = {"pc-fan": {"belief": str(belief_path), "components": 1},
+               "diff-grid": {"beliefs": [str(belief_path)] * 2},
+               "estimate": {"series": [str(series_path)], "prior": {"size": 4},
+                            "mc_samples": 600}}[command]
+        self.assert_config_error(tmp_path, capsys, command, dict(cfg, grid_points=grid_points),
+                                 "'grid_points'")
+
+    @pytest.mark.parametrize("components", [5, 9, 0, -1])
+    def test_pc_fan_components_outside_belief_size(self, tmp_path, capsys, belief_path,
+                                                   components):
+        self.assert_config_error(tmp_path, capsys, "pc-fan",
+                                 {"belief": str(belief_path), "components": components},
+                                 "'components'")
+
+    def test_pc_fan_all_components(self, tmp_path, belief_path):
+        code, out = run(tmp_path, "pc-fan", {"belief": str(belief_path), "components": 4,
+                                             "grid_points": 8})
+        assert code == 0
+        header, _ = read_csv(out / "pc_fan.csv")
+        assert len(header) == 1 + 4 * 9
+
+    @pytest.mark.parametrize("command", ["spectrum", "pc-fan", "quadrature", "kolmogorov",
+                                         "diff-grid"])
+    def test_seed_flag_only_on_seeded_commands(self, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "1", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_manifest_echoes_config_as_given(self, tmp_path):
+        cfg = {"model": {"ar": [0.5], "sigma2": 1}, "n": 16, "seed": 2}
+        code, out = run(tmp_path, "simulate", cfg, extra=["--seed", "5"])
+        assert code == 0
+        assert read_json(out / "manifest.json")["config"] == dict(cfg, seed=5)

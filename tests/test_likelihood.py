@@ -17,7 +17,7 @@ from mrspec.likelihood import (
     mc_average_surface,
     omega_surface,
 )
-from mrspec.models import SpectralModel, ar2_from_omega, autocovariance, simulate
+from mrspec.models import DesignError, SpectralModel, ar2_from_omega, autocovariance, simulate
 
 
 class TestDefaultOmegaGrid:
@@ -74,6 +74,13 @@ class TestExperimentDesign:
     def test_rejects_bad_omega(self):
         with pytest.raises(ValueError):
             ExperimentDesign(n_low=4, n_high=0, replicates=1, omega_true=0.5)
+
+    @pytest.mark.parametrize("delta_low", [0, -2])
+    def test_rejects_delta_low_below_one(self, delta_low):
+        # delta_low = 0 used to repeat base indices and fail at every grid point
+        with pytest.raises(DesignError, match="delta_low"):
+            ExperimentDesign(n_low=4, n_high=2, replicates=1, omega_true=0.3,
+                             delta_low=delta_low)
 
 
 class TestExactLoglik:

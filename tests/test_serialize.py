@@ -88,6 +88,15 @@ class TestModelDict:
         with pytest.raises(KeyError):
             spectrum_source_from_dict({})
 
+    @pytest.mark.parametrize("key", ["AR", "phi", "sigma"])
+    def test_unknown_key_is_rejected(self, key):
+        with pytest.raises(KeyError, match=repr(key)):
+            model_from_dict({"sigma2": 1.0, key: [0.9]})
+
+    def test_model_and_logspectrum_together_is_rejected(self):
+        with pytest.raises(KeyError, match="both 'model' and 'logspectrum'"):
+            spectrum_source_from_dict({"model": {"sigma2": 1.0}, "logspectrum": [0.1]})
+
 
 class TestSeriesRoundTrip:
     def test_round_trip_with_sidecar(self, tmp_path):
