@@ -290,15 +290,30 @@ def interp_comparison(seed, omega0=0.35, modulus=0.9, n_total=600, delta=2,
 
     Compares the Bayes linear estimate on the raw observed segments against
     estimates computed after cubic-spline interpolation of the history
-    (Bayes linear, Yule-Walker AR fit and smoothed periodogram)."""
+    (Bayes linear, Yule-Walker AR fit and smoothed periodogram).  A design
+    that cannot run raises DesignError before anything is simulated."""
     from .beliefs import spectrum_summary
 
-    prior = prior or PriorSpec()
-    truth = SpectralModel(ar=ar2_from_omega(omega0, modulus))
-    path = simulate(truth, n_total, seed)
+    try:
+        phi = ar2_from_omega(omega0, modulus)
+    except ValueError as exc:  # omega0 or modulus outside its open interval
+        raise DesignError(str(exc))
+    if delta < 1:
+        raise DesignError("delta must be >= 1, got %r" % (delta,))
     n_hist = 5 * n_total // 6
     if n_hist % 2 == 0:
         n_hist += 1  # keep the interpolated history flush with the dense tail
+    # each segment's periodogram needs MIN_PERIODOGRAM_N points (the spline only 4);
+    # then the spline-filled series has at least 41, more than baseline_spectra's 32
+    for what, count in (("subsampled history", -(-n_hist // delta)),
+                        ("recent segment", n_total - n_hist)):
+        if count < MIN_PERIODOGRAM_N:
+            raise DesignError("n_total %d and delta %d give a %s of %d points; need >= %d"
+                              % (n_total, delta, what, count, MIN_PERIODOGRAM_N))
+
+    prior = prior or PriorSpec()
+    truth = SpectralModel(ar=phi)
+    path = simulate(truth, n_total, seed)
     history = subsample(SampledSeries(path.values[:n_hist]), delta)
     recent = SampledSeries(path.values[n_hist:])
     interp = spline_interpolate(history)

@@ -168,7 +168,7 @@ _FIELDS = {
                        "prior": (_prior, ABSENT), "mc_samples": (_int(), ABSENT)},
     "pc-fan": {"belief": (_belief, REQUIRED), "components": (_int(1), 9), "grid_points": _GRID},
     "quadrature": {"d": (_int(), REQUIRED), "level": (_int(), REQUIRED)},
-    "kolmogorov": dict(_SOURCE, belief=(_belief, ABSENT), quad_points=(_int(256), 4096)),
+    "kolmogorov": dict(_SOURCE, belief=(_belief, ABSENT)),
     "diff-grid": {"beliefs": (_list(_belief, 2), REQUIRED), "grid_points": _GRID},
 }
 
@@ -204,9 +204,10 @@ def _read_fields(fields, cfg):
 
 
 def cmd_simulate(values, out):
+    if values["offset"] >= values["delta"]:
+        raise ConfigError("config field 'offset' must be < delta, got %d" % values["offset"])
     series = simulate(spectrum_source_from_dict(values), values["n"], values["seed"])
-    if values["delta"] > 1:
-        series = subsample(series, values["delta"], values["offset"])
+    series = subsample(series, values["delta"], values["offset"])
     write_series(out("series.csv"), out("series.json"), series)
 
 
@@ -316,7 +317,7 @@ def cmd_kolmogorov(values, out):
         source = LogSpectrum(np.asarray(values["belief"].mean))
     else:
         source = spectrum_source_from_dict(values)
-    value = kolmogorov_variance(source, values["quad_points"])
+    value = kolmogorov_variance(source)
     print("%.17g" % value)
     write_csv(out("kolmogorov.csv"), ["prediction_variance"], [[value]])
 

@@ -13,7 +13,6 @@ from .models import (
     ar2_from_omega,
     arma_autocovariance,
     autocovariance,
-    check_lag_range,
     simulate,  # noqa: F401  unused here, but perfbench/spans.py traces models.simulate by this name
     simulate_replicates,
 )
@@ -122,7 +121,7 @@ def _gaussian_loglik(factor, data):
     return const - 0.5 * np.einsum("ij,ij->j", w, w)
 
 
-def exact_loglik(model, observations, quad_points=4096):
+def exact_loglik(model, observations):
     """Exact log-density of zero-mean Gaussian observations at arbitrary
     base-grid indices under a SpectralModel.
 
@@ -136,7 +135,7 @@ def exact_loglik(model, observations, quad_points=4096):
         raise ValueError("observations must be nonempty")
     if np.any(indices < 0) or len(np.unique(indices)) != len(indices):
         raise ValueError("indices must be distinct and non-negative")
-    gamma = autocovariance(model, int(np.max(indices) - np.min(indices)), quad_points)
+    gamma = autocovariance(model, int(np.max(indices) - np.min(indices)))
     cov = gamma[np.abs(np.subtract.outer(indices, indices))]
     try:
         factor = _gaussian_factor(cov)
@@ -150,47 +149,39 @@ def exact_loglik(model, observations, quad_points=4096):
 
 
 class SurfaceScanner:
-    """Precomputed likelihood scan over an omega0 grid for one index pattern.
+    """Exact likelihood scan over an omega0 grid for one index pattern.
 
-    The covariance factorizations depend only on (grid, indices, modulus,
-    sigma2), so replicated datasets on the same pattern reuse them.  The
-    exact autocovariances of the whole grid come from one batched
-    arma_autocovariance call; column i equals ``autocovariance`` of the AR(2)
-    SpectralModel at grid[i] bit for bit.  ``quad_points`` is checked as
-    ``autocovariance`` checks it.
+    The exact autocovariances of the whole grid come from one batched
+    arma_autocovariance call and are kept as a (max_lag + 1, G) matrix;
+    column i equals ``autocovariance`` of the AR(2) SpectralModel at grid[i]
+    bit for bit.  ``loglik`` factors each grid point's covariance, solves for
+    every dataset it is given at once, and drops the factor.
     """
 
-    def __init__(self, indices, grid, modulus=0.9, sigma2=1.0, quad_points=4096):
+    def __init__(self, indices, grid, modulus=0.9, sigma2=1.0):
         self.indices = np.asarray(indices, dtype=int)
         self.grid = np.asarray(grid, dtype=float)
-        self.modulus = modulus
-        self.sigma2 = sigma2
-        lags = np.abs(np.subtract.outer(self.indices, self.indices))
-        max_lag = int(lags.max())
-        check_lag_range(max_lag, quad_points)
+        self._lags = np.abs(np.subtract.outer(self.indices, self.indices))
         phi = np.stack(np.broadcast_arrays(*ar2_from_omega(self.grid, modulus)))
-        gammas = arma_autocovariance(phi, (), sigma2, max_lag)
-        self._factors = []
-        for gamma in gammas.T:
-            try:
-                self._factors.append(_gaussian_factor(gamma[lags]))
-            except np.linalg.LinAlgError:
-                self._factors.append(None)
+        self._gammas = arma_autocovariance(phi, (), sigma2, int(self._lags.max()))
 
     def loglik(self, values):
         """Log-likelihood over the grid: a (G,) vector for one dataset of shape
         (n,), or an (R, G) matrix for R datasets given as the rows of an (R, n)
-        matrix.  Grid points whose covariance failed to factor come back NaN;
+        matrix.  Grid points whose covariance fails to factor come back NaN;
         non-finite data raises ValueError."""
         data = _data_columns(values, len(self.indices))
         out = np.full((data.shape[1], len(self.grid)), np.nan)
-        for i, factor in enumerate(self._factors):
-            if factor is not None:
-                out[:, i] = _gaussian_loglik(factor, data)
+        for i, gamma in enumerate(self._gammas.T):
+            try:
+                factor = _gaussian_factor(gamma[self._lags])
+            except np.linalg.LinAlgError:
+                continue
+            out[:, i] = _gaussian_loglik(factor, data)
         return out if np.ndim(values) == 2 else out[0]
 
 
-def omega_surface(indices, values, grid, modulus=0.9, sigma2=1.0, quad_points=4096):
+def omega_surface(indices, values, grid, modulus=0.9, sigma2=1.0):
     """Exact log-likelihood surface over candidate peak frequencies for one
     dataset of (base index, value) observations."""
     grid = np.asarray(grid, dtype=float)
@@ -198,11 +189,11 @@ def omega_surface(indices, values, grid, modulus=0.9, sigma2=1.0, quad_points=40
         raise ValueError("grid must be nonempty")
     if len(np.asarray(values)) == 0:
         raise ValueError("data must be nonempty")
-    scanner = SurfaceScanner(indices, grid, modulus, sigma2, quad_points)
+    scanner = SurfaceScanner(indices, grid, modulus, sigma2)
     return LikelihoodSurface(grid, scanner.loglik(values), aligned=False)
 
 
-def mc_average_surface(design, quad_points=4096, keep_replicates=False):
+def mc_average_surface(design, keep_replicates=False):
     """Monte Carlo average of max-aligned likelihood surfaces.
 
     Replicate r simulates with seed design.seed ^ r; the reduction is in
@@ -212,9 +203,9 @@ def mc_average_surface(design, quad_points=4096, keep_replicates=False):
     """
     indices = design.base_indices()
     truth = SpectralModel(ar=ar2_from_omega(design.omega_true, design.modulus))
-    scanner = SurfaceScanner(indices, design.grid, design.modulus, 1.0, quad_points)
+    scanner = SurfaceScanner(indices, design.grid, design.modulus, 1.0)
     seeds = [design.seed ^ r for r in range(design.replicates)]
-    paths = simulate_replicates(truth, int(indices[-1]) + 1, seeds, quad_points)
+    paths = simulate_replicates(truth, int(indices[-1]) + 1, seeds)
     per_rep = scanner.loglik(paths[:, indices])
     counts = np.isfinite(per_rep).sum(axis=0)
     avg = np.where(counts > 0, np.nansum(per_rep, axis=0) / np.maximum(counts, 1), np.nan)

@@ -236,19 +236,13 @@ def simpson_grid(quad_points):
     return omegas, w * (h / 3.0)
 
 
-def check_lag_range(max_lag, quad_points):
-    """The argument checks every autocovariance source shares, whether or not
-    it is computed by quadrature."""
+def _autocovariance_nodes(max_lag, quad_points):
+    """The nodes j / (2m), j = 0..m, for the lags 0..max_lag: m is ``quad_points``
+    raised to at least 2*max_lag, which resolves every lag, and rounded to even."""
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
     if quad_points < 256:
         raise ValueError("quad_points must be >= 256")
-
-
-def _autocovariance_nodes(max_lag, quad_points):
-    """The nodes j / (2m), j = 0..m, for the lags 0..max_lag: m is ``quad_points``
-    raised to at least 2*max_lag, which resolves every lag, and rounded to even."""
-    check_lag_range(max_lag, quad_points)
     return simpson_grid(max(quad_points, 2 * max_lag))[0]
 
 
@@ -321,11 +315,9 @@ def autocovariance(source, max_lag, quad_points=4096):
     trapezoid rule for 2 * integral f(w) cos(2 pi w h) dw, from one real FFT:
     exactly the autocovariance of the 2m-point circulant with eigenvalues
     f(j / 2m) that ``simulate`` realises, off from gamma by the aliased lags,
-    gamma~(h) = sum_k gamma(h + 2mk).  ``quad_points`` must be >= 256 for
-    every source.
+    gamma~(h) = sum_k gamma(h + 2mk); for them ``quad_points`` must be >= 256.
     """
     if isinstance(source, SpectralModel):
-        check_lag_range(max_lag, quad_points)
         return arma_autocovariance(-source.full_ar_poly()[1:], source.full_ma_poly()[1:],
                                    source.innovation_variance, max_lag)
     f = _node_density(source, max_lag, quad_points)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mrspec.aliasing import aliased_partners, fold, fold_evaluator
 from mrspec.models import (
+    LogSpectrum,
     SpectralModel,
     ar2_from_omega,
     autocovariance,
@@ -40,11 +41,16 @@ class TestFold:
         gamma_folded = autocovariance(fold_evaluator(AR2, 2), 10, 4096)
         assert gamma_folded == pytest.approx(gamma[::2], abs=1e-6)
 
-    def test_reflection_invariance_delta2(self):
-        # replacing f by its reflection about 1/4 leaves the delta=2 fold fixed
-        reflected = lambda w: spectral_density(AR2, 0.5 - np.asarray(w))
-        nus = np.linspace(0, 0.5, 101)
-        assert fold(AR2, 2, nus) == pytest.approx(fold(reflected, 2, nus), abs=1e-12)
+    @settings(max_examples=40, deadline=None)
+    @given(beta=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=16),
+           delta=st.sampled_from([2, 4, 6]),
+           nus=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=20))
+    def test_reflection_invariance_property(self, beta, delta, nus):
+        # beta_m -> (-1)^m beta_m reflects f about 1/4, which an even-stride fold cannot see
+        beta = np.asarray(beta)
+        reflected = beta * (-1.0) ** np.arange(len(beta))
+        np.testing.assert_allclose(fold(LogSpectrum(reflected), delta, nus),
+                                   fold(LogSpectrum(beta), delta, nus), rtol=1e-12)
 
     @pytest.mark.parametrize("delta", [1, 2, 3, 4, 6])
     def test_power_conservation(self, delta):

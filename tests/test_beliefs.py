@@ -163,6 +163,20 @@ class TestForecastMoments:
         assert np.allclose(s.mean, s.mean[::-1], atol=1e-10)
         assert np.allclose(s.sd, s.sd[::-1], atol=1e-10)
 
+    @settings(max_examples=25, deadline=None)
+    @given(cells=st.lists(st.tuples(st.sampled_from([2, 4, 6]), st.integers(16, 40)),
+                          min_size=1, max_size=3),
+           size=st.integers(2, 12), scale=st.floats(0.1, 10.0),
+           intercept=st.floats(-2.0, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_even_stride_cross_has_no_odd_rows(self, cells, size, scale, intercept, seed):
+        # even-stride data are blind to beta_m -> (-1)^m beta_m, and the reflection
+        # antithetics make Cov(beta_m, D) vanish exactly for odd m
+        prior = PriorSpec(size=size, scale=scale, intercept_mean=intercept).to_state()
+        layouts = [PeriodogramData.layout("s%d" % i, stride, n)
+                   for i, (stride, n) in enumerate(cells)]
+        cross = forecast_moments(prior, layouts, mc_samples=500, seed=seed).cross
+        assert np.max(np.abs(cross[1::2])) <= 1e-12 * np.max(np.abs(cross))
+
     def test_rejects_small_sample(self):
         prior = PriorSpec(size=4).to_state()
         with pytest.raises(ValueError):

@@ -323,3 +323,23 @@ class TestInterpComparison:
         s = comparison.history_summary
         assert np.allclose(s.mean, s.mean[::-1], atol=1e-8)
         assert np.allclose(s.sd, s.sd[::-1], atol=1e-8)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(omega0=0.7), "omega0"), (dict(omega0=0.0), "omega0"),
+        (dict(modulus=1.5), "modulus"), (dict(delta=0), "delta"),
+        (dict(n_total=5), "history"), (dict(n_total=40), "recent"),
+        (dict(n_total=600, delta=100), "history"),
+    ])
+    def test_unrunnable_design_raises_before_simulating(self, monkeypatch, kwargs, name):
+        monkeypatch.setattr(bench, "simulate", None)
+        with pytest.raises(DesignError, match=name):
+            interp_comparison(seed=0, **kwargs)
+
+    @pytest.mark.parametrize("n_total,delta", [(43, 1), (43, 2), (45, 5), (51, 6)])
+    def test_smallest_runnable_designs(self, n_total, delta):
+        # the least n_total whose history and recent segment both reach MIN_PERIODOGRAM_N;
+        # the spline-filled series is then long enough for baseline_spectra
+        with pytest.raises(DesignError):
+            interp_comparison(seed=0, n_total=n_total - 1, delta=delta)
+        result = interp_comparison(seed=0, n_total=n_total, delta=delta, mc_samples=500)
+        assert np.all(np.isfinite(result.blm_raw)) and np.all(np.isfinite(result.ar_fit))

@@ -196,7 +196,9 @@ class TestSurfaceScanner:
         monkeypatch.setattr(likelihood, "cho_factor", recording)
         indices = np.array([0, 2, 4, 6, 7, 8, 9])
         grid = default_omega_grid(25)
-        SurfaceScanner(indices, grid, modulus, sigma2=1.3)
+        scanner = SurfaceScanner(indices, grid, modulus, sigma2=1.3)
+        assert covariances == []
+        scanner.loglik(np.zeros((2, len(indices))))
         lags = np.abs(np.subtract.outer(indices, indices))
         assert len(covariances) == len(grid)
         for omega0, cov in zip(grid, covariances):
@@ -204,8 +206,6 @@ class TestSurfaceScanner:
             assert np.array_equal(cov, autocovariance(model, 9)[lags])
 
     def test_argument_contract(self):
-        with pytest.raises(ValueError, match="quad_points"):
-            SurfaceScanner(np.arange(4), np.array([0.2]), quad_points=100)
         with pytest.raises(ValueError, match="omega0"):
             SurfaceScanner(np.arange(4), np.array([0.2, 0.5]))
 
@@ -229,15 +229,16 @@ class TestBatchedLoglik:
                 assert ll == pytest.approx(exact_loglik(model, zip(self.indices, v)), abs=1e-9)
 
     def test_failed_factorisation_is_nan_column(self, monkeypatch):
-        real, calls = likelihood.cho_factor, []
+        real = likelihood.cho_factor
+        lags = np.abs(np.subtract.outer(self.indices, self.indices))
+        failing = autocovariance(SpectralModel(ar=ar2_from_omega(self.grid[1], 0.9)), 9)[lags]
 
-        def fails_second(cov, lower):
-            calls.append(None)
-            if len(calls) == 2:
+        def fails_second_point(cov, lower):
+            if np.array_equal(cov, failing):
                 raise np.linalg.LinAlgError("forced failure")
             return real(cov, lower=lower)
 
-        monkeypatch.setattr(likelihood, "cho_factor", fails_second)
+        monkeypatch.setattr(likelihood, "cho_factor", fails_second_point)
         scanner = SurfaceScanner(self.indices, self.grid)
         batch = scanner.loglik(self._values(3))
         assert np.isnan(batch[:, 1]).all()
@@ -269,12 +270,12 @@ class TestMcAverageSurface:
             n_low=12, n_high=5, replicates=4, omega_true=0.2,
             grid=default_omega_grid(11), seed=5,
         )
-        _, per_rep = mc_average_surface(design, quad_points=1024, keep_replicates=True)
+        _, per_rep = mc_average_surface(design, keep_replicates=True)
         indices = design.base_indices()
-        scanner = SurfaceScanner(indices, design.grid, quad_points=1024)
+        scanner = SurfaceScanner(indices, design.grid)
         truth = SpectralModel(ar=ar2_from_omega(design.omega_true, design.modulus))
         for r, row in enumerate(per_rep):
-            path = simulate(truth, int(indices[-1]) + 1, design.seed ^ r, 1024)
+            path = simulate(truth, int(indices[-1]) + 1, design.seed ^ r)
             assert np.allclose(row, scanner.loglik(path.values[indices]), rtol=0, atol=1e-9)
 
     def test_aligned_and_deterministic(self):
@@ -282,8 +283,8 @@ class TestMcAverageSurface:
             n_low=20, n_high=4, replicates=3, omega_true=0.3,
             grid=default_omega_grid(15), seed=7,
         )
-        s1 = mc_average_surface(design, quad_points=1024)
-        s2 = mc_average_surface(design, quad_points=1024)
+        s1 = mc_average_surface(design)
+        s2 = mc_average_surface(design)
         assert s1.aligned
         assert np.nanmax(s1.loglik) == 0.0
         assert np.array_equal(s1.loglik, s2.loglik)
@@ -293,8 +294,7 @@ class TestMcAverageSurface:
             n_low=16, n_high=0, replicates=4, omega_true=0.3,
             grid=default_omega_grid(9), seed=1,
         )
-        surface, per_rep = mc_average_surface(design, quad_points=1024,
-                                              keep_replicates=True)
+        surface, per_rep = mc_average_surface(design, keep_replicates=True)
         assert per_rep.shape == (4, 9)
         avg = per_rep.mean(axis=0)
         assert np.allclose(surface.loglik, avg - avg.max())
@@ -307,6 +307,6 @@ class TestMcAverageSurface:
             n_low=30, n_high=0, replicates=2, omega_true=0.15,
             grid=grid, seed=3,
         )
-        s = mc_average_surface(design, quad_points=2048)
+        s = mc_average_surface(design)
         assert s.loglik[0] == pytest.approx(s.loglik[3], abs=1e-8)
         assert s.loglik[1] == pytest.approx(s.loglik[2], abs=1e-8)

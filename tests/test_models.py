@@ -260,7 +260,7 @@ class TestExactAutocovariance:
 
     def test_argument_checks(self):
         with pytest.raises(ValueError, match="quad_points"):
-            autocovariance(SpectralModel(ar=(0.5,)), 4, quad_points=100)
+            autocovariance(LogSpectrum(np.zeros(3)), 4, quad_points=100)
         with pytest.raises(ValueError, match="max_lag"):
             autocovariance(SpectralModel(ar=(0.5,)), -1)
         with pytest.raises(ModelInvariantError):
