@@ -153,11 +153,10 @@ def log_periodogram(series, series_id="series"):
     n = len(series)
     if n < MIN_PERIODOGRAM_N:
         raise ValueError("series too short for a periodogram (need N >= %d)" % MIN_PERIODOGRAM_N)
-    x = series.values - series.values.mean()
-    spec = np.fft.rfft(x)
-    j = np.arange(1, (n - 1) // 2 + 1)
-    pgram = np.abs(spec[j]) ** 2 / n
-    return PeriodogramData(series_id, series.stride, j / float(n), np.log(pgram))
+    freq = fourier_frequencies(n)
+    spec = np.fft.rfft(series.values - series.values.mean())
+    pgram = np.abs(spec[1 : len(freq) + 1]) ** 2 / n
+    return PeriodogramData(series_id, series.stride, freq, np.log(pgram))
 
 
 @dataclass(frozen=True)

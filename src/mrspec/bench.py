@@ -1,7 +1,7 @@
 """Monte Carlo benchmarking of log-spectrum estimators via the mean squared
 log-spectrum discrepancy, plus the interpolation-based comparison baselines."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
@@ -278,9 +278,7 @@ class InterpComparison:
     blm_interp: np.ndarray
     ar_fit: np.ndarray
     smoothed_pgram: np.ndarray
-    raw_state: object  # BeliefState adjusted by the observed data only
     history_state: object  # BeliefState adjusted by the subsampled history only
-    history_summary: object  # SpectrumSummary of history_state
 
 
 def interp_comparison(seed, omega0=0.35, modulus=0.9, n_total=600, delta=2,
@@ -292,19 +290,18 @@ def interp_comparison(seed, omega0=0.35, modulus=0.9, n_total=600, delta=2,
     estimates computed after cubic-spline interpolation of the history
     (Bayes linear, Yule-Walker AR fit and smoothed periodogram).  A design
     that cannot run raises DesignError before anything is simulated."""
-    from .beliefs import spectrum_summary
-
     try:
         phi = ar2_from_omega(omega0, modulus)
     except ValueError as exc:  # omega0 or modulus outside its open interval
         raise DesignError(str(exc))
     if delta < 1:
         raise DesignError("delta must be >= 1, got %r" % (delta,))
+    # the history ends on a kept point right before the dense tail, so the
+    # spline-filled series has no gap; at delta 1 and 2 n_hist is just odd
     n_hist = 5 * n_total // 6
-    if n_hist % 2 == 0:
-        n_hist += 1  # keep the interpolated history flush with the dense tail
+    n_hist += (1 - n_hist) % max(delta, 2)
     # each segment's periodogram needs MIN_PERIODOGRAM_N points (the spline only 4);
-    # then the spline-filled series has at least 41, more than baseline_spectra's 32
+    # then the spline-filled series has n_total >= 43, more than baseline_spectra's 32
     for what, count in (("subsampled history", -(-n_hist // delta)),
                         ("recent segment", n_total - n_hist)):
         if count < MIN_PERIODOGRAM_N:
@@ -316,37 +313,21 @@ def interp_comparison(seed, omega0=0.35, modulus=0.9, n_total=600, delta=2,
     path = simulate(truth, n_total, seed)
     history = subsample(SampledSeries(path.values[:n_hist]), delta)
     recent = SampledSeries(path.values[n_hist:])
-    interp = spline_interpolate(history)
-    combined = SampledSeries(np.concatenate([interp.values, recent.values]))
+    combined = SampledSeries(np.concatenate([spline_interpolate(history).values, recent.values]))
+    hist = log_periodogram(history, "history")
+    rec = log_periodogram(recent, "recent")
+    interp = log_periodogram(combined, "interpolated")
+
+    # each estimate is forecast from the periodograms it is adjusted by
+    prior_state = prior.to_state()
+    seeds = np.random.SeedSequence(entropy=seed, spawn_key=(1,)).spawn(3)
+    raw_state, history_state, interp_state = (
+        adjust(prior_state, forecast_moments(prior_state, data, mc_samples, moment_seed),
+               np.concatenate([d.log_periodogram for d in data]))
+        for data, moment_seed in zip(([hist, rec], [hist], [interp]), seeds)
+    )
 
     grid = standard_grid(n_omega)
-    prior_state = prior.to_state()
-    layouts_raw = [
-        PeriodogramData.layout("history", delta, len(history)),
-        PeriodogramData.layout("recent", 1, len(recent)),
-    ]
-    seed_seq = np.random.SeedSequence(entropy=seed, spawn_key=(1,))
-    m_raw, m_hist, m_interp = (s for s in seed_seq.spawn(3))
-    moments_raw = forecast_moments(prior_state, layouts_raw, mc_samples, m_raw)
-    obs_raw = np.concatenate([
-        log_periodogram(history, "history").log_periodogram,
-        log_periodogram(recent, "recent").log_periodogram,
-    ])
-    raw_state = adjust(prior_state, moments_raw, obs_raw)
-
-    layouts_hist = [layouts_raw[0]]
-    moments_hist = forecast_moments(prior_state, layouts_hist, mc_samples, m_hist)
-    history_state = adjust(
-        prior_state, moments_hist, log_periodogram(history, "history").log_periodogram
-    )
-
-    layouts_interp = [PeriodogramData.layout("interpolated", 1, len(combined))]
-    moments_interp = forecast_moments(prior_state, layouts_interp, mc_samples, m_interp)
-    interp_state = adjust(
-        prior_state, moments_interp,
-        log_periodogram(combined, "interpolated").log_periodogram,
-    )
-
     ar_log, smooth_log = baseline_spectra(combined, n_omega)
     return InterpComparison(
         grid=grid,
@@ -355,7 +336,5 @@ def interp_comparison(seed, omega0=0.35, modulus=0.9, n_total=600, delta=2,
         blm_interp=interp_state.mean_logspectrum().evaluate(grid),
         ar_fit=ar_log,
         smoothed_pgram=smooth_log,
-        raw_state=raw_state,
         history_state=history_state,
-        history_summary=spectrum_summary(history_state, grid),
     )

@@ -83,6 +83,14 @@ class TestFourierFrequencies:
         assert fourier_frequencies(8).tolist() == [1 / 8, 2 / 8, 3 / 8]
         assert fourier_frequencies(9).tolist() == [1 / 9, 2 / 9, 3 / 9, 4 / 9]
 
+    def test_observed_frequencies_equal_layout(self):
+        # forecasting from observed data must give the moments of its layout
+        rng = np.random.default_rng(0)
+        for n in range(beliefs.MIN_PERIODOGRAM_N, 71):
+            data = log_periodogram(SampledSeries(rng.standard_normal(n), 2), "x")
+            layout = PeriodogramData.layout("x", 2, n)
+            assert np.array_equal(data.frequencies, layout.frequencies), n
+
 
 class TestLogPeriodogram:
     def test_white_noise_moments(self):

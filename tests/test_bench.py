@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mrspec import beliefs, bench
-from mrspec.beliefs import AdjustmentError, PeriodogramData, PriorSpec
+from mrspec.beliefs import AdjustmentError, PeriodogramData, PriorSpec, spectrum_summary
 from mrspec.bench import (
     BenchDesign,
     BenchResult,
@@ -320,7 +320,7 @@ class TestInterpComparison:
 
     def test_history_summary_symmetric(self, comparison):
         # stride-2 history alone cannot break the omega <-> 1/2 - omega tie
-        s = comparison.history_summary
+        s = spectrum_summary(comparison.history_state, comparison.grid)
         assert np.allclose(s.mean, s.mean[::-1], atol=1e-8)
         assert np.allclose(s.sd, s.sd[::-1], atol=1e-8)
 
@@ -335,7 +335,7 @@ class TestInterpComparison:
         with pytest.raises(DesignError, match=name):
             interp_comparison(seed=0, **kwargs)
 
-    @pytest.mark.parametrize("n_total,delta", [(43, 1), (43, 2), (45, 5), (51, 6)])
+    @pytest.mark.parametrize("n_total,delta", [(43, 1), (43, 2), (44, 5), (51, 6)])
     def test_smallest_runnable_designs(self, n_total, delta):
         # the least n_total whose history and recent segment both reach MIN_PERIODOGRAM_N;
         # the spline-filled series is then long enough for baseline_spectra
@@ -343,3 +343,25 @@ class TestInterpComparison:
             interp_comparison(seed=0, n_total=n_total - 1, delta=delta)
         result = interp_comparison(seed=0, n_total=n_total, delta=delta, mc_samples=500)
         assert np.all(np.isfinite(result.blm_raw)) and np.all(np.isfinite(result.ar_fit))
+
+    @pytest.mark.parametrize("delta", range(1, 7))
+    def test_interpolated_series_is_flush(self, monkeypatch, delta):
+        # the history ends on a kept point right before the dense tail, so the
+        # spline-filled series has every base index once and keeps the observed points
+        paths, series = [], {}
+        def simulate_spy(*args):
+            paths.append(simulate(*args))
+            return paths[-1]
+        def log_periodogram_spy(s, series_id):
+            series[series_id] = s
+            return beliefs.log_periodogram(s, series_id)
+        monkeypatch.setattr(bench, "simulate", simulate_spy)
+        monkeypatch.setattr(bench, "log_periodogram", log_periodogram_spy)
+        interp_comparison(seed=0, n_total=600, delta=delta, mc_samples=500)
+        values = series["interpolated"].values
+        assert len(values) == 600
+        n_recent = len(series["recent"])
+        assert np.array_equal(values[-n_recent:], paths[0].values[-n_recent:])
+        kept = delta * np.arange(len(series["history"]))
+        assert kept[-1] == 599 - n_recent
+        assert np.allclose(values[kept], paths[0].values[kept], rtol=0, atol=1e-12)
