@@ -6,7 +6,6 @@ from functools import cached_property
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import ndtri
 
 from .aliasing import fold_branches
@@ -23,7 +22,6 @@ __all__ = [
     "AdjustmentError",
     "log_periodogram",
     "forecast_moments",
-    "adjustment_gain",
     "adjust",
     "sequential_adjust",
     "SpectrumSummary",
@@ -42,11 +40,12 @@ class AdjustmentError(ArithmeticError):
     """Bayes linear solve failed (singular data variance)."""
 
 
-def _project_psd(matrix, tol_scale=1e-10):
-    """Symmetrize and clip small negative eigenvalues; reject large ones."""
+def _project_psd(matrix, scale=None):
+    """Symmetrize and clip small negative eigenvalues; reject large ones.  Small
+    is within 1e-10 of ``scale``, by default the matrix's own trace."""
     sym = 0.5 * (matrix + matrix.T)
     vals, vecs = np.linalg.eigh(sym)
-    floor = -tol_scale * max(np.trace(sym), 0.0) - 1e-300
+    floor = -1e-10 * max(np.trace(sym) if scale is None else scale, 0.0) - 1e-300
     if vals[0] < floor:
         raise ValueError(
             "variance matrix is not positive semi-definite (min eigenvalue %.6g)" % vals[0]
@@ -161,7 +160,8 @@ def log_periodogram(series, series_id="series"):
 
 @dataclass(frozen=True)
 class ForecastMoments:
-    """Prior moments of the stacked log-periodogram data vector D."""
+    """Prior moments of the stacked log-periodogram data vector D, with the factor
+    L of Var(D) and the W = L^-1 Cov(D, beta) that every adjustment reads."""
 
     mean: np.ndarray
     variance: np.ndarray
@@ -177,24 +177,32 @@ class ForecastMoments:
 
     @cached_property
     def factor(self):
-        """Lower Cholesky factor of Var(D) in cho_factor's (c, lower) form, made
-        on first use.  A ridge is added only as a fallback: the noise floor
-        pi^2/6 on the diagonal keeps Var(D) well conditioned in normal use, and
-        the exact factor preserves closed-form conjugate cases to machine precision."""
+        """Lower Cholesky factor L of Var(D), made on first use.  A ridge is
+        added only as a fallback: the noise floor pi^2/6 on the diagonal keeps
+        Var(D) well conditioned in normal use, and the exact factor preserves
+        closed-form conjugate cases to machine precision."""
         var_d = self.variance
+        if not np.all(np.isfinite(var_d)):
+            raise AdjustmentError("data variance is not finite")
         try:
-            return cho_factor(var_d, lower=True)
+            return np.linalg.cholesky(var_d)
         except np.linalg.LinAlgError:
             pass
         k = var_d.shape[0]
         ridge = 1e-10 * np.trace(var_d) / k
         try:
-            return cho_factor(var_d + ridge * np.eye(k), lower=True)
+            return np.linalg.cholesky(var_d + ridge * np.eye(k))
         except np.linalg.LinAlgError:
             names = _degenerate_blocks(var_d, self.blocks)
             raise AdjustmentError(
                 "data variance singular after ridge (degenerate dataset(s): %s)" % names
             )
+
+    @cached_property
+    def whitened(self):
+        """W = L^-1 Cov(D, beta), shape (K, M); its leading rows belong to the
+        leading blocks of D, because L is lower triangular."""
+        return np.linalg.solve(self.factor, self.cross.T)
 
 
 def _branch_basis(datasets, size):
@@ -244,8 +252,10 @@ def forecast_moments(prior, datasets, mc_samples=2000, seed=0):
     cross = centered_b.T @ centered_d / denom
     blocks = tuple((d.series_id, len(d.frequencies)) for d in datasets)
     moments = ForecastMoments(mean_d, var_d, cross, blocks)
-    object.__setattr__(moments, "cross",
-                       _cap_canonical_correlations(prior.variance, moments.factor, cross))
+    capped = _cap_canonical_correlations(prior.variance, moments.whitened)
+    if capped is not moments.whitened:
+        object.__setattr__(moments, "whitened", capped)
+        object.__setattr__(moments, "cross", (moments.factor @ capped).T)
     return moments
 
 
@@ -265,30 +275,23 @@ def _reflection_symmetric(prior, datasets):
     return np.allclose(reflected, prior.variance, atol=1e-12 * max(np.trace(prior.variance), 1.0))
 
 
-def _cap_canonical_correlations(var_b, factor_d, cross):
-    """Shrink the sampled cross-covariance so its canonical correlations with
-    the exact prior variance stay <= 1.
+def _cap_canonical_correlations(var_b, whitened):
+    """Shrink the whitened cross-covariance W = L^-1 Cov(D, beta) so its
+    canonical correlations with the exact prior variance stay <= 1.
 
     Monte Carlo noise can make Cov(beta, D) slightly too strong relative to
     Var(beta), which would drive adjusted variances negative; capping the
-    correlations restores a valid joint second-order specification.  D is
-    whitened by the lower Cholesky factor L of Var(D) (``factor_d``, as
-    cho_factor returns it): canonical correlations do not depend on which
-    square root whitens.  Uncapped input comes back unchanged."""
+    correlations, the singular values of W Var(beta)^-1/2, restores a valid
+    joint second-order specification.  Canonical correlations do not depend
+    on which square root of Var(D) whitens.  Uncapped input comes back
+    unchanged."""
     vals_b, vecs_b = np.linalg.eigh(var_b)
-    vals_b = np.clip(vals_b, 0.0, None)
-    root_b = np.sqrt(vals_b)
+    root_b = np.sqrt(np.clip(vals_b, 0.0, None))
     inv_root_b = np.where(root_b > 0, 1.0 / np.where(root_b > 0, root_b, 1.0), 0.0)
-    chol_d = np.tril(factor_d[0])
-    # whitened Var(beta)^-1/2 Cov(beta, D) L^-T, transposed, by numpy: numpy and scipy each
-    # bundle an OpenBLAS thread pool, and a threaded scipy solve here leaves its workers
-    # spinning through the numpy-heavy simulation after it (~12% of a bench cell, 2 cores)
-    white_t = np.linalg.solve(chol_d, (cross.T @ vecs_b) * inv_root_b)
-    u, s, vt = np.linalg.svd(white_t.T, full_matrices=False)
+    u, s, vt = np.linalg.svd((whitened @ vecs_b) * inv_root_b, full_matrices=False)
     if s.size == 0 or s[0] <= 1.0:
-        return cross
-    capped = u * np.minimum(s, 1.0) @ vt
-    return (vecs_b * root_b) @ capped @ chol_d.T
+        return whitened
+    return (u * np.minimum(s, 1.0) @ vt) @ (vecs_b * root_b).T
 
 
 def _degenerate_blocks(var_d, blocks):
@@ -301,35 +304,36 @@ def _degenerate_blocks(var_d, blocks):
     return ", ".join(bad) if bad else "unknown"
 
 
-def adjustment_gain(moments):
-    """The Bayes linear gain Cov(beta, D) Var(D)^-1, shape (M, K); it does not
-    depend on the observed data."""
-    return cho_solve(moments.factor, moments.cross.T).T
-
-
 def adjust(prior, moments, observed):
     """Bayes linear adjustment of the prior by the stacked observations.
 
-    E_D(beta) = E(beta) + Cov(beta,D) Var(D)^-1 (d - E(D)) and the matching
-    variance reduction, solved with the moments' carried factor of Var(D).
+    With Var(D) = L L^T, W = L^-1 Cov(D, beta) and the whitened data
+    z = L^-1 (d - E(D)), the adjusted expectation is E(beta) + W^T z and the
+    adjusted variance Var(beta) - W^T W.
     """
     observed = np.asarray(observed, dtype=float)
     if observed.shape != moments.mean.shape:
         raise ValueError("observed vector does not match forecast moments")
-    gain = adjustment_gain(moments)
-    mean = prior.mean + gain @ (observed - moments.mean)
-    var = prior.variance - gain @ moments.cross.T
-    return BeliefState(mean, var)
+    return _adjusted(prior, moments.whitened,
+                     np.linalg.solve(moments.factor, observed - moments.mean))
+
+
+def _adjusted(prior, white, z):
+    """E(beta) + W^T z and Var(beta) - W^T W.  Round-off on the prior's scale can
+    make a direction the cap left at zero variance negative, so that is the
+    scale of the check."""
+    variance = _project_psd(prior.variance - white.T @ white, np.trace(prior.variance))
+    return BeliefState(prior.mean + white.T @ z, variance)
 
 
 def sequential_adjust(prior, datasets, observed_list, mc_samples=2000, seed=0):
     """Adjust one dataset at a time, exposing the intermediate belief states.
 
-    Moments are forecast once from the prior over the stacked data.  Stage k
-    is ``adjust`` on their leading k blocks, whose Var(D) factor is the
-    leading block of the one factor of the whole Var(D), so no stage factors
-    anything again and the final state is ``adjust`` on the stacked vector.
-    Returns (final_state, [state_after_stage_1, ...]).
+    Moments are forecast once from the prior over the stacked data, and the
+    data are whitened once.  Stage k is ``adjust`` on the leading k blocks:
+    because the factor of Var(D) is lower triangular, their W and z are the
+    leading rows of the whole W and z, so the final state is ``adjust`` on
+    the stacked vector.  Returns (final_state, [state_after_stage_1, ...]).
     """
     if len(datasets) != len(observed_list):
         raise ValueError("need one observed vector per dataset")
@@ -338,15 +342,10 @@ def sequential_adjust(prior, datasets, observed_list, mc_samples=2000, seed=0):
     for data, d_obs, (_, sl) in zip(datasets, observed, moments.block_slices()):
         if d_obs.shape != (sl.stop - sl.start,):
             raise ValueError("observed vector does not match dataset %r" % data.series_id)
-    chol, lower = moments.factor
-    snapshots = []
-    for k, (_, sl) in enumerate(moments.block_slices(), start=1):
-        e = sl.stop
-        head = ForecastMoments(moments.mean[:e], moments.variance[:e, :e],
-                               moments.cross[:, :e], moments.blocks[:k])
-        object.__setattr__(head, "factor", (chol[:e, :e], lower))
-        snapshots.append(adjust(prior, head, np.concatenate(observed[:k])))
-    return snapshots[-1], snapshots
+    z = np.linalg.solve(moments.factor, np.concatenate(observed) - moments.mean)
+    stages = [_adjusted(prior, moments.whitened[:sl.stop], z[:sl.stop])
+              for _, sl in moments.block_slices()]
+    return stages[-1], stages
 
 
 @dataclass(frozen=True)

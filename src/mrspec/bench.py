@@ -8,11 +8,9 @@ import numpy as np
 
 from .beliefs import (
     MIN_PERIODOGRAM_N,
-    BeliefState,
     PeriodogramData,
     PriorSpec,
     adjust,
-    adjustment_gain,
     forecast_moments,
     log_periodogram,
 )
@@ -111,15 +109,15 @@ def run_bench(design, prior=None, quad_points=4096):
 
     All replicates go through one batched pass.  Shared by the replicates and
     computed once: the forecast moments (they depend only on the prior and
-    the data layout), the prior belief state, the gain Cov(beta, D) Var(D)^-1
+    the data layout), the prior belief state, the whitened cross-covariance W
     with the check that the adjusted variance is positive semi-definite, and
     the cosine bases on the embedding nodes and on the scoring grid; the
     truths are simulated by circulant embedding, one batched FFT per chunk of
     replicates (``simulate_log_spectra``).  Per replicate there remain the
-    matrix-vector products, the log-periodograms and the score.  The result
-    equals, bit for bit, a loop that runs ``simulate``, ``log_periodogram``
-    and ``adjust`` on each replicate and counts a replicate as failed when
-    any of them raises.  Deterministic
+    log-periodograms, ``adjust``'s whitening of the data and update of the
+    mean, and the score.  The result equals, bit for bit, a loop that runs
+    ``simulate``, ``log_periodogram`` and ``adjust`` on each replicate and
+    counts a replicate as failed when any of them raises.  Deterministic
     given the design seed; replicate reduction is in index order.
     """
     prior = prior or PriorSpec()
@@ -140,10 +138,10 @@ def run_bench(design, prior=None, quad_points=4096):
         paths, simulated = simulate_log_spectra(
             truths, delta1 * n1 + delta2 * n2, sim_seeds, quad_points
         )
-        gain = adjustment_gain(moments)
-        # every replicate has the same adjusted variance; BeliefState rejects
-        # it here, once, when it is not positive semi-definite
-        BeliefState(prior_state.mean, prior_state.variance - gain @ moments.cross.T)
+        white = moments.whitened
+        # every replicate has the same adjusted variance; adjust rejects it
+        # here, once, when it is not positive semi-definite
+        adjust(prior_state, moments, moments.mean)
     except (np.linalg.LinAlgError, ArithmeticError, ValueError):
         return BenchResult(np.nan, np.nan, np.asarray([]), design.replicates)
     grid_basis = basis_matrix(standard_grid(design.n_omega), prior.size)
@@ -158,7 +156,8 @@ def run_bench(design, prior=None, quad_points=4096):
             ])
         except ValueError:  # a segment too short for a periodogram
             continue
-        estimate = prior_state.mean + gain @ (observed - moments.mean)
+        z = np.linalg.solve(moments.factor, observed - moments.mean)
+        estimate = prior_state.mean + white.T @ z
         if np.all(np.isfinite(estimate)):
             scores.append(discrepancy(grid_basis @ truth.coefficients, grid_basis @ estimate))
     scores = np.asarray(scores)

@@ -122,8 +122,17 @@ def write_series(path_csv, path_sidecar, series):
 
 
 def read_series(path_csv, path_sidecar=None):
+    """A series CSV and its optional JSON sidecar; a non-finite value is a
+    format error naming its row."""
     _, (indices, values) = read_csv(path_csv)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        row = int(bad[0]) + 2
+        raise CsvFormatError("row %d of %s: non-finite value %s" % (row, path_csv, values[bad[0]]),
+                             row)
     meta = read_json(path_sidecar) if path_sidecar else {}
+    if not isinstance(meta, dict):
+        raise ValueError("series sidecar %s must be a JSON object, got %r" % (path_sidecar, meta))
     return SampledSeries(
         values,
         stride=int(meta.get("stride", 1)),

@@ -16,7 +16,6 @@ from mrspec.beliefs import (
     PeriodogramData,
     PriorSpec,
     adjust,
-    adjustment_gain,
     difference_grid,
     forecast_moments,
     fourier_frequencies,
@@ -234,6 +233,16 @@ class TestAdjust:
         with pytest.raises(ValueError):
             adjust(prior, m, np.zeros(len(m.mean) + 1))
 
+    def test_capped_one_coefficient_prior_adjusts_to_zero_variance(self):
+        # the cap leaves the one canonical correlation at 1, so the adjusted
+        # variance is 0 up to round-off on the prior's scale (-2.2e-16 here)
+        prior = PriorSpec(size=1).to_state()
+        layouts = [PeriodogramData.layout("a", 1, 29), PeriodogramData.layout("b", 1, 29)]
+        m = forecast_moments(prior, layouts, mc_samples=500, seed=13)
+        post = adjust(prior, m, m.mean)
+        assert post.variance[0, 0] == pytest.approx(0.0, abs=1e-15)
+        assert post.mean[0] == pytest.approx(prior.mean[0], abs=1e-12)
+
     def test_singular_data_variance_names_block(self):
         prior = BeliefState(np.zeros(2), np.eye(2))
         moments = ForecastMoments(
@@ -243,6 +252,14 @@ class TestAdjust:
             blocks=(("bad", 2),),
         )
         with pytest.raises(AdjustmentError, match="bad"):
+            adjust(prior, moments, np.zeros(2))
+
+    def test_non_finite_data_variance_raises(self):
+        # what forecast_moments gives when a wide prior overflows exp()
+        prior = BeliefState(np.zeros(2), np.eye(2))
+        moments = ForecastMoments(mean=np.zeros(2), variance=np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                                  cross=np.zeros((2, 2)), blocks=(("d", 2),))
+        with pytest.raises(AdjustmentError, match="data variance is not finite"):
             adjust(prior, moments, np.zeros(2))
 
 
@@ -287,7 +304,7 @@ def assert_close(got, want, rel):
 
 def leading_moments(moments, count):
     """The moments of the first ``count`` blocks, sliced by hand; their Var(D)
-    factor is made afresh on first use."""
+    factor and whitened cross-covariance are made afresh on first use."""
     end = sum(length for _, length in moments.blocks[:count])
     return ForecastMoments(moments.mean[:end], moments.variance[:end, :end],
                            moments.cross[:, :end], moments.blocks[:count])
@@ -363,24 +380,24 @@ class TestOneFactorisation:
                    PeriodogramData.layout("c", 3, 24)]
         observed = [np.zeros(len(l.frequencies)) for l in layouts]
         factored, eigh_shapes = [], []
-        real_cho, real_eigh = beliefs.cho_factor, np.linalg.eigh
+        real_cholesky, real_eigh = np.linalg.cholesky, np.linalg.eigh
 
-        def cho_factor(a, *args, **kwargs):
+        def cholesky(a, *args, **kwargs):
             factored.append(a.shape)
-            return real_cho(a, *args, **kwargs)
+            return real_cholesky(a, *args, **kwargs)
 
         def eigh(a, *args, **kwargs):
             eigh_shapes.append(np.shape(a))
             return real_eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(beliefs, "cho_factor", cho_factor)
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         k = sum(len(l.frequencies) for l in layouts)
         sequential_adjust(prior, layouts, observed, mc_samples=600, seed=0)
         assert factored == [(k, k)]
         moments = forecast_moments(prior, layouts, 600, 1)
         adjust(prior, moments, np.concatenate(observed))
-        adjustment_gain(moments)
+        adjust(prior, moments, np.concatenate(observed))
         assert factored == [(k, k)] * 2
         assert set(eigh_shapes) == {(8, 8)}
 
@@ -389,9 +406,9 @@ class TestOneFactorisation:
         uncapped, moments = [], []
         real_cap, real_forecast = beliefs._cap_canonical_correlations, bench.forecast_moments
 
-        def cap(var_b, factor_d, cross):
-            uncapped.append(cross)
-            return real_cap(var_b, factor_d, cross)
+        def cap(var_b, whitened):
+            uncapped.append(whitened)
+            return real_cap(var_b, whitened)
 
         def forecast(*args):
             moments.append(real_forecast(*args))
@@ -402,10 +419,11 @@ class TestOneFactorisation:
         bench.interp_comparison(0)
         var_b = PriorSpec().to_state().variance
         assert len(moments) == len(uncapped) == 3
-        for cross, m in zip(uncapped, moments):
-            want, top = eigh_capped_cross(var_b, m.variance, cross)
+        for white, m in zip(uncapped, moments):
+            want, top = eigh_capped_cross(var_b, m.variance, (m.factor @ white).T)
             assert top > 1.0
             assert_close(m.cross, want, 1e-12)
+            assert_close(m.whitened, np.linalg.solve(m.factor, m.cross.T), 1e-12)
             _, top_after = eigh_capped_cross(var_b, m.variance, m.cross)
             assert top_after <= 1.0 + 1e-12
 
@@ -415,7 +433,49 @@ class TestOneFactorisation:
         cross = 0.5 * m.cross
         _, top = eigh_capped_cross(prior.variance, m.variance, cross)
         assert top < 1.0
-        assert beliefs._cap_canonical_correlations(prior.variance, m.factor, cross) is cross
+        white = np.linalg.solve(m.factor, cross.T)
+        assert beliefs._cap_canonical_correlations(prior.variance, white) is white
+
+
+def assert_textbook_update(prior, moments, observed, state):
+    """``state`` is E(beta) + C Var(D)^-1 (d - E(D)) and Var(beta) - C Var(D)^-1 C^T,
+    C = Cov(beta, D), solved densely on the same moments; so is the moments'
+    Var(beta) - W^T W."""
+    cross, var_d = moments.cross, moments.variance
+    mean = prior.mean + cross @ np.linalg.solve(var_d, observed - moments.mean)
+    variance = prior.variance - cross @ np.linalg.solve(var_d, cross.T)
+    assert_close(state.mean, mean, 1e-10)
+    assert_close(state.variance, variance, 1e-10)
+    assert_close(prior.variance - moments.whitened.T @ moments.whitened, variance, 1e-10)
+
+
+class TestAdjustIsTextbookUpdate:
+    @settings(max_examples=25, deadline=None)
+    @given(cells=STACKINGS, size=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_generated_stackings(self, cells, size, seed):
+        prior = PriorSpec(size=size).to_state()
+        layouts = stacked_layouts(cells)
+        moments = forecast_moments(prior, layouts, 500, seed)
+        rng = np.random.default_rng(seed)
+        observed = moments.mean + 2.0 * rng.standard_normal(moments.mean.shape)
+        assert_textbook_update(prior, moments, observed, adjust(prior, moments, observed))
+
+    def test_capped_interp_comparison(self, monkeypatch):
+        # interp_comparison(0)'s three layouts all fire the cap, which leaves
+        # their largest canonical correlation at 1
+        calls = []
+
+        def spy(prior, moments, observed):
+            calls.append((prior, moments, observed, beliefs.adjust(prior, moments, observed)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(bench, "adjust", spy)
+        bench.interp_comparison(0)
+        assert len(calls) == 3
+        for prior, moments, observed, state in calls:
+            _, top = eigh_capped_cross(prior.variance, moments.variance, moments.cross)
+            assert top == pytest.approx(1.0, abs=1e-12)
+            assert_textbook_update(prior, moments, observed, state)
 
 
 class TestSpectrumSummary:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mrspec import beliefs, bench
-from mrspec.beliefs import AdjustmentError, PeriodogramData, PriorSpec, spectrum_summary
+from mrspec.beliefs import ForecastMoments, PeriodogramData, PriorSpec, spectrum_summary
 from mrspec.bench import (
     BenchDesign,
     BenchResult,
@@ -142,15 +142,18 @@ class TestRunBenchMatchesReplicateLoop:
 
     @pytest.mark.parametrize("broken", ["raises", "not_psd"])
     def test_shared_gain_failure_fails_every_replicate(self, monkeypatch, broken):
-        real = beliefs.adjustment_gain
+        # the moments are shared, so a singular Var(D) (its factor raises
+        # AdjustmentError) or a cross-covariance too strong for the prior (the
+        # adjusted variance is not PSD) fails every replicate
+        real = beliefs.forecast_moments
 
-        def adjustment_gain(moments):
+        def forecast_moments(*args):
+            m = real(*args)
             if broken == "raises":
-                raise AdjustmentError("data variance singular")
-            return 10.0 * real(moments)  # the adjusted variance is not PSD
+                return ForecastMoments(m.mean, np.zeros_like(m.variance), m.cross, m.blocks)
+            return ForecastMoments(m.mean, m.variance, 10.0 * m.cross, m.blocks)
 
-        monkeypatch.setattr(bench, "adjustment_gain", adjustment_gain)
-        monkeypatch.setattr(beliefs, "adjustment_gain", adjustment_gain)
+        monkeypatch.setattr(bench, "forecast_moments", forecast_moments)
         design = BenchDesign(d1=(1, 32), d2=(2, 32), replicates=4, seed=3, mc_samples=600)
         got = run_bench(design, quad_points=1024)
         assert_same_result(got, reference_run_bench(design, quad_points=1024))

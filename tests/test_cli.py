@@ -122,6 +122,29 @@ class TestEstimate:
         assert np.all(lo90 <= hi90)
         assert (out / "bands.svg").exists()
 
+    def test_non_object_sidecar_is_config_error(self, tmp_path, capsys):
+        _, sim_out = run(tmp_path, "simulate", {"model": {"sigma2": 1.0}, "n": 32}, out="sim")
+        (sim_out / "series.json").write_text("[1]\n")
+        code, out = run(tmp_path, "estimate", {"series": [str(sim_out / "series.csv")],
+                                               "mc_samples": 600})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'series'" in err and "must be a JSON object" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_is_config_error_naming_row(self, tmp_path, capsys, value):
+        _, sim_out = run(tmp_path, "simulate", {"model": {"sigma2": 1.0}, "n": 32}, out="sim")
+        csv = sim_out / "series.csv"
+        lines = csv.read_text().splitlines()
+        lines[5] = "4," + value
+        csv.write_text("\n".join(lines) + "\n")
+        code, out = run(tmp_path, "estimate", {"series": [str(csv)], "mc_samples": 600})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'series'" in err and "row 6 of %s: non-finite value" % csv in err
+        assert not out.exists()
+
 
 class TestBench:
     def test_small_table(self, tmp_path):
