@@ -238,11 +238,18 @@ def forecast_moments(prior, datasets, mc_samples=2000, seed=0):
         mc_samples = len(betas)
 
     mu_parts = []
-    for data, psi in zip(datasets, _branch_basis(datasets, size)):
-        logf = betas @ psi.T  # (S, n_freq * delta)
-        folded = np.exp(logf).reshape(mc_samples, len(data.frequencies), data.stride)
-        mu_parts.append(np.log(folded.mean(axis=2)) - EULER_GAMMA)
+    # a prior too wide for exp overflows here; that is reported below, not warned about
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for data, psi in zip(datasets, _branch_basis(datasets, size)):
+            logf = betas @ psi.T  # (S, n_freq * delta)
+            folded = np.exp(logf).reshape(mc_samples, len(data.frequencies), data.stride)
+            mu_parts.append(np.log(folded.mean(axis=2)) - EULER_GAMMA)
     mu = np.concatenate(mu_parts, axis=1)
+    if not np.all(np.isfinite(mu)):
+        peak = max(float((betas @ psi.T).max()) for psi in _branch_basis(datasets, size))
+        raise AdjustmentError(
+            "prior too wide for exp: the forecast log-periodogram means are not finite "
+            "(largest sampled log-spectrum value %.6g)" % peak)
 
     mean_d = mu.mean(axis=0)
     centered_d = mu - mean_d

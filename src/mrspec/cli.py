@@ -215,18 +215,17 @@ def cmd_loglik_surface(values, out):
     if "n_high_list" not in values and "n_high" not in values:
         raise ConfigError("config is missing required field 'n_high' (or 'n_high_list')")
     n_high_values = values["n_high_list"] if "n_high_list" in values else [values["n_high"]]
-    curves, labels = [], []
     grid = default_omega_grid(values["grid_points"])
-    for n_high in n_high_values:
-        design = ExperimentDesign(
-            n_low=values["n_low"], n_high=n_high, replicates=values["replicates"],
-            omega_true=values["omega_true"], modulus=values["modulus"],
-            delta_low=values["delta_low"], grid=grid, seed=values["seed"])
-        surface = mc_average_surface(design)
-        labels.append("n_high=%d" % n_high)
-        curves.append(surface.loglik)
+    design = ExperimentDesign(
+        n_low=values["n_low"], n_high=max(n_high_values), replicates=values["replicates"],
+        omega_true=values["omega_true"], modulus=values["modulus"],
+        delta_low=values["delta_low"], grid=grid, seed=values["seed"])
+    surfaces = mc_average_surface(design, n_highs=n_high_values)
+    for n_high, surface in zip(n_high_values, surfaces):
         name = "surface.csv" if len(n_high_values) == 1 else "surface_nh%03d.csv" % n_high
         write_csv(out(name), ["omega", "loglik"], [surface.omegas, surface.loglik])
+    curves = [surface.loglik for surface in surfaces]
+    labels = ["n_high=%d" % n_high for n_high in n_high_values]
     svgplot.line_plot(out("surface.svg"), grid, curves, labels,
                       vline=values["omega_true"], title="average log-likelihood surfaces",
                       ylabel="loglik")

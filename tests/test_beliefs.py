@@ -1,5 +1,7 @@
 """Tests for Bayes linear adjustment of log-spectrum coefficients."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,13 @@ class TestForecastMoments:
                    for i, (stride, n) in enumerate(cells)]
         cross = forecast_moments(prior, layouts, mc_samples=500, seed=seed).cross
         assert np.max(np.abs(cross[1::2])) <= 1e-12 * np.max(np.abs(cross))
+
+    def test_prior_too_wide_for_exp_names_the_cause_without_warning(self):
+        prior = PriorSpec(size=8, scale=1e5).to_state()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AdjustmentError, match="prior too wide for exp.*largest sampled"):
+                forecast_moments(prior, [PeriodogramData.layout("a", 1, 16)], mc_samples=500)
 
     def test_rejects_small_sample(self):
         prior = PriorSpec(size=4).to_state()

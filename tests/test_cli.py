@@ -94,6 +94,48 @@ class TestLoglikSurface:
         assert (out / "surface_nh002.csv").exists()
         assert (out / "surface.svg").exists()
 
+    @pytest.mark.parametrize("n_high_list", [[20, 0, 10], [4, 4]])
+    def test_unsorted_or_repeated_list_keeps_names_and_label_order(self, tmp_path, n_high_list):
+        cfg = {"n_low": 12, "replicates": 2, "omega_true": 0.3, "grid_points": 9, "seed": 0}
+        code, out = run(tmp_path, "loglik-surface", dict(cfg, n_high_list=n_high_list))
+        assert code == 0
+        assert sorted(p.name for p in out.glob("surface*.csv")) == sorted(
+            {"surface_nh%03d.csv" % n for n in n_high_list})
+        for n_high in n_high_list:
+            _, alone = run(tmp_path, "loglik-surface", dict(cfg, n_high=n_high),
+                           out="alone%d" % n_high)
+            assert ((out / ("surface_nh%03d.csv" % n_high)).read_bytes()
+                    == (alone / "surface.csv").read_bytes())
+        svg = (out / "surface.svg").read_text()
+        labels = ["n_high=%d" % n for n in n_high_list]
+        positions = []
+        for label in labels:
+            positions.append(svg.index(">%s<" % label, positions[-1] + 1 if positions else 0))
+        assert positions == sorted(positions)
+
+    def test_list_simulates_once_and_scans_once(self, tmp_path, monkeypatch):
+        from mrspec import likelihood
+
+        calls = {"simulate": 0, "init": 0, "loglik": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(likelihood, "simulate_replicates",
+                            counted("simulate", likelihood.simulate_replicates))
+        monkeypatch.setattr(likelihood.SurfaceScanner, "__init__",
+                            counted("init", likelihood.SurfaceScanner.__init__))
+        monkeypatch.setattr(likelihood.SurfaceScanner, "loglik",
+                            counted("loglik", likelihood.SurfaceScanner.loglik))
+        code, _ = run(tmp_path, "loglik-surface",
+                      {"n_low": 12, "n_high_list": [0, 4, 8], "replicates": 2,
+                       "omega_true": 0.3, "grid_points": 9, "seed": 0})
+        assert code == 0
+        assert calls == {"simulate": 1, "init": 1, "loglik": 1}
+
 
 class TestEstimate:
     def test_two_series_sequential(self, tmp_path):
@@ -158,6 +200,12 @@ class TestBench:
         assert len(header) == 4
         assert np.all(np.isfinite(cols[2]))
         assert (out / "stderr.csv").exists()
+
+    def test_prior_too_wide_for_exp_is_numerical_error(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "bench", {"prior": {"scale": 1e5}, "d1_cells": [[1, 16]],
+                                          "d2_cells": [[2, 16]], "replicates": 2})
+        assert code == 3
+        assert "prior too wide for exp" in capsys.readouterr().err
 
 
 class TestCompareInterp:

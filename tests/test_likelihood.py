@@ -1,5 +1,8 @@
 """Tests for exact Gaussian log-likelihoods and likelihood-surface scans."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,22 @@ from mrspec.likelihood import (
     omega_surface,
 )
 from mrspec.models import DesignError, SpectralModel, ar2_from_omega, autocovariance, simulate
+
+
+def dense_oracle(indices, values, grid, modulus, sigma2=1.0):
+    """The scan by definition: for each grid point, the Toeplitz covariance of
+    the AR(2) model's exact autocovariances at the observed lags, factored by
+    scipy's dense Cholesky; (R, G) for an (R, n) matrix of datasets."""
+    indices, values = np.asarray(indices), np.atleast_2d(values)
+    lags = np.abs(np.subtract.outer(indices, indices))
+    out = np.empty((len(values), len(grid)))
+    for i, omega0 in enumerate(grid):
+        model = SpectralModel(ar=ar2_from_omega(omega0, modulus), innovation_variance=sigma2)
+        chol = cholesky(autocovariance(model, int(lags.max()))[lags], lower=True)
+        w = solve_triangular(chol, values.T, lower=True)
+        out[:, i] = (-0.5 * (len(indices) * np.log(2 * np.pi) + np.sum(w * w, axis=0))
+                     - np.sum(np.log(np.diag(chol))))
+    return out
 
 
 class TestDefaultOmegaGrid:
@@ -186,24 +205,65 @@ class TestSurfaceScanner:
             assert np.allclose(scanner.loglik(values), fresh.loglik)
 
     @pytest.mark.parametrize("modulus", [0.9, 0.999])
-    def test_covariances_use_exact_model_autocovariances(self, monkeypatch, modulus):
-        real, covariances = likelihood.cho_factor, []
-
-        def recording(cov, lower):
-            covariances.append(cov)
-            return real(cov, lower=lower)
-
-        monkeypatch.setattr(likelihood, "cho_factor", recording)
+    def test_covariances_use_exact_model_autocovariances(self, modulus):
+        # the dense oracle itself loses digits as the roots near the unit circle
+        rtol = {0.9: 1e-12, 0.999: 1e-10}[modulus]
         indices = np.array([0, 2, 4, 6, 7, 8, 9])
         grid = default_omega_grid(25)
-        scanner = SurfaceScanner(indices, grid, modulus, sigma2=1.3)
-        assert covariances == []
-        scanner.loglik(np.zeros((2, len(indices))))
-        lags = np.abs(np.subtract.outer(indices, indices))
-        assert len(covariances) == len(grid)
-        for omega0, cov in zip(grid, covariances):
-            model = SpectralModel(ar=ar2_from_omega(omega0, modulus), innovation_variance=1.3)
-            assert np.array_equal(cov, autocovariance(model, 9)[lags])
+        values = np.random.default_rng(6).standard_normal((2, len(indices))) * 3.0
+        got = SurfaceScanner(indices, grid, modulus, sigma2=1.3).loglik(values)
+        want = dense_oracle(indices, values, grid, modulus, sigma2=1.3)
+        assert np.allclose(got, want, rtol=rtol, atol=0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(gaps=st.lists(st.integers(1, 10), min_size=0, max_size=39),
+           start=st.integers(0, 50), modulus=st.floats(0.5, 0.999),
+           sigma2=st.floats(0.5, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_random_index_sets_match_dense_cholesky(self, gaps, start, modulus, sigma2, seed):
+        rng = np.random.default_rng(seed)
+        indices = rng.permutation(start + np.concatenate([[0], np.cumsum(gaps, dtype=int)]))
+        values = rng.standard_normal((3, len(indices))) * np.sqrt(sigma2)
+        grid = default_omega_grid(7)
+        got = SurfaceScanner(indices, grid, modulus, sigma2).loglik(values)
+        want = dense_oracle(indices, values, grid, modulus, sigma2)
+        assert np.allclose(got, want, rtol=1e-9, atol=0)
+
+    def test_permuting_observations_leaves_surface_unchanged(self):
+        indices = np.array([0, 3, 5, 6, 7, 12, 13, 20])
+        values = np.random.default_rng(2).standard_normal((4, len(indices)))
+        grid = default_omega_grid(15)
+        want = SurfaceScanner(indices, grid, 0.95).loglik(values)
+        perm = np.random.default_rng(3).permutation(len(indices))
+        got = SurfaceScanner(indices[perm], grid, 0.95).loglik(values[:, perm])
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_duplicate_index_gives_nan_columns_without_warning(self):
+        scanner = SurfaceScanner(np.array([0, 2, 2, 3]), default_omega_grid(5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = scanner.loglik(np.array([[0.5, -1.0, 0.3, 0.2], [1.0, 0.1, 0.1, -2.0]]))
+        assert np.isnan(out).all()
+
+    def test_prefix_lengths_match_scans_of_the_prefixes(self):
+        indices = np.array([9, 0, 4, 2, 7, 8, 6])
+        values = np.random.default_rng(7).standard_normal((3, len(indices)))
+        grid = default_omega_grid(11)
+        lengths = [7, 1, 4, 4]
+        got = SurfaceScanner(indices, grid).loglik(values, lengths)
+        assert got.shape == (4, 3, len(grid))
+        order = np.argsort(indices)
+        for length, surfaces in zip(lengths, got):
+            keep = order[:length]
+            want = SurfaceScanner(indices[keep], grid).loglik(values[:, keep])
+            assert np.array_equal(surfaces, want)
+        single = SurfaceScanner(indices, grid).loglik(values[0], [2])
+        assert single.shape == (1, len(grid))
+
+    @pytest.mark.parametrize("lengths", [[0], [8], [3, 9]])
+    def test_prefix_lengths_out_of_range_raise(self, lengths):
+        scanner = SurfaceScanner(np.arange(7), default_omega_grid(5))
+        with pytest.raises(ValueError, match="prefix lengths"):
+            scanner.loglik(np.zeros(7), lengths)
 
     def test_argument_contract(self):
         with pytest.raises(ValueError, match="omega0"):
@@ -229,21 +289,22 @@ class TestBatchedLoglik:
                 assert ll == pytest.approx(exact_loglik(model, zip(self.indices, v)), abs=1e-9)
 
     def test_failed_factorisation_is_nan_column(self, monkeypatch):
-        real = likelihood.cho_factor
-        lags = np.abs(np.subtract.outer(self.indices, self.indices))
-        failing = autocovariance(SpectralModel(ar=ar2_from_omega(self.grid[1], 0.9)), 9)[lags]
+        real = likelihood.arma_autocovariance
 
-        def fails_second_point(cov, lower):
-            if np.array_equal(cov, failing):
-                raise np.linalg.LinAlgError("forced failure")
-            return real(cov, lower=lower)
+        def second_point_not_positive_definite(*args):
+            # gamma(1) > gamma(0): the covariance of (x_t, x_{t+1}) is indefinite
+            gamma = real(*args)
+            gamma[:, 1] = [1.0, 10.0]
+            return gamma
 
-        monkeypatch.setattr(likelihood, "cho_factor", fails_second_point)
+        monkeypatch.setattr(likelihood, "arma_autocovariance", second_point_not_positive_definite)
         scanner = SurfaceScanner(self.indices, self.grid)
-        batch = scanner.loglik(self._values(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = scanner.loglik(self._values(3))
+            single = scanner.loglik(self._values(1)[0])
         assert np.isnan(batch[:, 1]).all()
         assert np.isfinite(np.delete(batch, 1, axis=1)).all()
-        single = scanner.loglik(self._values(1)[0])
         assert np.isnan(single[1]) and np.isfinite(np.delete(single, 1)).all()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -298,6 +359,27 @@ class TestMcAverageSurface:
         assert per_rep.shape == (4, 9)
         avg = per_rep.mean(axis=0)
         assert np.allclose(surface.loglik, avg - avg.max())
+
+    def test_nested_designs_from_one_call_equal_separate_runs(self):
+        design = ExperimentDesign(
+            n_low=60, n_high=0, replicates=4, omega_true=1 / 12,
+            grid=default_omega_grid(21), seed=9,
+        )
+        n_highs = [10, 0, 20, 10]
+        nested = mc_average_surface(design, keep_replicates=True, n_highs=n_highs)
+        assert len(nested) == len(n_highs)
+        for n_high, (surface, per_rep) in zip(n_highs, nested):
+            alone, alone_per_rep = mc_average_surface(
+                replace(design, n_high=n_high), keep_replicates=True)
+            assert np.array_equal(surface.loglik, alone.loglik)
+            assert np.array_equal(per_rep, alone_per_rep)
+
+    def test_nested_designs_are_checked(self):
+        design = ExperimentDesign(n_low=0, n_high=3, replicates=1, omega_true=0.2)
+        with pytest.raises(DesignError):
+            mc_average_surface(design, n_highs=[3, 0])
+        with pytest.raises(DesignError):
+            mc_average_surface(design, n_highs=[])
 
     def test_coarse_only_surface_symmetric_about_quarter(self):
         # with only stride-2 data the likelihood cannot tell omega0 from
