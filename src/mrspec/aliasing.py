@@ -1,8 +1,10 @@
 """Folded (aliased) spectra of subsampled processes and fold-equivalence sets."""
 
+from numbers import Integral
+
 import numpy as np
 
-from .models import density_of
+from .models import ModelInvariantError, density_of
 
 __all__ = ["principal_frequency", "fold_branches", "fold", "fold_evaluator", "aliased_partners"]
 
@@ -18,6 +20,8 @@ def principal_frequency(omega):
 def fold_branches(nus, delta):
     """The source frequencies principal_frequency((nu + k)/delta), k < delta, that
     stride-``delta`` sampling folds onto each coarse frequency nu, on a new last axis."""
+    if not isinstance(delta, Integral) or delta < 1:
+        raise ValueError("delta must be an integer >= 1, got %r" % (delta,))
     return principal_frequency((np.asarray(nus, dtype=float)[..., None] + np.arange(delta)) / delta)
 
 
@@ -28,14 +32,17 @@ def fold(source, delta, nus):
     in units of the coarse sampling rate, so that the coarse autocovariance
     satisfies gamma_delta(h) = gamma(delta*h).
     """
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
     nus = np.asarray(nus, dtype=float)
     if np.any(nus < 0) or np.any(nus > 0.5):
         raise ValueError("frequencies must lie in [0, 1/2]")
     branches = fold_branches(nus, delta)
     vals = density_of(source)(branches.ravel()).reshape(branches.shape)
-    return vals.mean(axis=-1)
+    with np.errstate(over="ignore"):  # finite branch values can sum past the float range
+        folded = vals.mean(axis=-1)
+    if np.isinf(folded).any():
+        raise ModelInvariantError("folded spectrum too large for a float (largest branch "
+                                  "value %.6g)" % vals.max())
+    return folded
 
 
 def fold_evaluator(source, delta):
@@ -45,19 +52,12 @@ def fold_evaluator(source, delta):
 
 def aliased_partners(omega, delta):
     """All source frequencies in [0, 1/2] indistinguishable from ``omega``
-    given stride-``delta`` data, sorted ascending with boundary duplicates
-    removed."""
+    given stride-``delta`` data: the fold branches of the coarse frequency
+    principal_frequency(delta * omega), sorted ascending, ties merged."""
     if not 0.0 <= omega <= 0.5:
         raise ValueError("omega must lie in [0, 1/2]")
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    candidates = []
-    for j in range(delta + 1):
-        for cand in ((j + delta * omega) / delta, (j - delta * omega) / delta):
-            if -_TIE_TOL <= cand <= 0.5 + _TIE_TOL:
-                candidates.append(min(max(cand, 0.0), 0.5))
     out = []
-    for cand in sorted(candidates):
+    for cand in np.sort(fold_branches(principal_frequency(delta * omega), delta)).tolist():
         if not out or cand - out[-1] > _TIE_TOL:
             out.append(cand)
     return out

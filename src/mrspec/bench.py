@@ -67,7 +67,6 @@ class BenchDesign:
     d1: tuple  # (delta1, n1)
     d2: tuple  # (delta2, n2)
     replicates: int = 100
-    n_omega: int = 128
     seed: int = 0
     mc_samples: int = 2000
 
@@ -103,7 +102,7 @@ def _segment_series(path, design):
     return first, second
 
 
-def run_bench(design, prior=None, quad_points=4096):
+def run_bench(design, prior=None):
     """One Table-style cell: mean discrepancy of the Bayes linear estimate
     over replicated draws from the prior.
 
@@ -135,16 +134,14 @@ def run_bench(design, prior=None, quad_points=4096):
         # a truth is rejected only when the prior itself yields non-finite
         # coefficients, and then every replicate's truth is
         truths = [random_process(seed, prior) for seed in proc_seeds]
-        paths, simulated = simulate_log_spectra(
-            truths, delta1 * n1 + delta2 * n2, sim_seeds, quad_points
-        )
+        paths, simulated = simulate_log_spectra(truths, delta1 * n1 + delta2 * n2, sim_seeds)
         white = moments.whitened
         # every replicate has the same adjusted variance; adjust rejects it
         # here, once, when it is not positive semi-definite
         adjust(prior_state, moments, moments.mean)
     except (np.linalg.LinAlgError, ArithmeticError, ValueError):
         return BenchResult(np.nan, np.nan, np.asarray([]), design.replicates)
-    grid_basis = basis_matrix(standard_grid(design.n_omega), prior.size)
+    grid_basis = basis_matrix(standard_grid(), prior.size)
     scores = []
     for truth, path, ok in zip(truths, paths, simulated):
         if not ok:
@@ -225,12 +222,13 @@ def _modified_daniell(span):
     return w / w.sum()
 
 
-def baseline_spectra(series, n_omega=128, max_order=None):
+def baseline_spectra(series):
     """Conventional dense-data log-spectrum estimates on the standard grid.
 
     (a) Yule-Walker AR fit with AIC order selection (AIC = N log sigma2 + 2p,
     ties to the smaller order); (b) periodogram smoothed by a modified
     Daniell window of odd span ~ sqrt(N).  Returns (ar_log, smoothed_log).
+    The AR order is at most min(20, N // 4).
     """
     if series.stride != 1:
         raise ValueError("baseline spectra need a dense (stride 1) series")
@@ -240,9 +238,9 @@ def baseline_spectra(series, n_omega=128, max_order=None):
     x = series.values
     if np.ptp(x) == 0:
         raise ValueError("degenerate (constant) series")
-    grid = standard_grid(n_omega)
+    grid = standard_grid()
 
-    p_max = max_order if max_order is not None else min(20, n // 4)
+    p_max = min(20, n // 4)
     gamma_hat = _sample_autocov(x, p_max)
     fits = [(phi.copy(), v) for phi, v in levinson(gamma_hat)]
     aic = n * np.log([v for _, v in fits]) + 2.0 * np.arange(p_max + 1)
@@ -281,7 +279,7 @@ class InterpComparison:
 
 
 def interp_comparison(seed, omega0=0.35, modulus=0.9, n_total=600, delta=2,
-                      prior=None, mc_samples=2000, n_omega=128):
+                      prior=None, mc_samples=2000):
     """Interpolation-bias scenario: an AR(2) with a high-frequency spectral
     peak, five sixths of the series subsampled as history, the rest dense.
 
@@ -326,8 +324,8 @@ def interp_comparison(seed, omega0=0.35, modulus=0.9, n_total=600, delta=2,
         for data, moment_seed in zip(([hist, rec], [hist], [interp]), seeds)
     )
 
-    grid = standard_grid(n_omega)
-    ar_log, smooth_log = baseline_spectra(combined, n_omega)
+    grid = standard_grid()
+    ar_log, smooth_log = baseline_spectra(combined)
     return InterpComparison(
         grid=grid,
         truth=np.log(truth.density(grid)),

@@ -10,7 +10,6 @@ config produce byte-identical CSV output.
 
 import argparse
 import dataclasses
-import functools
 import json
 import os
 import sys
@@ -78,7 +77,8 @@ def _list(item, min_len=1):
     """Reader of a list of at least ``min_len`` values, each read by ``item``."""
     def read(value):
         if not isinstance(value, list) or len(value) < min_len:
-            raise ConfigError("must be a list of at least %d item(s), got %r" % (min_len, value))
+            raise ConfigError("must be a list%s, got %r"
+                              % (" of at least %d item(s)" % min_len if min_len else "", value))
         return [item(v) for v in value]
     return read
 
@@ -132,8 +132,16 @@ _float = _number
 REQUIRED = object()  # default of a field the config must give
 ABSENT = object()  # default of a field left out of the values when not given
 
-_SOURCE = {"model": (functools.partial(_known, keys=MODEL_KEYS), ABSENT),
-           "logspectrum": (_list(_float), ABSENT)}
+# model_from_dict's keys: four coefficient lists, the season period and the innovation variance
+_MODEL = dict(dict.fromkeys(MODEL_KEYS, (_list(_float, 0), ABSENT)),
+              s=(_int(1), ABSENT), sigma2=(_float, REQUIRED))
+
+
+def _model(value):
+    return _read_fields(_MODEL, _known(value, _MODEL))
+
+
+_SOURCE = {"model": (_model, ABSENT), "logspectrum": (_list(_float), ABSENT)}
 _GRID = (_int(2), 128)
 _SEED = (_int(0), 0)
 

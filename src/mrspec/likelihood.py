@@ -85,6 +85,8 @@ class ExperimentDesign:
             raise DesignError("delta_low must be >= 1")
         if not 0 < self.omega_true < 0.5:
             raise DesignError("omega_true must lie in (0, 1/2)")
+        if not 0 < self.modulus < 1:
+            raise DesignError("modulus must lie in (0, 1)")
 
     def base_indices(self):
         """Union of the coarse and dense base-grid indices, in order."""

@@ -153,6 +153,17 @@ def basis_matrix(omegas, size):
     return np.cos(2.0 * np.pi * np.outer(omegas, m))
 
 
+def exp_log_spectrum(log_f):
+    """exp(log_f), or ModelInvariantError naming the largest value where it
+    overflows; numpy's overflow warning is not raised."""
+    with np.errstate(over="ignore"):
+        f = np.exp(log_f)
+    if np.isinf(f).any():
+        raise ModelInvariantError("log-spectrum too large for exp (largest value %.6g)"
+                                  % np.max(log_f))
+    return f
+
+
 @dataclass(frozen=True)
 class LogSpectrum:
     """log f on [0, 1/2] expanded in the cosine basis."""
@@ -176,7 +187,7 @@ class LogSpectrum:
         return basis_matrix(omegas, self.size) @ self.coefficients
 
     def density(self, omegas):
-        return np.exp(self.evaluate(omegas))
+        return exp_log_spectrum(self.evaluate(omegas))
 
 
 @dataclass(frozen=True)
@@ -236,14 +247,15 @@ def simpson_grid(quad_points):
     return omegas, w * (h / 3.0)
 
 
-def _autocovariance_nodes(max_lag, quad_points):
-    """The nodes j / (2m), j = 0..m, for the lags 0..max_lag: m is ``quad_points``
-    raised to at least 2*max_lag, which resolves every lag, and rounded to even."""
+QUAD_PANELS = 4096  # panels of every quadrature on [0, 1/2] and of the circulant embedding
+
+
+def _autocovariance_nodes(max_lag):
+    """The nodes j / (2m), j = 0..m, for the lags 0..max_lag: m is QUAD_PANELS
+    raised to 2*max_lag where that is more, which resolves every lag."""
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
-    if quad_points < 256:
-        raise ValueError("quad_points must be >= 256")
-    return simpson_grid(max(quad_points, 2 * max_lag))[0]
+    return np.linspace(0.0, 0.5, max(QUAD_PANELS, 2 * max_lag) + 1)
 
 
 def _admissible(f):
@@ -251,8 +263,8 @@ def _admissible(f):
     return np.all((f > 0) & np.isfinite(f), axis=-1)
 
 
-def _node_density(source, max_lag, quad_points):
-    f = density_of(source)(_autocovariance_nodes(max_lag, quad_points))
+def _node_density(source, max_lag):
+    f = density_of(source)(_autocovariance_nodes(max_lag))
     if not _admissible(f):
         raise ModelInvariantError("spectral density must be finite and positive on [0, 1/2]")
     return f
@@ -307,7 +319,7 @@ def arma_autocovariance(phi, theta, sigma2, max_lag):
     return gamma
 
 
-def autocovariance(source, max_lag, quad_points=4096):
+def autocovariance(source, max_lag):
     """Autocovariances gamma(0..max_lag) of the process with density ``source``.
 
     A SpectralModel gets them exactly, in closed form (arma_autocovariance).
@@ -315,12 +327,13 @@ def autocovariance(source, max_lag, quad_points=4096):
     trapezoid rule for 2 * integral f(w) cos(2 pi w h) dw, from one real FFT:
     exactly the autocovariance of the 2m-point circulant with eigenvalues
     f(j / 2m) that ``simulate`` realises, off from gamma by the aliased lags,
-    gamma~(h) = sum_k gamma(h + 2mk); for them ``quad_points`` must be >= 256.
+    gamma~(h) = sum_k gamma(h + 2mk); m is QUAD_PANELS, or 2 * max_lag where
+    that is more.
     """
     if isinstance(source, SpectralModel):
         return arma_autocovariance(-source.full_ar_poly()[1:], source.full_ma_poly()[1:],
                                    source.innovation_variance, max_lag)
-    f = _node_density(source, max_lag, quad_points)
+    f = _node_density(source, max_lag)
     return irfft(f, 2 * (len(f) - 1))[: max_lag + 1]
 
 
@@ -391,45 +404,43 @@ def _max_lag(n):
     return n - 1
 
 
-def simulate(source, n, seed, quad_points=4096):
-    """Zero-mean Gaussian path of length n, deterministic given the seed.
+def simulate(source, n, seed):
+    """Zero-mean Gaussian path of length n, deterministic given the seed: row 0
+    of ``simulate_replicates(source, n, [seed])``."""
+    return SampledSeries(simulate_replicates(source, n, [seed])[0])
+
+
+def simulate_replicates(source, n, seeds):
+    """Zero-mean Gaussian paths of length n of one process, one per seed, as
+    the rows of a (len(seeds), n) array; row r depends only on seeds[r].
 
     A SpectralModel path has its exact Toeplitz(gamma) covariance, by the
     Durbin-Levinson recursion (NotPositiveDefiniteError at a pivot <= 0).  A
     LogSpectrum or callable path has exactly the Toeplitz(gamma~) of
     ``autocovariance``, by circulant embedding, which has no pivot to fail;
-    a density that is not finite and positive raises ModelInvariantError."""
+    a density that is not finite and positive raises ModelInvariantError.
+    The autocovariance and recursion, or the density and FFT, are computed
+    once for all rows."""
     if not isinstance(source, SpectralModel):
-        return SampledSeries(simulate_replicates(source, n, [seed], quad_points)[0])
-    z = np.random.default_rng(seed).standard_normal(max(n, 0))
-    return SampledSeries(_levinson_paths(autocovariance(source, _max_lag(n), quad_points), z))
-
-
-def simulate_replicates(source, n, seeds, quad_points=4096):
-    """Paths of ``simulate`` for many seeds of one process, as the rows of a
-    (len(seeds), n) array; row r equals ``simulate(source, n, seeds[r],
-    quad_points).values`` bit for bit.  The autocovariance and recursion, or
-    the density and FFT, are computed once for all rows."""
-    if not isinstance(source, SpectralModel):
-        f = _node_density(source, _max_lag(n), quad_points)
+        f = _node_density(source, _max_lag(n))
         return _circulant_paths(f, _normals(2 * len(f) - 2, seeds), n)
-    gamma = autocovariance(source, _max_lag(n), quad_points)
+    gamma = autocovariance(source, _max_lag(n))
     return _levinson_paths(gamma, np.ascontiguousarray(_normals(n, seeds).T)).T
 
 
 _CHUNK = 25  # paths per FFT batch, which bounds the (chunk, 2m) transients
 
 
-def simulate_log_spectra(log_spectra, n, seeds, quad_points=4096):
+def simulate_log_spectra(log_spectra, n, seeds):
     """Paths of ``simulate`` for many LogSpectrum processes of one basis size,
     one seed each, as the rows of a (len(seeds), n) array, and a mask ``ok``.
 
     ``ok[r]`` is False, and row r NaN, exactly where ``simulate(log_spectra[r],
-    n, seeds[r], quad_points)`` raises ModelInvariantError; elsewhere row r
+    n, seeds[r])`` raises ModelInvariantError; elsewhere row r
     equals that path bit for bit.  The cosine basis on the nodes is shared and
     one FFT colours each batch of ``_CHUNK`` rows; each log-density stays its
     own matrix-vector product, as a stacked product changes the last bits."""
-    basis = basis_matrix(_autocovariance_nodes(_max_lag(n), quad_points), log_spectra[0].size)
+    basis = basis_matrix(_autocovariance_nodes(_max_lag(n)), log_spectra[0].size)
     paths = np.full((len(seeds), n), np.nan)
     ok = np.zeros(len(seeds), dtype=bool)
     for start in range(0, len(seeds), _CHUNK):

@@ -112,6 +112,9 @@ def spectrum_source_from_dict(cfg):
     raise KeyError("config needs a 'model' or 'logspectrum' entry")
 
 
+_SIDECAR_KEYS = ("stride", "offset", "base_step")
+
+
 def write_series(path_csv, path_sidecar, series):
     write_csv(path_csv, ["index", "value"], [series.base_indices(), series.values])
     write_json(path_sidecar, {
@@ -123,7 +126,8 @@ def write_series(path_csv, path_sidecar, series):
 
 def read_series(path_csv, path_sidecar=None):
     """A series CSV and its optional JSON sidecar; a non-finite value is a
-    format error naming its row."""
+    format error naming its row.  The sidecar holds at most an integer
+    stride and offset and a base_step; any other key is an error."""
     _, (indices, values) = read_csv(path_csv)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
@@ -133,6 +137,16 @@ def read_series(path_csv, path_sidecar=None):
     meta = read_json(path_sidecar) if path_sidecar else {}
     if not isinstance(meta, dict):
         raise ValueError("series sidecar %s must be a JSON object, got %r" % (path_sidecar, meta))
+    for key in meta:
+        if key not in _SIDECAR_KEYS:
+            raise ValueError("series sidecar %s has unknown key %r; known keys are %s"
+                             % (path_sidecar, key, ", ".join(_SIDECAR_KEYS)))
+    for key in ("stride", "offset"):
+        value = meta.get(key, 0)
+        # value % 1 is nonzero for a fraction and NaN for an infinity or NaN
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+            raise ValueError("series sidecar %s: %r must be an integer, got %r"
+                             % (path_sidecar, key, value))
     return SampledSeries(
         values,
         stride=int(meta.get("stride", 1)),

@@ -7,6 +7,9 @@ import numpy as np
 
 __all__ = ["line_plot", "band_plot", "panel_grid"]
 
+_WIDTH, _HEIGHT = 640, 420  # a line or band plot
+_PANEL_WIDTH, _PANEL_HEIGHT = 260, 200  # one panel of a grid
+
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
             "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
 
@@ -37,17 +40,14 @@ class _Frame:
     def py(self, y):
         return self.h - self.pad - (y - self.y0) / (self.y1 - self.y0) * (self.h - 2 * self.pad)
 
-    def polyline(self, x, y, color, dash=None, width=1.2):
+    def polyline(self, x, y, color, width=1.2):
         pts = " ".join(
             "%s,%s" % (_fmt(self.px(a)), _fmt(self.py(b)))
             for a, b in zip(x, y)
             if np.isfinite(b)
         )
-        dash_attr = ' stroke-dasharray="%s"' % dash if dash else ""
-        return (
-            '<polyline fill="none" stroke="%s" stroke-width="%.1f"%s points="%s"/>'
-            % (color, width, dash_attr, pts)
-        )
+        return '<polyline fill="none" stroke="%s" stroke-width="%.1f" points="%s"/>' % (
+            color, width, pts)
 
     def polygon(self, x, lo, hi, color, opacity=0.25):
         fwd = ["%s,%s" % (_fmt(self.px(a)), _fmt(self.py(b))) for a, b in zip(x, lo)]
@@ -101,18 +101,18 @@ def _document(width, height, body):
     return head + "\n" + "\n".join(body) + "\n</svg>\n"
 
 
-def line_plot(path, x, curves, labels=None, vline=None, title="",
-              xlabel="omega", ylabel="", width=640, height=420):
-    """Write a multi-curve line plot; ``vline`` draws a dashed vertical marker."""
+def line_plot(path, x, curves, labels=None, vline=None, title="", ylabel=""):
+    """Write a multi-curve line plot against omega; ``vline`` draws a dashed
+    vertical marker."""
     x = np.asarray(x, float)
     curves = [np.asarray(c, float) for c in curves]
-    frame = _Frame(x, curves, width, height)
-    body = frame.axes(title, xlabel, ylabel)
+    frame = _Frame(x, curves, _WIDTH, _HEIGHT)
+    body = frame.axes(title, "omega", ylabel)
     if vline is not None:
         body.append(
             '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#d62728" '
             'stroke-dasharray="5,4"/>'
-            % (_fmt(frame.px(vline)), _fmt(frame.pad), _fmt(frame.px(vline)), _fmt(height - frame.pad))
+            % (_fmt(frame.px(vline)), _fmt(frame.pad), _fmt(frame.px(vline)), _fmt(_HEIGHT - frame.pad))
         )
     for i, curve in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
@@ -120,41 +120,31 @@ def line_plot(path, x, curves, labels=None, vline=None, title="",
         if labels:
             body.append(
                 '<text x="%s" y="%s" font-size="10" fill="%s">%s</text>'
-                % (_fmt(width - frame.pad + 4), _fmt(frame.pad + 12 * (i + 1)), color, labels[i])
+                % (_fmt(_WIDTH - frame.pad + 4), _fmt(frame.pad + 12 * (i + 1)), color, labels[i])
             )
-    _write(path, _document(width, height, body))
+    _write(path, _document(_WIDTH, _HEIGHT, body))
 
 
-def band_plot(path, x, mean, bands, title="", xlabel="omega", ylabel="",
-              width=640, height=420, extra_curves=(), extra_labels=()):
-    """Write a mean curve with shaded central bands ({level: (lo, hi)})."""
+def band_plot(path, x, mean, bands, title="", ylabel=""):
+    """Write a mean curve against omega with shaded central bands ({level: (lo, hi)})."""
     x = np.asarray(x, float)
-    all_curves = [mean] + [b[i] for b in bands.values() for i in (0, 1)] + list(extra_curves)
-    frame = _Frame(x, all_curves, width, height)
-    body = frame.axes(title, xlabel, ylabel)
+    frame = _Frame(x, [mean] + [b[i] for b in bands.values() for i in (0, 1)], _WIDTH, _HEIGHT)
+    body = frame.axes(title, "omega", ylabel)
     for level in sorted(bands, reverse=True):
         lo, hi = bands[level]
         body.append(frame.polygon(x, lo, hi, "#1f77b4", opacity=0.18 + 0.12 * level))
     body.append(frame.polyline(x, mean, "#1f77b4", width=1.6))
-    for i, curve in enumerate(extra_curves):
-        color = _PALETTE[(i + 1) % len(_PALETTE)]
-        body.append(frame.polyline(x, curve, color, dash="4,3"))
-        if extra_labels:
-            body.append(
-                '<text x="%s" y="%s" font-size="10" fill="%s">%s</text>'
-                % (_fmt(width - frame.pad + 4), _fmt(frame.pad + 12 * (i + 1)), color, extra_labels[i])
-            )
-    _write(path, _document(width, height, body))
+    _write(path, _document(_WIDTH, _HEIGHT, body))
 
 
-def panel_grid(path, panels, ncols, title="", panel_width=260, panel_height=200):
+def panel_grid(path, panels, ncols, title=""):
     """Write a grid of small line-plot panels.
 
     ``panels`` is a list of (panel_title, x, curves) triples laid out
     row-major with ``ncols`` columns."""
     nrows = (len(panels) + ncols - 1) // ncols
-    width = ncols * panel_width
-    height = nrows * panel_height + (24 if title else 0)
+    width = ncols * _PANEL_WIDTH
+    height = nrows * _PANEL_HEIGHT + (24 if title else 0)
     body = []
     if title:
         body.append(
@@ -165,13 +155,13 @@ def panel_grid(path, panels, ncols, title="", panel_width=260, panel_height=200)
     for idx, (ptitle, x, curves) in enumerate(panels):
         row, col = divmod(idx, ncols)
         frame = _Frame(np.asarray(x, float), [np.asarray(c, float) for c in curves],
-                       panel_width, panel_height, pad=32.0)
+                       _PANEL_WIDTH, _PANEL_HEIGHT, pad=32.0)
         inner = frame.axes(ptitle)
         for i, curve in enumerate(curves):
             inner.append(frame.polyline(x, curve, _PALETTE[i % len(_PALETTE)], width=1.0))
         body.append(
             '<g transform="translate(%s %s)">\n%s\n</g>'
-            % (_fmt(col * panel_width), _fmt(row * panel_height + y_off), "\n".join(inner))
+            % (_fmt(col * _PANEL_WIDTH), _fmt(row * _PANEL_HEIGHT + y_off), "\n".join(inner))
         )
     _write(path, _document(width, height, body))
 

@@ -10,7 +10,8 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import ndtri
 
-from .models import LogSpectrum, SpectralModel, basis_matrix, density_of, simpson_grid
+from .models import (QUAD_PANELS, LogSpectrum, SpectralModel, basis_matrix, density_of,
+                     exp_log_spectrum, simpson_grid)
 
 __all__ = [
     "PCDecomposition",
@@ -57,7 +58,7 @@ def pc_fan(state, k, grid):
     grid = np.asarray(grid, dtype=float)
     psi = basis_matrix(grid, state.size)
     shifts = np.outer(FAN_QUANTILES * np.sqrt(lam), psi @ vec)
-    return np.exp(psi @ state.mean + shifts)
+    return exp_log_spectrum(psi @ state.mean + shifts)
 
 
 @dataclass(frozen=True)
@@ -135,21 +136,18 @@ def propagate(state, d, level, functional):
     return float(grid.weights @ values)
 
 
-def kolmogorov_variance(source, quad_points=4096):
+def kolmogorov_variance(source):
     """One-step-ahead prediction error variance exp(2 * integral_0^{1/2} log f(w) dw)
     (Kolmogorov-Szego).  Closed forms where they exist: exp(beta_0) for a
     LogSpectrum, whose cosine terms integrate to 0, and the innovation
     variance of a SpectralModel, causal and invertible by construction, so
     its AR and MA factors integrate to 0 in the log.  A plain callable gets
-    composite Simpson quadrature.  ``quad_points`` must be >= 256 for every
-    source."""
-    if quad_points < 256:
-        raise ValueError("quad_points must be >= 256")
+    composite Simpson quadrature on QUAD_PANELS panels."""
     if isinstance(source, LogSpectrum):
-        return float(np.exp(source.coefficients[0]))
+        return float(exp_log_spectrum(source.coefficients[0]))
     if isinstance(source, SpectralModel):
         return float(source.innovation_variance)
-    omegas, weights = simpson_grid(quad_points)
+    omegas, weights = simpson_grid(QUAD_PANELS)
     f = density_of(source)(omegas)
     # checked before the log, which would warn on a zero or negative value
     if not np.all((f > 0) & np.isfinite(f)):

@@ -37,8 +37,8 @@ class TestFold:
 
     def test_subsampled_autocovariance(self):
         # gamma_delta(h) = gamma(delta * h), checked through quadrature
-        gamma = autocovariance(AR2, 20, 4096)
-        gamma_folded = autocovariance(fold_evaluator(AR2, 2), 10, 4096)
+        gamma = autocovariance(AR2, 20)
+        gamma_folded = autocovariance(fold_evaluator(AR2, 2), 10)
         assert gamma_folded == pytest.approx(gamma[::2], abs=1e-6)
 
     @settings(max_examples=40, deadline=None)
@@ -55,7 +55,7 @@ class TestFold:
     @pytest.mark.parametrize("delta", [1, 2, 3, 4, 6])
     def test_power_conservation(self, delta):
         omegas, weights = simpson_grid(2048)
-        gamma0 = autocovariance(AR2, 0, 2048)[0]
+        gamma0 = autocovariance(AR2, 0)[0]
         total = 2.0 * weights @ fold(AR2, delta, omegas)
         assert total == pytest.approx(gamma0, rel=1e-8)
 
@@ -68,7 +68,7 @@ class TestFold:
     @given(model=ARMA, delta=st.integers(1, 8))
     def test_power_conservation_property(self, model, delta):
         # 2 integral f_delta = gamma_delta(0) = gamma(0) = 2 integral f
-        folded = autocovariance(fold_evaluator(model, delta), 0, 4096)[0]
+        folded = autocovariance(fold_evaluator(model, delta), 0)[0]
         assert folded == pytest.approx(autocovariance(model, 0)[0], rel=1e-9)
 
     @settings(max_examples=40, deadline=None)
@@ -84,6 +84,25 @@ class TestFold:
             fold(AR2, 0, [0.1])
         with pytest.raises(ValueError):
             fold(AR2, 2, [0.6])
+        # a fractional stride has no fold branches
+        with pytest.raises(ValueError, match="integer"):
+            fold(AR2, 2.5, [0.1])
+        with pytest.raises(ValueError, match="integer"):
+            aliased_partners(0.1, 2.5)
+
+
+def brute_force_partners(omega, delta):
+    """Every w in [0, 1/2] with delta * w = k +- delta * omega for an integer
+    k, |k| <= delta: the frequencies whose lag-delta*h cosines equal omega's
+    at every integer h.  Ties merged at 1e-12."""
+    candidates = sorted(min(max((k + sign * delta * omega) / delta, 0.0), 0.5)
+                        for k in range(-delta, delta + 1) for sign in (1, -1)
+                        if -1e-12 <= (k + sign * delta * omega) / delta <= 0.5 + 1e-12)
+    out = []
+    for cand in candidates:
+        if not out or cand - out[-1] > 1e-12:
+            out.append(cand)
+    return out
 
 
 class TestAliasedPartners:
@@ -112,3 +131,14 @@ class TestAliasedPartners:
         for omega in aliased_partners(1.0 / 12.0, 2):
             vals = fold(SpectralModel(ar=ar2_from_omega(omega, 0.9)), 2, nus)
             assert np.all(vals > 0)
+
+    def test_matches_enumeration(self):
+        # the partners (delta * omega - j) / delta exist whenever delta * omega > 1
+        for delta in range(1, 9):
+            for omega in np.linspace(0.0, 0.5, 297):
+                assert aliased_partners(omega, delta) == pytest.approx(
+                    brute_force_partners(omega, delta), abs=1e-12), (omega, delta)
+
+    def test_partner_below_omega_over_delta(self):
+        # 0.34375 * 3 = 1.03125, so 0.03125 / 3 folds onto the same coarse frequency
+        assert aliased_partners(0.34375, 3) == pytest.approx([0.03125 / 3, 0.96875 / 3, 0.34375])

@@ -72,7 +72,7 @@ class TestRandomProcess:
         assert np.allclose(sd, want, rtol=0.25)
 
 
-def reference_run_bench(design, prior=None, quad_points=4096):
+def reference_run_bench(design, prior=None):
     """The per-replicate loop that ``run_bench`` batches: simulate, take the
     log-periodograms and adjust each replicate on its own, counting one that
     raises as failed.  Calls go through ``bench`` so patches reach both."""
@@ -81,13 +81,13 @@ def reference_run_bench(design, prior=None, quad_points=4096):
     layouts = [PeriodogramData.layout("d1", delta1, n1), PeriodogramData.layout("d2", delta2, n2)]
     moment_seed, *rep_seeds = np.random.SeedSequence(design.seed).spawn(design.replicates + 1)
     moments = bench.forecast_moments(prior.to_state(), layouts, design.mc_samples, moment_seed)
-    grid = standard_grid(design.n_omega)
+    grid = standard_grid()
     scores, failures = [], 0
     for rep_seed in rep_seeds:
         sim_seed, proc_seed = rep_seed.spawn(2)
         try:
             truth = random_process(proc_seed, prior)
-            path = bench.simulate(truth, delta1 * n1 + delta2 * n2, sim_seed, quad_points)
+            path = bench.simulate(truth, delta1 * n1 + delta2 * n2, sim_seed)
             first, second = bench._segment_series(path, design)
             observed = np.concatenate([bench.log_periodogram(first).log_periodogram,
                                        bench.log_periodogram(second).log_periodogram])
@@ -118,8 +118,8 @@ WIDE_PRIOR_DESIGN = BenchDesign(d1=(1, 32), d2=(2, 32), replicates=20, seed=3, m
 class TestRunBenchMatchesReplicateLoop:
     @pytest.mark.parametrize("prior,failures", [(None, 0), (PriorSpec(scale=60), 0)])
     def test_bit_identical(self, prior, failures):
-        got = run_bench(WIDE_PRIOR_DESIGN, prior, quad_points=1024)
-        assert_same_result(got, reference_run_bench(WIDE_PRIOR_DESIGN, prior, quad_points=1024))
+        got = run_bench(WIDE_PRIOR_DESIGN, prior)
+        assert_same_result(got, reference_run_bench(WIDE_PRIOR_DESIGN, prior))
         assert got.failures == failures
 
     def test_non_finite_adjusted_mean_fails_its_replicate(self, monkeypatch):
@@ -135,9 +135,9 @@ class TestRunBenchMatchesReplicateLoop:
             return data
 
         monkeypatch.setattr(bench, "log_periodogram", log_periodogram)
-        got = run_bench(WIDE_PRIOR_DESIGN, quad_points=1024)
+        got = run_bench(WIDE_PRIOR_DESIGN)
         calls.clear()
-        assert_same_result(got, reference_run_bench(WIDE_PRIOR_DESIGN, quad_points=1024))
+        assert_same_result(got, reference_run_bench(WIDE_PRIOR_DESIGN))
         assert got.failures == 1
 
     @pytest.mark.parametrize("broken", ["raises", "not_psd"])
@@ -155,8 +155,8 @@ class TestRunBenchMatchesReplicateLoop:
 
         monkeypatch.setattr(bench, "forecast_moments", forecast_moments)
         design = BenchDesign(d1=(1, 32), d2=(2, 32), replicates=4, seed=3, mc_samples=600)
-        got = run_bench(design, quad_points=1024)
-        assert_same_result(got, reference_run_bench(design, quad_points=1024))
+        got = run_bench(design)
+        assert_same_result(got, reference_run_bench(design))
         assert np.isnan(got.mean) and np.isnan(got.stderr)
         assert len(got.scores) == 0 and got.failures == 4
 
@@ -166,22 +166,22 @@ class TestRunBench:
     def test_wide_priors_lose_no_replicate(self, scale):
         # a Durbin-Levinson simulation lost 0, 2, 9 and 13 of these 20
         # replicates at round-off pivots, although every density is positive
-        result = run_bench(WIDE_PRIOR_DESIGN, PriorSpec(scale=scale), quad_points=1024)
+        result = run_bench(WIDE_PRIOR_DESIGN, PriorSpec(scale=scale))
         assert result.failures == 0
         assert np.all(np.isfinite(result.scores))
 
     def test_deterministic(self):
         design = BenchDesign(d1=(1, 32), d2=(1, 32), replicates=4,
                              seed=9, mc_samples=600)
-        r1 = run_bench(design, quad_points=1024)
-        r2 = run_bench(design, quad_points=1024)
+        r1 = run_bench(design)
+        r2 = run_bench(design)
         assert r1.mean == r2.mean
         assert np.array_equal(r1.scores, r2.scores)
 
     def test_scores_shape_and_positive(self):
         design = BenchDesign(d1=(2, 24), d2=(1, 24), replicates=4,
                              seed=1, mc_samples=600)
-        r = run_bench(design, quad_points=1024)
+        r = run_bench(design)
         assert len(r.scores) + r.failures == 4
         assert np.all(r.scores >= 0)
         assert np.isfinite(r.stderr)
@@ -266,15 +266,15 @@ class TestBaselineSpectra:
     def test_ar1_fit_recovers_shape(self):
         truth = SpectralModel(ar=(0.7,))
         series = simulate(truth, 2000, seed=4)
-        ar_log, smooth_log = baseline_spectra(series, n_omega=64)
-        grid = standard_grid(64)
+        ar_log, smooth_log = baseline_spectra(series)
+        grid = standard_grid()
         true_log = np.log(truth.density(grid))
         assert discrepancy(true_log, ar_log) < 0.05
         assert discrepancy(true_log, smooth_log) < 0.5
 
     def test_white_noise_near_flat(self):
         series = simulate(SpectralModel(), 2000, seed=6)
-        ar_log, smooth_log = baseline_spectra(series, n_omega=64)
+        ar_log, smooth_log = baseline_spectra(series)
         assert np.max(np.abs(ar_log)) < 0.3
         assert np.max(np.abs(smooth_log)) < 1.0
 

@@ -187,6 +187,19 @@ class TestEstimate:
         assert "'series'" in err and "row 6 of %s: non-finite value" % csv in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("meta,key", [({"strid": 4}, "'strid'"),
+                                          ({"stride": 4.7}, "'stride'")])
+    def test_misread_sidecar_is_config_error_naming_key(self, tmp_path, capsys, meta, key):
+        # a misspelt key must not leave a stride-4 series read as dense
+        _, sim_out = run(tmp_path, "simulate", {"model": {"sigma2": 1.0}, "n": 32}, out="sim")
+        write_json(sim_out / "series.json", meta)
+        code, out = run(tmp_path, "estimate", {"series": [str(sim_out / "series.csv")],
+                                               "mc_samples": 600})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'series'" in err and key in err
+        assert not out.exists()
+
 
 class TestBench:
     def test_small_table(self, tmp_path):
@@ -308,6 +321,25 @@ class TestExitCodes:
         code, _ = run(tmp_path, "simulate",
                       {"model": {"ar": [1.01], "sigma2": 1.0}, "n": 16})
         assert code == 3
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("spectrum", {"logspectrum": [0.0, 800.0]}),
+        ("spectrum", {"logspectrum": [709.5], "delta": 4}),
+        ("kolmogorov", {"logspectrum": [800.0]}),
+        ("simulate", {"logspectrum": [0.0, 800.0], "n": 16}),
+        ("pc-fan", {"belief": "big.json", "components": 1}),
+    ])
+    def test_log_spectrum_too_large_for_exp_is_numerical_error(self, tmp_path, monkeypatch, capsys,
+                                                                command, cfg):
+        # no inf in an output file; a numpy warning would fail the test under the
+        # suite's warning filter
+        monkeypatch.chdir(tmp_path)
+        write_json("big.json", {"mean": [800.0, 0.1], "variance": [[0.4, 0.0], [0.0, 0.2]]})
+        code, out = run(tmp_path, command, cfg)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "too large" in err and "Warning" not in err
+        assert not out.exists()
 
     def test_subnormal_coefficient_is_accepted(self, tmp_path):
         code, out = run(tmp_path, "simulate", {"model": {"ar": [1e-310], "sigma2": 1.0}, "n": 16})
@@ -496,6 +528,15 @@ class TestConfigTable:
         ("loglik-surface", {"n_low": 10, "n_high": 2, "omega_true": 0.3, "delta_low": 0},
          "'delta_low'"),
         ("estimate", {"series": [{"csv": "a.csv", "sidcar": "a.json"}]}, "'sidcar'"),
+        # model values are read like top-level ones, not passed on to fail later
+        ("simulate", {"model": {"s": 2.5, "sar": [0.5], "sigma2": 1.0}, "n": 16}, "'s'"),
+        ("spectrum", {"model": {"s": 0, "sigma2": 1.0}}, "'s'"),
+        ("kolmogorov", {"model": {"s": 2.5, "sigma2": 1.0}}, "'s'"),
+        ("simulate", {"model": {"ar": "x", "sigma2": 1.0}, "n": 16}, "'ar'"),
+        ("spectrum", {"model": {"ma": [0.5, None], "sigma2": 1.0}}, "'ma'"),
+        ("kolmogorov", {"model": {"sigma2": "1"}}, "'sigma2'"),
+        ("loglik-surface", {"n_low": 10, "n_high": 2, "omega_true": 0.3, "modulus": 1.5},
+         "modulus"),
     ])
     def test_bad_field_names_key(self, tmp_path, capsys, command, cfg, key):
         self.assert_config_error(tmp_path, capsys, command, cfg, key)

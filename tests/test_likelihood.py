@@ -102,6 +102,12 @@ class TestExperimentDesign:
                              delta_low=delta_low)
 
 
+    @pytest.mark.parametrize("modulus", [0.0, 1.0, 1.5])
+    def test_rejects_modulus_outside_unit_interval(self, modulus):
+        with pytest.raises(DesignError, match="modulus"):
+            ExperimentDesign(n_low=4, n_high=2, replicates=1, omega_true=0.3, modulus=modulus)
+
+
 class TestExactLoglik:
     def test_white_noise_matches_iid_normal(self):
         model = SpectralModel(innovation_variance=1.7)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import irfft
 from scipy.linalg import toeplitz
 
 from mrspec import models
@@ -156,7 +157,7 @@ class TestSpectralDensity:
         omegas, weights = simpson_grid(1024)
         f = spectral_density(model, omegas)
         assert np.all(f > 0)
-        gamma0 = autocovariance(model, 0, 1024)[0]
+        gamma0 = autocovariance(model, 0)[0]
         assert 2.0 * weights @ f == pytest.approx(gamma0, rel=1e-8)
 
 
@@ -167,13 +168,13 @@ class TestAutocovariance:
         assert np.abs(gamma[1:]).max() < 1e-10
 
     def test_ar1_closed_form(self):
-        gamma = autocovariance(SpectralModel(ar=(0.5,)), 8, 4096)
+        gamma = autocovariance(SpectralModel(ar=(0.5,)), 8)
         expected = (0.5 ** np.arange(9)) / (1 - 0.25)
         assert gamma == pytest.approx(expected, abs=1e-6)
 
     def test_ar2_yule_walker_oracle(self):
         phi = ar2_from_omega(1.0 / 12.0, 0.9)
-        gamma = autocovariance(SpectralModel(ar=phi), 10, 4096)
+        gamma = autocovariance(SpectralModel(ar=phi), 10)
         assert gamma == pytest.approx(yule_walker_gamma(phi, 1.0, 10), abs=1e-6)
 
     def test_bounded_by_gamma0(self):
@@ -241,8 +242,8 @@ class TestExactAutocovariance:
         model = SpectralModel(ar=(0.5,), ma=(0.4,), seasonal_ar=(0.6,), seasonal_ma=(0.3,),
                               season_period=12)
         exact = autocovariance(model, 60)
-        # a plain callable takes the trapezoid path; 2^17 panels resolve this density
-        quadrature = autocovariance(model.density, 60, 2**17)
+        # the 2^17-panel trapezoid rule, which resolves this density
+        quadrature = irfft(model.density(np.linspace(0.0, 0.5, 2**17 + 1)), 2**18)[:61]
         assert_close_to(exact, quadrature, 1e-12)
 
     def test_batched_columns_equal_single_calls(self):
@@ -259,8 +260,6 @@ class TestExactAutocovariance:
             assert np.array_equal(batch[:, j], autocovariance(model, 40))
 
     def test_argument_checks(self):
-        with pytest.raises(ValueError, match="quad_points"):
-            autocovariance(LogSpectrum(np.zeros(3)), 4, quad_points=100)
         with pytest.raises(ValueError, match="max_lag"):
             autocovariance(SpectralModel(ar=(0.5,)), -1)
         with pytest.raises(ModelInvariantError):
@@ -347,12 +346,12 @@ class TestSimulateLogSpectra:
         # densities that underflow to 0 and overflow to inf
         spectra += [LogSpectrum(np.r_[c, np.zeros(7)]) for c in (-800.0, 800.0)]
         seeds = list(range(len(spectra)))
-        paths, ok = simulate_log_spectra(spectra, 300, seeds, 1024)
+        paths, ok = simulate_log_spectra(spectra, 300, seeds)
         assert paths.shape == (6, 300)
         raised = []
         for spectrum, seed, path, row_ok in zip(spectra, seeds, paths, ok):
             try:
-                want = simulate(spectrum, 300, seed, 1024).values
+                want = simulate(spectrum, 300, seed).values
             except ModelInvariantError as exc:
                 raised.append(type(exc))
                 assert not row_ok
@@ -366,10 +365,10 @@ class TestSimulateLogSpectra:
         rng = np.random.default_rng(2)
         spectra = [LogSpectrum(rng.standard_normal(5)) for _ in range(2 * models._CHUNK + 3)]
         seeds = [9 ^ r for r in range(len(spectra))]
-        paths, ok = simulate_log_spectra(spectra, 64, seeds, 256)
+        paths, ok = simulate_log_spectra(spectra, 64, seeds)
         assert ok.all()
         for r in (0, models._CHUNK - 1, models._CHUNK, len(spectra) - 1):
-            alone, _ = simulate_log_spectra(spectra[r : r + 1], 64, seeds[r : r + 1], 256)
+            alone, _ = simulate_log_spectra(spectra[r : r + 1], 64, seeds[r : r + 1])
             assert np.array_equal(alone[0], paths[r])
 
 
@@ -399,40 +398,42 @@ def ar1_density(w):
 
 
 class TestCirculantEmbedding:
-    @pytest.mark.parametrize("source,n,quad_points", [
-        (LogSpectrum(np.array([0.3, 1.2, -0.8, 0.5])), 40, 256),
-        # 2 * (n - 1) panels exceed quad_points, so the embedding grows with n
-        (ar1_density, 300, 256),
+    @pytest.mark.parametrize("source,n", [
+        (LogSpectrum(np.array([0.3, 1.2, -0.8, 0.5])), 40),
+        # 2 * (n - 1) panels exceed QUAD_PANELS, so the embedding grows with n
+        (ar1_density, 300),
     ])
-    def test_covariance_of_linear_map_is_toeplitz_of_autocovariance(self, source, n,
-                                                                      quad_points):
-        gamma = autocovariance(source, n - 1, quad_points)
-        f = models._node_density(source, n - 1, quad_points)
+    def test_covariance_of_linear_map_is_toeplitz_of_autocovariance(self, monkeypatch, source,
+                                                                      n):
+        # a small embedding, as the linear map is built from a 2m x 2m identity
+        monkeypatch.setattr(models, "QUAD_PANELS", 128)
+        gamma = autocovariance(source, n - 1)
+        f = models._node_density(source, n - 1)
         normals = 2 * (len(f) - 1)
         # column k is the path the k-th unit normal gives; simulate is linear in its normals
         linear_map = models._circulant_paths(f, np.eye(normals), n).T
         cov = linear_map @ linear_map.T
         assert np.abs(cov - toeplitz(gamma)).max() <= 1e-12 * gamma[0]
         z = np.random.default_rng(5).standard_normal(normals)
-        np.testing.assert_allclose(simulate(source, n, 5, quad_points).values,
+        np.testing.assert_allclose(simulate(source, n, 5).values,
                                    linear_map @ z, rtol=0, atol=1e-12 * np.sqrt(gamma[0]))
 
     def test_trapezoid_autocovariance_matches_exact(self):
         # gamma~ differs from gamma by the aliased lags h + 2mk, negligible here
-        coarse = autocovariance(ar1_density, 30, 256)
+        coarse = autocovariance(ar1_density, 30)
         fine = autocovariance(SpectralModel(ar=(0.8,)), 30)
         np.testing.assert_allclose(coarse, fine, rtol=0, atol=1e-12 * fine[0])
 
     def test_replicate_rows_equal_simulate(self):
         source = LogSpectrum(np.array([0.1, -0.4, 0.2]))
         seeds = [3, 4, 5]
-        paths = simulate_replicates(source, 50, seeds, 256)
+        paths = simulate_replicates(source, 50, seeds)
         for row, seed in zip(paths, seeds):
-            assert np.array_equal(row, simulate(source, 50, seed, 256).values)
+            assert np.array_equal(row, simulate(source, 50, seed).values)
 
     def test_non_positive_density_raises(self):
         with pytest.raises(ModelInvariantError):
-            simulate(lambda w: np.cos(4 * np.pi * w), 10, 0, 256)
+            simulate(lambda w: np.cos(4 * np.pi * w), 10, 0)
 
 
 class TestSubsample:

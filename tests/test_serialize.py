@@ -108,6 +108,15 @@ class TestSeriesRoundTrip:
         assert np.array_equal(got.values, series.values)
         assert got.stride == 3 and got.offset == 1 and got.base_step == 0.25
 
+    @pytest.mark.parametrize("meta,key", [({"strid": 4}, "'strid'"), ({"stride": 4.7}, "'stride'"),
+                                          ({"offset": "1"}, "'offset'")])
+    def test_sidecar_unknown_key_or_fractional_stride_is_rejected(self, tmp_path, meta, key):
+        csv, side = tmp_path / "s.csv", tmp_path / "s.json"
+        write_series(csv, side, SampledSeries(np.zeros(3)))
+        write_json(side, meta)
+        with pytest.raises(ValueError, match=key):
+            read_series(csv, side)
+
     def test_defaults_without_sidecar(self, tmp_path):
         series = SampledSeries(np.array([1.0, 2.0]), stride=2)
         csv, side = tmp_path / "s.csv", tmp_path / "s.json"

@@ -169,15 +169,6 @@ class TestKolmogorovVariance:
         ls = LogSpectrum(np.array([0.8, 0.5, -0.3]))
         assert kolmogorov_variance(ls) == pytest.approx(np.exp(2 * 0.8 * 0.5), abs=1e-9)
 
-    def test_rejects_coarse_quadrature(self):
-        with pytest.raises(ValueError):
-            kolmogorov_variance(SpectralModel(), quad_points=64)
-
-    @pytest.mark.parametrize("source", [LogSpectrum(np.array([0.8])), lambda w: np.ones_like(w)])
-    def test_every_source_rejects_coarse_quadrature(self, source):
-        with pytest.raises(ValueError, match="quad_points"):
-            kolmogorov_variance(source, quad_points=255)
-
     def test_closed_forms_are_exact(self):
         # AR(2) at modulus 0.999 with an MA term: Simpson quadrature was off
         # by 4.4e-6 relative here
