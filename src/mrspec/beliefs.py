@@ -37,7 +37,7 @@ MIN_PERIODOGRAM_N = 8
 
 
 class AdjustmentError(ArithmeticError):
-    """Bayes linear solve failed (singular data variance)."""
+    """Bayes linear solve failed (data variance not finite or not positive definite)."""
 
 
 def _project_psd(matrix, scale=None):
@@ -177,26 +177,16 @@ class ForecastMoments:
 
     @cached_property
     def factor(self):
-        """Lower Cholesky factor L of Var(D), made on first use.  A ridge is
-        added only as a fallback: the noise floor pi^2/6 on the diagonal keeps
-        Var(D) well conditioned in normal use, and the exact factor preserves
-        closed-form conjugate cases to machine precision."""
+        """Lower Cholesky factor L of Var(D), made on first use.  The Var(D) of
+        ``forecast_moments`` is a sample covariance plus pi^2/6 on the diagonal,
+        so its eigenvalues are at least pi^2/6."""
         var_d = self.variance
         if not np.all(np.isfinite(var_d)):
             raise AdjustmentError("data variance is not finite")
         try:
             return np.linalg.cholesky(var_d)
         except np.linalg.LinAlgError:
-            pass
-        k = var_d.shape[0]
-        ridge = 1e-10 * np.trace(var_d) / k
-        try:
-            return np.linalg.cholesky(var_d + ridge * np.eye(k))
-        except np.linalg.LinAlgError:
-            names = _degenerate_blocks(var_d, self.blocks)
-            raise AdjustmentError(
-                "data variance singular after ridge (degenerate dataset(s): %s)" % names
-            )
+            raise AdjustmentError("data variance is not positive definite")
 
     @cached_property
     def whitened(self):
@@ -299,16 +289,6 @@ def _cap_canonical_correlations(var_b, whitened):
     if s.size == 0 or s[0] <= 1.0:
         return whitened
     return (u * np.minimum(s, 1.0) @ vt) @ (vecs_b * root_b).T
-
-
-def _degenerate_blocks(var_d, blocks):
-    bad, start = [], 0
-    for name, length in blocks:
-        sub = var_d[start : start + length, start : start + length]
-        if np.linalg.matrix_rank(sub, tol=1e-12 * np.trace(var_d)) < length:
-            bad.append(name)
-        start += length
-    return ", ".join(bad) if bad else "unknown"
 
 
 def adjust(prior, moments, observed):

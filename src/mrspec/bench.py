@@ -146,13 +146,10 @@ def run_bench(design, prior=None):
     for truth, path, ok in zip(truths, paths, simulated):
         if not ok:
             continue
-        try:
-            observed = np.concatenate([
-                log_periodogram(segment).log_periodogram
-                for segment in _segment_series(SampledSeries(path), design)
-            ])
-        except ValueError:  # a segment too short for a periodogram
-            continue
+        observed = np.concatenate([
+            log_periodogram(segment).log_periodogram
+            for segment in _segment_series(SampledSeries(path), design)
+        ])
         z = np.linalg.solve(moments.factor, observed - moments.mean)
         estimate = prior_state.mean + white.T @ z
         if np.all(np.isfinite(estimate)):

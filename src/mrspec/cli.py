@@ -2,14 +2,15 @@
 CSV/JSON/SVG emission.
 
 Each command's config keys, with their readers and defaults, are one entry of
-``_FIELDS``; a key outside it is a config error.  Exit codes: 0 success, 2
-input/config error, 3 numerical failure.  Every run writes a manifest echoing
-the config as given (with ``--seed`` applied), and reruns with the same
-config produce byte-identical CSV output.
+``_FIELDS``, read by ``serialize.read_fields``; a key outside it is a config
+error.  Exit codes: 0 success, 2 input/config error, 3 numerical failure.
+Every run writes a manifest echoing the config as given (with ``--seed``
+applied), and reruns with the same config produce byte-identical CSV output.
 """
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -29,13 +30,21 @@ from .beliefs import (
 )
 from .bench import interp_comparison, standard_grid, table_sweep
 from .likelihood import ExperimentDesign, default_omega_grid, mc_average_surface
-from .models import DesignError, LogSpectrum, simulate, subsample
+from .models import DesignError, simulate, subsample
 from .aliasing import fold
 from .serialize import (
-    MODEL_KEYS,
-    CsvFormatError,
+    ABSENT,
+    MODEL_FIELDS,
+    REQUIRED,
+    ConfigError,
     belief_from_dict,
     belief_to_dict,
+    integer,
+    known,
+    list_of,
+    number,
+    one_source,
+    read_fields,
     read_json,
     read_series,
     spectrum_source_from_dict,
@@ -49,49 +58,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-class ConfigError(ValueError):
-    pass
-
-
-# Readers: each takes a field's JSON value and returns what the command uses; a
-# ValueError, TypeError, KeyError or OSError it raises is a config error naming the field.
-
-def _number(value, integral=False):
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or integral and not (isinstance(value, int) or value.is_integer())):
-        raise ConfigError("must be %s, got %r" % ("an integer" if integral else "a number", value))
-    return int(value) if integral else float(value)
-
-
-def _int(low=None):
-    """Reader of an integer, at least ``low`` when given."""
-    def read(value):
-        number = _number(value, integral=True)
-        if low is not None and number < low:
-            raise ConfigError("must be >= %d, got %r" % (low, value))
-        return number
-    return read
-
-
-def _list(item, min_len=1):
-    """Reader of a list of at least ``min_len`` values, each read by ``item``."""
-    def read(value):
-        if not isinstance(value, list) or len(value) < min_len:
-            raise ConfigError("must be a list%s, got %r"
-                              % (" of at least %d item(s)" % min_len if min_len else "", value))
-        return [item(v) for v in value]
-    return read
-
-
-def _known(obj, keys):
-    """``obj``, checked to be a JSON object with no key outside ``keys``."""
-    if not isinstance(obj, dict):
-        raise ConfigError("must be a JSON object, got %r" % (obj,))
-    for key in obj:
-        if key not in keys:
-            raise ConfigError("unknown key %r; known keys are %s" % (key, ", ".join(keys)))
-    return obj
-
+# Readers of the values that only the CLI takes in; see serialize.read_fields.
 
 def _cell(value):
     if not isinstance(value, list):
@@ -114,7 +81,7 @@ def _series(entry):
     a sidecar, the CSV's ``.json`` neighbour is used when it exists."""
     if isinstance(entry, str):
         entry = {"csv": entry}
-    entry = _known(entry, ("csv", "sidecar", "id"))
+    entry = known(entry, ("csv", "sidecar", "id"), "series entry")
     csv_path = _path(entry.get("csv"))
     if entry.get("sidecar") is not None:
         sidecar = _path(entry["sidecar"])
@@ -125,82 +92,54 @@ def _series(entry):
 
 
 def _prior(value):
-    return PriorSpec(**_known(value, [f.name for f in dataclasses.fields(PriorSpec)]))
+    return PriorSpec(**known(value, [f.name for f in dataclasses.fields(PriorSpec)], "prior"))
 
 
-_float = _number
-REQUIRED = object()  # default of a field the config must give
-ABSENT = object()  # default of a field left out of the values when not given
-
-# model_from_dict's keys: four coefficient lists, the season period and the innovation variance
-_MODEL = dict(dict.fromkeys(MODEL_KEYS, (_list(_float, 0), ABSENT)),
-              s=(_int(1), ABSENT), sigma2=(_float, REQUIRED))
-
-
-def _model(value):
-    return _read_fields(_MODEL, _known(value, _MODEL))
-
-
-_SOURCE = {"model": (_model, ABSENT), "logspectrum": (_list(_float), ABSENT)}
-_GRID = (_int(2), 128)
-_SEED = (_int(0), 0)
+# a source is built by spectrum_source_from_dict, outside the readers, so that a
+# model with a root on the unit circle is a numerical error
+_SOURCE = {"model": (functools.partial(read_fields, MODEL_FIELDS, name="model"), ABSENT),
+           "logspectrum": (list_of(number), ABSENT)}
+_GRID = (integer(2), 128)
+_SEED = (integer(0), 0)
 
 # command -> {key: (reader, default)}
 _FIELDS = {
-    "simulate": dict(_SOURCE, n=(_int(1), REQUIRED), seed=_SEED, delta=(_int(1), 1),
-                     offset=(_int(0), 0)),
-    "spectrum": dict(_SOURCE, delta=(_int(1), 1), grid_points=(_int(1), 512)),
+    "simulate": dict(_SOURCE, n=(integer(1), REQUIRED), seed=_SEED, delta=(integer(1), 1),
+                     offset=(integer(0), 0)),
+    "spectrum": dict(_SOURCE, delta=(integer(1), 1), grid_points=(integer(1), 512)),
     "loglik-surface": {
-        "n_low": (_int(0), REQUIRED), "n_high": (_int(0), ABSENT),
-        "n_high_list": (_list(_int(0)), ABSENT), "omega_true": (_float, REQUIRED),
-        "grid_points": (_int(1), 201), "replicates": (_int(1), 100),
-        "modulus": (_float, 0.9), "delta_low": (_int(1), 2), "seed": _SEED},
-    "estimate": {"series": (_list(_series), REQUIRED), "prior": (_prior, PriorSpec()),
-                 "mc_samples": (_int(), 2000), "seed": _SEED, "grid_points": _GRID},
+        "n_low": (integer(0), REQUIRED), "n_high": (integer(0), ABSENT),
+        "n_high_list": (list_of(integer(0)), ABSENT), "omega_true": (number, REQUIRED),
+        "grid_points": (integer(1), 201), "replicates": (integer(1), 100),
+        "modulus": (number, 0.9), "delta_low": (integer(1), 2), "seed": _SEED},
+    "estimate": {"series": (list_of(_series), REQUIRED), "prior": (_prior, PriorSpec()),
+                 "mc_samples": (integer(), 2000), "seed": _SEED, "grid_points": _GRID},
     # table_sweep's parameters
-    "bench": {"deltas": (_list(_int()), [1, 2, 3, 4, 5, 6]),
-              "ns": (_list(_int()), [16, 32, 64, 128]), "replicates": (_int(1), 100),
-              "seed": _SEED, "prior": (_prior, ABSENT), "d1_cells": (_list(_cell), ABSENT),
-              "d2_cells": (_list(_cell), ABSENT)},
+    "bench": {"deltas": (list_of(integer()), [1, 2, 3, 4, 5, 6]),
+              "ns": (list_of(integer()), [16, 32, 64, 128]), "replicates": (integer(1), 100),
+              "seed": _SEED, "prior": (_prior, ABSENT), "d1_cells": (list_of(_cell), ABSENT),
+              "d2_cells": (list_of(_cell), ABSENT)},
     # interp_comparison's parameters; an absent one takes its default there
-    "compare-interp": {"seed": _SEED, "omega0": (_float, ABSENT), "modulus": (_float, ABSENT),
-                       "n_total": (_int(1), ABSENT), "delta": (_int(1), ABSENT),
-                       "prior": (_prior, ABSENT), "mc_samples": (_int(), ABSENT)},
-    "pc-fan": {"belief": (_belief, REQUIRED), "components": (_int(1), 9), "grid_points": _GRID},
-    "quadrature": {"d": (_int(), REQUIRED), "level": (_int(), REQUIRED)},
+    "compare-interp": {"seed": _SEED, "omega0": (number, ABSENT), "modulus": (number, ABSENT),
+                       "n_total": (integer(1), ABSENT), "delta": (integer(1), ABSENT),
+                       "prior": (_prior, ABSENT), "mc_samples": (integer(), ABSENT)},
+    "pc-fan": {"belief": (_belief, REQUIRED), "components": (integer(1), 9),
+               "grid_points": _GRID},
+    "quadrature": {"d": (integer(), REQUIRED), "level": (integer(), REQUIRED)},
     "kolmogorov": dict(_SOURCE, belief=(_belief, ABSENT)),
-    "diff-grid": {"beliefs": (_list(_belief, 2), REQUIRED), "grid_points": _GRID},
+    "diff-grid": {"beliefs": (list_of(_belief, 2), REQUIRED), "grid_points": _GRID},
 }
 
 
 def _load_config(args):
-    """The config as given, checked to be an object of the command's fields,
-    with ``--seed`` applied."""
+    """The config as given, with ``--seed`` applied."""
     try:
         cfg = read_json(args.config) if args.config else {}
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError("cannot read config %s: %s" % (args.config, exc))
-    _known(cfg, _FIELDS[args.command])
     if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
+        cfg = dict(known(cfg, _FIELDS[args.command]), seed=args.seed)
     return cfg
-
-
-def _read_fields(fields, cfg):
-    """The command's values: every key of ``cfg`` read by its field's reader,
-    then the defaults of the fields ``cfg`` leaves out."""
-    values = {}
-    for key, (reader, default) in fields.items():
-        if key in cfg:
-            try:
-                values[key] = reader(cfg[key])
-            except (ValueError, TypeError, KeyError, OSError) as exc:
-                raise ConfigError("config field %r: %s" % (key, exc))
-        elif default is REQUIRED:
-            raise ConfigError("config is missing required field %r" % key)
-        elif default is not ABSENT:
-            values[key] = default
-    return values
 
 
 def cmd_simulate(values, out):
@@ -310,10 +249,8 @@ def cmd_quadrature(values, out):
 
 
 def cmd_kolmogorov(values, out):
-    if "belief" in values:
-        if "model" in values or "logspectrum" in values:
-            raise ConfigError("config has both 'belief' and a 'model' or 'logspectrum'; give one")
-        source = LogSpectrum(np.asarray(values["belief"].mean))
+    if one_source(values, ("model", "logspectrum", "belief")) == "belief":
+        source = values["belief"].mean_logspectrum()
     else:
         source = spectrum_source_from_dict(values)
     value = kolmogorov_variance(source)
@@ -377,10 +314,10 @@ def main(argv=None):
 
     try:
         cfg = _load_config(args)
-        _COMMANDS[args.command](_read_fields(_FIELDS[args.command], cfg), out)
+        _COMMANDS[args.command](read_fields(_FIELDS[args.command], cfg), out)
         write_json(out("manifest.json"),
                    {"command": args.command, "config": cfg, "version": __version__})
-    except (ConfigError, CsvFormatError, DesignError, KeyError) as exc:
+    except (ConfigError, DesignError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except (ArithmeticError, ValueError) as exc:

@@ -78,8 +78,8 @@ class SpectralModel:
             object.__setattr__(self, name, tuple(float(c) for c in getattr(self, name)))
         if self.season_period < 1:
             raise ModelInvariantError("season_period must be a positive integer")
-        if not self.innovation_variance > 0:
-            raise ModelInvariantError("innovation variance must be positive")
+        if not 0 < self.innovation_variance < np.inf:
+            raise ModelInvariantError("innovation variance must be positive and finite")
         _check_roots(self.full_ar_poly(), "AR")
         _check_roots(self.full_ma_poly(), "MA")
 

@@ -1,6 +1,13 @@
-"""File formats: deterministic CSV, model/series/belief JSON."""
+"""File formats: deterministic CSV, model/series/belief JSON, and the readers
+that turn every JSON object mrspec takes in into checked values.
+
+An object is read by a table ``{key: (reader, default)}`` (``read_fields``): a
+key outside the table, a missing required key, or a value its reader rejects
+is a ConfigError naming the key.  Numbers must be finite, integers integral.
+"""
 
 import json
+import math
 
 import numpy as np
 
@@ -8,10 +15,19 @@ from .beliefs import BeliefState
 from .models import LogSpectrum, SampledSeries, SpectralModel
 
 __all__ = [
+    "ConfigError",
+    "REQUIRED",
+    "ABSENT",
+    "number",
+    "integer",
+    "list_of",
+    "known",
+    "read_fields",
+    "one_source",
     "format_value",
     "write_csv",
     "read_csv",
-    "MODEL_KEYS",
+    "MODEL_FIELDS",
     "model_to_dict",
     "model_from_dict",
     "spectrum_source_from_dict",
@@ -22,6 +38,89 @@ __all__ = [
     "write_json",
     "read_json",
 ]
+
+
+class ConfigError(ValueError):
+    """Input from outside the program (a config, or a file it names) that does not read."""
+
+
+REQUIRED = object()  # default of a field the object must give
+ABSENT = object()  # default of a field left out of the values when not given
+
+
+# Readers: each takes a field's JSON value and returns what the program uses; a
+# ValueError, TypeError, OverflowError (an integer past the float range) or
+# OSError it raises is a config error naming the field.
+
+def number(value, integral=False):
+    """A finite JSON number as a float, or with ``integral`` an integral one as an
+    int (``float.is_integer`` is False for an infinity or NaN)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float)
+            and not (value.is_integer() if integral else math.isfinite(value))):
+        raise ConfigError("must be %s, got %r"
+                          % ("an integer" if integral else "a finite number", value))
+    return int(value) if integral else float(value)
+
+
+def integer(low=None):
+    """Reader of an integer, at least ``low`` when given."""
+    def read(value):
+        value = number(value, integral=True)
+        if low is not None and value < low:
+            raise ConfigError("must be >= %d, got %r" % (low, value))
+        return value
+    return read
+
+
+def list_of(item, min_len=1):
+    """Reader of a list of at least ``min_len`` values, each read by ``item``."""
+    def read(value):
+        if not isinstance(value, list) or len(value) < min_len:
+            raise ConfigError("must be a list%s, got %r"
+                              % (" of at least %d item(s)" % min_len if min_len else "", value))
+        return [item(v) for v in value]
+    return read
+
+
+def known(obj, keys, name="config"):
+    """``obj``, checked to be a JSON object with no key outside ``keys``."""
+    if not isinstance(obj, dict):
+        raise ConfigError("%s must be a JSON object, got %r" % (name, obj))
+    for key in obj:
+        if key not in keys:
+            raise ConfigError("%s has unknown key %r; known keys are %s"
+                              % (name, key, ", ".join(keys)))
+    return obj
+
+
+def read_fields(fields, obj, name="config"):
+    """The values of the JSON object ``obj`` by the table ``fields``: every key
+    read by its reader, then the defaults of the fields ``obj`` leaves out."""
+    known(obj, fields, name)
+    values = {}
+    for key, (reader, default) in fields.items():
+        if key in obj:
+            try:
+                values[key] = reader(obj[key])
+            except (ValueError, TypeError, OverflowError, OSError) as exc:
+                raise ConfigError("%s field %r: %s" % (name, key, exc))
+        elif default is REQUIRED:
+            raise ConfigError("%s is missing required field %r" % (name, key))
+        elif default is not ABSENT:
+            values[key] = default
+    return values
+
+
+def one_source(values, keys=("model", "logspectrum")):
+    """The one key of ``keys`` that ``values`` gives; giving none or more than
+    one is a config error."""
+    given = [key for key in keys if key in values]
+    if len(given) > 1:
+        raise ConfigError("config has both %r and %r; give one" % tuple(given[:2]))
+    if not given:
+        raise ConfigError("config needs one of %s" % ", ".join(map(repr, keys)))
+    return given[0]
 
 
 def format_value(v):
@@ -41,7 +140,7 @@ def write_csv(path, header, columns):
             fh.write(",".join(format_value(c[i]) for c in columns) + "\n")
 
 
-class CsvFormatError(ValueError):
+class CsvFormatError(ConfigError):
     def __init__(self, message, row=None):
         super().__init__(message)
         self.row = row
@@ -80,39 +179,27 @@ def model_to_dict(model):
     }
 
 
-MODEL_KEYS = ("ar", "ma", "sar", "sma", "s", "sigma2")
+_COEFFICIENTS = (list_of(number, 0), [])
+# model_to_dict's keys: four coefficient lists, the season period and the innovation variance
+MODEL_FIELDS = {"ar": _COEFFICIENTS, "ma": _COEFFICIENTS, "sar": _COEFFICIENTS,
+                "sma": _COEFFICIENTS, "s": (integer(1), 1), "sigma2": (number, REQUIRED)}
 
 
 def model_from_dict(cfg):
-    for key in cfg:
-        if key not in MODEL_KEYS:
-            raise KeyError("model config has unknown key %r; known keys are %s"
-                           % (key, ", ".join(MODEL_KEYS)))
-    if "sigma2" not in cfg:
-        raise KeyError("model config is missing required field 'sigma2'")
-    return SpectralModel(
-        ar=cfg.get("ar", ()),
-        ma=cfg.get("ma", ()),
-        seasonal_ar=cfg.get("sar", ()),
-        seasonal_ma=cfg.get("sma", ()),
-        season_period=cfg.get("s", 1),
-        innovation_variance=cfg["sigma2"],
-    )
+    m = read_fields(MODEL_FIELDS, cfg, "model")
+    return SpectralModel(m["ar"], m["ma"], m["sar"], m["sma"], m["s"], m["sigma2"])
 
 
 def spectrum_source_from_dict(cfg):
     """A model dict under 'model' or cosine coefficients under 'logspectrum',
     not both."""
-    if "model" in cfg and "logspectrum" in cfg:
-        raise KeyError("config has both 'model' and 'logspectrum'; give one")
-    if "model" in cfg:
+    if one_source(cfg) == "model":
         return model_from_dict(cfg["model"])
-    if "logspectrum" in cfg:
-        return LogSpectrum(np.asarray(cfg["logspectrum"], dtype=float))
-    raise KeyError("config needs a 'model' or 'logspectrum' entry")
+    return LogSpectrum(np.asarray(cfg["logspectrum"], dtype=float))
 
 
-_SIDECAR_KEYS = ("stride", "offset", "base_step")
+SIDECAR_FIELDS = {"stride": (integer(1), 1), "offset": (integer(0), 0),
+                  "base_step": (number, 1.0)}
 
 
 def write_series(path_csv, path_sidecar, series):
@@ -124,44 +211,41 @@ def write_series(path_csv, path_sidecar, series):
     })
 
 
+def _check_rows(path, bad, describe):
+    """A format error naming the first data row where ``bad`` holds, if any."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        row = int(rows[0]) + 2
+        raise CsvFormatError("row %d of %s: %s" % (row, path, describe(rows[0])), row)
+
+
 def read_series(path_csv, path_sidecar=None):
-    """A series CSV and its optional JSON sidecar; a non-finite value is a
-    format error naming its row.  The sidecar holds at most an integer
-    stride and offset and a base_step; any other key is an error."""
+    """A series CSV and its optional JSON sidecar, read by ``SIDECAR_FIELDS``.
+    A non-finite value, or an index other than offset + stride * k in data
+    row k, is a format error naming its row."""
     _, (indices, values) = read_csv(path_csv)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        row = int(bad[0]) + 2
-        raise CsvFormatError("row %d of %s: non-finite value %s" % (row, path_csv, values[bad[0]]),
-                             row)
-    meta = read_json(path_sidecar) if path_sidecar else {}
-    if not isinstance(meta, dict):
-        raise ValueError("series sidecar %s must be a JSON object, got %r" % (path_sidecar, meta))
-    for key in meta:
-        if key not in _SIDECAR_KEYS:
-            raise ValueError("series sidecar %s has unknown key %r; known keys are %s"
-                             % (path_sidecar, key, ", ".join(_SIDECAR_KEYS)))
-    for key in ("stride", "offset"):
-        value = meta.get(key, 0)
-        # value % 1 is nonzero for a fraction and NaN for an infinity or NaN
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
-            raise ValueError("series sidecar %s: %r must be an integer, got %r"
-                             % (path_sidecar, key, value))
-    return SampledSeries(
-        values,
-        stride=int(meta.get("stride", 1)),
-        offset=int(meta.get("offset", 0)),
-        base_step=float(meta.get("base_step", 1.0)),
-    )
+    _check_rows(path_csv, ~np.isfinite(values), lambda k: "non-finite value %s" % values[k])
+    meta = read_fields(SIDECAR_FIELDS, read_json(path_sidecar) if path_sidecar else {},
+                       "series sidecar %s" % path_sidecar)
+    series = SampledSeries(values, **meta)
+    expected = series.base_indices()
+    _check_rows(path_csv, indices != expected,
+                lambda k: "'index' %s, expected %d (offset %d + stride %d * %d)"
+                % (format_value(indices[k]), expected[k], series.offset, series.stride, k))
+    return series
 
 
 def belief_to_dict(state):
     return {"mean": state.mean.tolist(), "variance": state.variance.tolist()}
 
 
+BELIEF_FIELDS = {"mean": (list_of(number), REQUIRED),
+                 "variance": (list_of(list_of(number)), REQUIRED)}
+
+
 def belief_from_dict(cfg):
-    return BeliefState(np.asarray(cfg["mean"], dtype=float),
-                       np.asarray(cfg["variance"], dtype=float))
+    belief = read_fields(BELIEF_FIELDS, cfg, "belief")
+    return BeliefState(np.asarray(belief["mean"]), np.asarray(belief["variance"]))
 
 
 def write_json(path, obj):

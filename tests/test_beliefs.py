@@ -186,6 +186,20 @@ class TestForecastMoments:
         cross = forecast_moments(prior, layouts, mc_samples=500, seed=seed).cross
         assert np.max(np.abs(cross[1::2])) <= 1e-12 * np.max(np.abs(cross))
 
+    @settings(max_examples=25, deadline=None)
+    @given(cells=st.lists(st.tuples(st.integers(1, 4), st.integers(16, 40)),
+                          min_size=1, max_size=3),
+           size=st.integers(1, 12), log_scale=st.floats(-6.0, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_data_variance_eigenvalues_at_least_noise_floor(self, cells, size, log_scale, seed):
+        # Var(D) is a sample covariance plus (pi^2/6) I; ForecastMoments.factor
+        # has no fallback for a Var(D) that is not positive definite
+        prior = PriorSpec(size=size, scale=10.0**log_scale).to_state()
+        layouts = [PeriodogramData.layout("s%d" % i, stride, n)
+                   for i, (stride, n) in enumerate(cells)]
+        variance = forecast_moments(prior, layouts, mc_samples=500, seed=seed).variance
+        assert np.linalg.eigvalsh(variance)[0] >= (1.0 - 1e-9) * LOG_PGRAM_VARIANCE
+
     def test_prior_too_wide_for_exp_names_the_cause_without_warning(self):
         prior = PriorSpec(size=8, scale=1e5).to_state()
         with warnings.catch_warnings():
@@ -252,7 +266,7 @@ class TestAdjust:
         assert post.variance[0, 0] == pytest.approx(0.0, abs=1e-15)
         assert post.mean[0] == pytest.approx(prior.mean[0], abs=1e-12)
 
-    def test_singular_data_variance_names_block(self):
+    def test_singular_data_variance_raises(self):
         prior = BeliefState(np.zeros(2), np.eye(2))
         moments = ForecastMoments(
             mean=np.zeros(2),
@@ -260,7 +274,7 @@ class TestAdjust:
             cross=np.zeros((2, 2)),
             blocks=(("bad", 2),),
         )
-        with pytest.raises(AdjustmentError, match="bad"):
+        with pytest.raises(AdjustmentError, match="data variance is not positive definite"):
             adjust(prior, moments, np.zeros(2))
 
     def test_non_finite_data_variance_raises(self):
@@ -348,9 +362,9 @@ class TestSequentialAdjustProperties:
 
     @settings(max_examples=15, deadline=None)
     @given(cells=STACKINGS, pick=st.integers(0, 2))
-    def test_zero_variance_block_is_named(self, cells, pick):
+    def test_zero_variance_block_raises(self, cells, pick):
         # zeroing one block's variance, but not its covariance with the other
-        # blocks, leaves a Var(D) that no ridge makes positive definite
+        # blocks, leaves a Var(D) that is not positive definite
         layouts = stacked_layouts(cells)
         bad = pick % len(layouts)
         real = beliefs.forecast_moments
@@ -365,7 +379,7 @@ class TestSequentialAdjustProperties:
         observed = [np.zeros(len(l.frequencies)) for l in layouts]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(beliefs, "forecast_moments", zeroed)
-            with pytest.raises(AdjustmentError, match=r"dataset\(s\): s%d\)$" % bad):
+            with pytest.raises(AdjustmentError, match="data variance is not positive definite"):
                 sequential_adjust(PriorSpec(size=6).to_state(), layouts, observed,
                                   mc_samples=500, seed=0)
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mrspec.cli import _COMMANDS, main
-from mrspec.serialize import read_csv, read_json, write_json
+from mrspec.models import SampledSeries
+from mrspec.serialize import read_csv, read_json, write_json, write_series
 
 
 def run(tmp_path, command, cfg, out="out", extra=()):
@@ -537,8 +538,36 @@ class TestConfigTable:
         ("kolmogorov", {"model": {"sigma2": "1"}}, "'sigma2'"),
         ("loglik-surface", {"n_low": 10, "n_high": 2, "omega_true": 0.3, "modulus": 1.5},
          "modulus"),
+        # numbers must be finite, in the config and in every file it names
+        ("kolmogorov", {"model": {"sigma2": float("inf")}}, "'sigma2'"),
+        ("simulate", {"model": {"ar": [float("nan")], "sigma2": 1.0}, "n": 16}, "'ar'"),
+        ("spectrum", {"logspectrum": [0.0, float("nan")]}, "'logspectrum'"),
+        ("pc-fan", {"belief": "inf_variance.json"}, "'variance'"),
+        ("pc-fan", {"belief": "nan_mean.json"}, "'mean'"),
+        ("kolmogorov", {"belief": "misspelt.json"}, "'varience'"),
+        ("estimate", {"series": [{"csv": "dense.csv", "sidecar": "step_str.json"}]},
+         "'base_step'"),
+        ("estimate", {"series": [{"csv": "dense.csv", "sidecar": "step_true.json"}]},
+         "'base_step'"),
+        ("estimate", {"series": [{"csv": "dense.csv", "sidecar": "step_inf.json"}]},
+         "'base_step'"),
+        # a stride-4 series whose sidecar is not beside it is not read as dense
+        ("estimate", {"series": ["stride4.csv"]}, "'index'"),
+        ("loglik-surface", {"n_low": 10, "n_high": 2, "omega_true": 0.3, "modulus": 10**400},
+         "'modulus'"),
     ])
-    def test_bad_field_names_key(self, tmp_path, capsys, command, cfg, key):
+    def test_bad_field_names_key(self, tmp_path, capsys, monkeypatch, command, cfg, key):
+        monkeypatch.chdir(tmp_path)
+        variance = np.eye(2).tolist()
+        write_json("inf_variance.json", {"mean": [0.0, 0.0],
+                                         "variance": [[float("inf"), 0.0], [0.0, 1.0]]})
+        write_json("nan_mean.json", {"mean": [float("nan"), 0.0], "variance": variance})
+        write_json("misspelt.json", {"mean": [0.0, 0.0], "variance": variance,
+                                     "varience": variance})
+        write_series("dense.csv", "dense.json", SampledSeries(np.arange(32.0)))
+        write_series("stride4.csv", "stride4_sidecar.json", SampledSeries(np.arange(32.0), 4))
+        for name, step in (("str", "2"), ("true", True), ("inf", float("inf"))):
+            write_json("step_%s.json" % name, {"base_step": step})
         self.assert_config_error(tmp_path, capsys, command, cfg, key)
 
     @pytest.mark.parametrize("grid_points", [0, 1])

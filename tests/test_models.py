@@ -123,6 +123,11 @@ class TestSpectralModel:
         with pytest.raises(ModelInvariantError):
             SpectralModel(innovation_variance=0.0)
 
+    @pytest.mark.parametrize("variance", [np.inf, np.nan])
+    def test_non_finite_variance(self, variance):
+        with pytest.raises(ModelInvariantError, match="positive and finite"):
+            SpectralModel(innovation_variance=variance)
+
     def test_seasonal_expansion(self):
         # (1 - 0.5 B^12) expanded through the plain polynomial
         model = SpectralModel(seasonal_ar=(0.5,), season_period=12)

@@ -6,6 +6,7 @@ import pytest
 from mrspec.beliefs import BeliefState
 from mrspec.models import LogSpectrum, SampledSeries, SpectralModel
 from mrspec.serialize import (
+    ConfigError,
     CsvFormatError,
     belief_from_dict,
     belief_to_dict,
@@ -77,7 +78,7 @@ class TestModelDict:
         assert again == model
 
     def test_missing_sigma2(self):
-        with pytest.raises(KeyError, match="sigma2"):
+        with pytest.raises(ConfigError, match="sigma2"):
             model_from_dict({"ar": [0.5]})
 
     def test_source_selection(self):
@@ -85,16 +86,16 @@ class TestModelDict:
         assert isinstance(src, LogSpectrum)
         src = spectrum_source_from_dict({"model": {"ar": [0.5], "sigma2": 1.0}})
         assert isinstance(src, SpectralModel)
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError):
             spectrum_source_from_dict({})
 
     @pytest.mark.parametrize("key", ["AR", "phi", "sigma"])
     def test_unknown_key_is_rejected(self, key):
-        with pytest.raises(KeyError, match=repr(key)):
+        with pytest.raises(ConfigError, match=repr(key)):
             model_from_dict({"sigma2": 1.0, key: [0.9]})
 
     def test_model_and_logspectrum_together_is_rejected(self):
-        with pytest.raises(KeyError, match="both 'model' and 'logspectrum'"):
+        with pytest.raises(ConfigError, match="both 'model' and 'logspectrum'"):
             spectrum_source_from_dict({"model": {"sigma2": 1.0}, "logspectrum": [0.1]})
 
 
@@ -118,11 +119,22 @@ class TestSeriesRoundTrip:
             read_series(csv, side)
 
     def test_defaults_without_sidecar(self, tmp_path):
-        series = SampledSeries(np.array([1.0, 2.0]), stride=2)
+        series = SampledSeries(np.array([1.0, 2.0]), base_step=0.5)
         csv, side = tmp_path / "s.csv", tmp_path / "s.json"
         write_series(csv, side, series)
         got = read_series(csv)
-        assert got.stride == 1
+        assert (got.stride, got.offset, got.base_step) == (1, 0, 1.0)
+
+    @pytest.mark.parametrize("meta,row", [(None, 2), ({"stride": 4}, 2),
+                                          ({"stride": 2, "offset": 1}, 3)])
+    def test_index_column_must_match_sidecar(self, tmp_path, meta, row):
+        # a stride-4 series read without its sidecar must not be read as dense
+        csv, side = tmp_path / "s.csv", tmp_path / "s.json"
+        write_series(csv, side, SampledSeries(np.arange(5.0), stride=4, offset=1))
+        write_json(side, meta)
+        with pytest.raises(CsvFormatError, match="row %d of .*'index'" % row) as info:
+            read_series(csv, side if meta else None)
+        assert info.value.row == row
 
 
 class TestBeliefDict:
