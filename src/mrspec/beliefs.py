@@ -6,7 +6,6 @@ from functools import cached_property
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.special import ndtri
 
 from .aliasing import fold_branches
 from .models import DesignError, LogSpectrum, basis_matrix
@@ -151,10 +150,15 @@ def log_periodogram(series, series_id="series"):
     """
     n = len(series)
     if n < MIN_PERIODOGRAM_N:
-        raise ValueError("series too short for a periodogram (need N >= %d)" % MIN_PERIODOGRAM_N)
+        raise DesignError("series %r is too short for a periodogram (N = %d, need N >= %d)"
+                          % (series_id, n, MIN_PERIODOGRAM_N))
     freq = fourier_frequencies(n)
     spec = np.fft.rfft(series.values - series.values.mean())
     pgram = np.abs(spec[1 : len(freq) + 1]) ** 2 / n
+    # checked before the log, which would warn on a zero ordinate
+    if not np.all(pgram > 0):
+        raise ValueError("series %r has a zero periodogram ordinate at nu = %.6g"
+                         % (series_id, freq[np.argmin(pgram > 0)]))
     return PeriodogramData(series_id, series.stride, freq, np.log(pgram))
 
 
@@ -337,33 +341,27 @@ def sequential_adjust(prior, datasets, observed_list, mc_samples=2000, seed=0):
 
 @dataclass(frozen=True)
 class SpectrumSummary:
-    """Pointwise mean and central credible bands for the (log-)spectrum."""
+    """Pointwise mean and central credible bands for the log-spectrum."""
 
     omegas: np.ndarray
     mean: np.ndarray
     sd: np.ndarray
     bands: dict  # level -> (lo, hi)
-    exponentiated: bool = False
 
 
-def spectrum_summary(state, grid, levels=(0.5, 0.9), exponentiate=False):
-    """Pointwise summary of the log-spectrum under a belief state.
+# central band level -> its standard normal quantile ndtri(0.5 + level / 2)
+_BAND_Z = {0.5: 0.6744897501960817, 0.9: 1.6448536269514722}
 
-    Bands are mean +/- z_level * sd in log space; ``exponentiate`` maps the
-    mean curve and bounds through exp.
-    """
+
+def spectrum_summary(state, grid):
+    """Pointwise summary of the log-spectrum under a belief state: the mean
+    and the central 50% and 90% bands mean +/- z_level * sd, in log space."""
     grid = np.asarray(grid, dtype=float)
     psi = basis_matrix(grid, state.size)
     mean = psi @ state.mean
     sd = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", psi, state.variance, psi), 0.0))
-    bands = {}
-    for level in levels:
-        z = ndtri(0.5 + level / 2.0)
-        lo, hi = mean - z * sd, mean + z * sd
-        bands[level] = (np.exp(lo), np.exp(hi)) if exponentiate else (lo, hi)
-    return SpectrumSummary(
-        grid, np.exp(mean) if exponentiate else mean, sd, bands, exponentiate
-    )
+    bands = {level: (mean - z * sd, mean + z * sd) for level, z in _BAND_Z.items()}
+    return SpectrumSummary(grid, mean, sd, bands)
 
 
 def difference_grid(states, grid):

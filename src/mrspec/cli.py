@@ -159,9 +159,8 @@ def cmd_spectrum(values, out):
 
 
 def cmd_loglik_surface(values, out):
-    if "n_high_list" not in values and "n_high" not in values:
-        raise ConfigError("config is missing required field 'n_high' (or 'n_high_list')")
-    n_high_values = values["n_high_list"] if "n_high_list" in values else [values["n_high"]]
+    key = one_source(values, ("n_high", "n_high_list"))
+    n_high_values = values["n_high_list"] if key == "n_high_list" else [values["n_high"]]
     grid = default_omega_grid(values["grid_points"])
     design = ExperimentDesign(
         n_low=values["n_low"], n_high=max(n_high_values), replicates=values["replicates"],

@@ -299,8 +299,8 @@ def mc_average_surface(design, keep_replicates=False, n_highs=None):
     scans = scanner.loglik(paths[:, indices], [d.n_low + d.n_high for d in designs])
     results = []
     for per_rep in scans:
-        counts = np.isfinite(per_rep).sum(axis=0)
-        avg = np.where(counts > 0, np.nansum(per_rep, axis=0) / np.maximum(counts, 1), np.nan)
+        # a failed grid point is NaN in every replicate, so a plain mean keeps it NaN
+        avg = per_rep.mean(axis=0)
         surface = LikelihoodSurface(design.grid, avg - np.nanmax(avg), aligned=True)
         results.append((surface, per_rep) if keep_replicates else surface)
     return results if n_highs is not None else results[0]

@@ -8,7 +8,6 @@ White noise with unit innovation variance therefore has f == 1.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft
 
 __all__ = [
     "SpectralModel",
@@ -334,7 +333,7 @@ def autocovariance(source, max_lag):
         return arma_autocovariance(-source.full_ar_poly()[1:], source.full_ma_poly()[1:],
                                    source.innovation_variance, max_lag)
     f = _node_density(source, max_lag)
-    return irfft(f, 2 * (len(f) - 1))[: max_lag + 1]
+    return np.fft.irfft(f, 2 * (len(f) - 1))[: max_lag + 1]
 
 
 def levinson(gamma):
@@ -395,7 +394,7 @@ def _circulant_paths(f, z, n):
     xi.real[:, 1:m] = z[:, 2 : m + 1] * np.sqrt(0.5)
     xi.imag[:, 1:m] = z[:, m + 1 :] * np.sqrt(0.5)
     xi *= np.sqrt(f)
-    return np.sqrt(2.0 * m) * irfft(xi, 2 * m, axis=-1)[:, :n]
+    return np.sqrt(2.0 * m) * np.fft.irfft(xi, 2 * m, axis=-1)[:, :n]
 
 
 def _max_lag(n):

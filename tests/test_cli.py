@@ -201,6 +201,20 @@ class TestEstimate:
         assert "'series'" in err and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("values,code,message", [
+        # every ordinate of a constant series is zero: exit 3, not NaN outputs and exit 0
+        (np.full(32, 1.5), 3, "series 'flat' has a zero periodogram ordinate at nu = 0.03125"),
+        (np.array([0.3, -1.2, 0.8]), 2, "series 'flat' is too short for a periodogram"),
+    ])
+    def test_unusable_series_names_it(self, tmp_path, capsys, values, code, message):
+        write_series(tmp_path / "flat.csv", tmp_path / "flat.json", SampledSeries(values))
+        status, out = run(tmp_path, "estimate", {
+            "series": [{"csv": str(tmp_path / "flat.csv"), "id": "flat"}], "mc_samples": 600})
+        assert status == code
+        err = capsys.readouterr().err
+        assert message in err and "Warning" not in err
+        assert not out.exists()
+
 
 class TestBench:
     def test_small_table(self, tmp_path):
@@ -352,6 +366,18 @@ class TestExitCodes:
                                                      "omega_true": 0.3, "grid_points": 7})
         assert code == 2
         assert "'n_high_list'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cfg,message", [
+        ({"n_high": 5, "n_high_list": [0]}, "config has both 'n_high' and 'n_high_list'"),
+        ({}, "config needs one of 'n_high', 'n_high_list'"),
+    ])
+    def test_n_high_given_once(self, tmp_path, capsys, cfg, message):
+        # n_high used to be ignored silently when n_high_list was given too
+        code, out = run(tmp_path, "loglik-surface", dict(cfg, n_low=10, omega_true=0.3,
+                                                         grid_points=7))
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_quadrature_dimension_is_config_error(self, tmp_path):
