@@ -153,19 +153,32 @@ def log_periodogram(series, series_id="series"):
         raise DesignError("series %r is too short for a periodogram (N = %d, need N >= %d)"
                           % (series_id, n, MIN_PERIODOGRAM_N))
     freq = fourier_frequencies(n)
-    spec = np.fft.rfft(series.values - series.values.mean())
-    pgram = np.abs(spec[1 : len(freq) + 1]) ** 2 / n
-    # checked before the log, which would warn on a zero ordinate
-    if not np.all(pgram > 0):
+    log_pgram = log_periodogram_rows(series.values)
+    usable = log_pgram > -np.inf  # False at a zero ordinate, and at NaN
+    if not np.all(usable):
         raise ValueError("series %r has a zero periodogram ordinate at nu = %.6g"
-                         % (series_id, freq[np.argmin(pgram > 0)]))
-    return PeriodogramData(series_id, series.stride, freq, np.log(pgram))
+                         % (series_id, freq[np.argmin(usable)]))
+    return PeriodogramData(series_id, series.stride, freq, log_pgram)
+
+
+def log_periodogram_rows(rows):
+    """Log-periodogram ordinates at the interior Fourier frequencies of each
+    row of an (R, n) array (or of one length-n vector), as ``log_periodogram``
+    takes them: mean-centre, one rfft over the rows, slice, square, log.  Each
+    row equals, bit for bit, the same row taken alone.  A zero ordinate is
+    -inf, without a warning."""
+    n = rows.shape[-1]
+    spec = np.fft.rfft(rows - rows.mean(axis=-1, keepdims=True), axis=-1)
+    pgram = np.abs(spec[..., 1 : (n - 1) // 2 + 1]) ** 2 / n
+    with np.errstate(divide="ignore"):
+        return np.log(pgram)
 
 
 @dataclass(frozen=True)
 class ForecastMoments:
     """Prior moments of the stacked log-periodogram data vector D, with the factor
-    L of Var(D) and the W = L^-1 Cov(D, beta) that every adjustment reads."""
+    L of Var(D), its inverse and the W = L^-1 Cov(D, beta) that every adjustment
+    reads."""
 
     mean: np.ndarray
     variance: np.ndarray
@@ -191,6 +204,13 @@ class ForecastMoments:
             return np.linalg.cholesky(var_d)
         except np.linalg.LinAlgError:
             raise AdjustmentError("data variance is not positive definite")
+
+    @cached_property
+    def inverse_factor(self):
+        """L^-1, made once from ``factor``; every data vector is whitened by it.
+        It is lower triangular, as L is, so leading entries of z = L^-1 (d - E(D))
+        depend only on leading entries of d."""
+        return np.tril(np.linalg.inv(self.factor))
 
     @cached_property
     def whitened(self):
@@ -305,8 +325,19 @@ def adjust(prior, moments, observed):
     observed = np.asarray(observed, dtype=float)
     if observed.shape != moments.mean.shape:
         raise ValueError("observed vector does not match forecast moments")
-    return _adjusted(prior, moments.whitened,
-                     np.linalg.solve(moments.factor, observed - moments.mean))
+    return _adjusted(prior, moments.whitened, whiten(moments, observed))
+
+
+def matvecs(matrix, vectors):
+    """``matrix @ v`` for one vector or each row of a stack of them.  The stacked
+    product runs one matrix-vector product per row, so each row equals, bit for
+    bit, ``matrix @ row``; a single (R, K) @ (K, N) product changes the last bits."""
+    return np.matmul(matrix, vectors[..., None])[..., 0]
+
+
+def whiten(moments, observed):
+    """z = L^-1 (d - E(D)) for one data vector or each row of a stack of them."""
+    return matvecs(moments.inverse_factor, observed - moments.mean)
 
 
 def _adjusted(prior, white, z):
@@ -314,7 +345,7 @@ def _adjusted(prior, white, z):
     make a direction the cap left at zero variance negative, so that is the
     scale of the check."""
     variance = _project_psd(prior.variance - white.T @ white, np.trace(prior.variance))
-    return BeliefState(prior.mean + white.T @ z, variance)
+    return BeliefState(prior.mean + matvecs(white.T, z), variance)
 
 
 def sequential_adjust(prior, datasets, observed_list, mc_samples=2000, seed=0):
@@ -333,7 +364,7 @@ def sequential_adjust(prior, datasets, observed_list, mc_samples=2000, seed=0):
     for data, d_obs, (_, sl) in zip(datasets, observed, moments.block_slices()):
         if d_obs.shape != (sl.stop - sl.start,):
             raise ValueError("observed vector does not match dataset %r" % data.series_id)
-    z = np.linalg.solve(moments.factor, np.concatenate(observed) - moments.mean)
+    z = whiten(moments, np.concatenate(observed))
     stages = [_adjusted(prior, moments.whitened[:sl.stop], z[:sl.stop])
               for _, sl in moments.block_slices()]
     return stages[-1], stages

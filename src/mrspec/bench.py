@@ -13,6 +13,9 @@ from .beliefs import (
     adjust,
     forecast_moments,
     log_periodogram,
+    log_periodogram_rows,
+    matvecs,
+    whiten,
 )
 from .models import (DesignError, LogSpectrum, SampledSeries, SpectralModel, ar2_from_omega,
                      basis_matrix, levinson, simulate, simulate_log_spectra, subsample)
@@ -41,12 +44,15 @@ def standard_grid(n_omega=128):
 
 
 def discrepancy(true_log_curve, est_log_curve):
-    """Mean squared difference of two log-spectrum curves on a shared grid."""
+    """Mean squared difference of two log-spectrum curves on a shared grid; for
+    two (R, n) stacks of curves, the R row-wise means, each equal bit for bit
+    to that of its pair of rows taken alone."""
     a = np.asarray(true_log_curve, dtype=float)
     b = np.asarray(est_log_curve, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("curves must be 1-d and on the same grid")
-    return float(np.mean((a - b) ** 2))
+    if a.shape != b.shape or a.ndim not in (1, 2):
+        raise ValueError("curves must be 1-d or stacked in rows, and on the same grid")
+    out = np.mean((a - b) ** 2, axis=-1)
+    return float(out) if a.ndim == 1 else out
 
 
 def random_process(seed, prior=None):
@@ -94,30 +100,27 @@ class BenchResult:
     failures: int
 
 
-def _segment_series(path, design):
-    (delta1, n1), (delta2, n2) = design.d1, design.d2
-    split = delta1 * n1
-    first = subsample(SampledSeries(path.values[:split]), delta1)
-    second = subsample(SampledSeries(path.values[split : split + delta2 * n2]), delta2)
-    return first, second
-
-
 def run_bench(design, prior=None):
     """One Table-style cell: mean discrepancy of the Bayes linear estimate
     over replicated draws from the prior.
 
-    All replicates go through one batched pass.  Shared by the replicates and
-    computed once: the forecast moments (they depend only on the prior and
-    the data layout), the prior belief state, the whitened cross-covariance W
+    All replicates go through one batched pass.  Computed once per cell: the
+    forecast moments (they depend only on the prior and the data layout) with
+    the inverse L^-1 of their Cholesky factor, the whitened cross-covariance W
     with the check that the adjusted variance is positive semi-definite, and
-    the cosine bases on the embedding nodes and on the scoring grid; the
-    truths are simulated by circulant embedding, one batched FFT per chunk of
-    replicates (``simulate_log_spectra``).  Per replicate there remain the
-    log-periodograms, ``adjust``'s whitening of the data and update of the
-    mean, and the score.  The result equals, bit for bit, a loop that runs
-    ``simulate``, ``log_periodogram`` and ``adjust`` on each replicate and
-    counts a replicate as failed when any of them raises.  Deterministic
-    given the design seed; replicate reduction is in index order.
+    the cosine bases on the embedding nodes and on the scoring grid.  Batched
+    over the rows of the path matrix: the truths, simulated by circulant
+    embedding with one FFT per chunk of replicates (``simulate_log_spectra``),
+    and each segment's log-periodograms, one rfft over its strided view of
+    the rows.  Still one matrix-vector product per replicate, so that no row
+    depends on the batch: the whitening z = L^-1 (d - E(D)), the adjusted mean
+    E(beta) + W^T z and the two curves on the scoring grid.
+
+    The result equals, bit for bit, a loop that runs ``simulate``,
+    ``log_periodogram`` and ``adjust`` on each replicate and counts a replicate
+    as failed when any of them raises; here such a replicate (a zero
+    periodogram ordinate, a non-finite path) has a non-finite adjusted mean.
+    Deterministic given the design seed; replicate reduction is in index order.
     """
     prior = prior or PriorSpec()
     (delta1, n1), (delta2, n2) = design.d1, design.d2
@@ -135,26 +138,24 @@ def run_bench(design, prior=None):
         # coefficients, and then every replicate's truth is
         truths = [random_process(seed, prior) for seed in proc_seeds]
         paths, simulated = simulate_log_spectra(truths, delta1 * n1 + delta2 * n2, sim_seeds)
-        white = moments.whitened
         # every replicate has the same adjusted variance; adjust rejects it
         # here, once, when it is not positive semi-definite
         adjust(prior_state, moments, moments.mean)
     except (np.linalg.LinAlgError, ArithmeticError, ValueError):
         return BenchResult(np.nan, np.nan, np.asarray([]), design.replicates)
+    split = delta1 * n1
+    # a zero ordinate logs to -inf, and the whitening then spreads -inf and
+    # NaN over that replicate's row, as it does over the NaN row of a path
+    # that was not simulated; a non-finite mean fails its replicate below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        observed = np.concatenate([log_periodogram_rows(paths[:, :split:delta1]),
+                                   log_periodogram_rows(paths[:, split::delta2])], axis=1)
+        estimates = prior_state.mean + matvecs(moments.whitened.T, whiten(moments, observed))
+    usable = simulated & np.all(np.isfinite(estimates), axis=1)
+    coefficients = np.array([truth.coefficients for truth in truths])
     grid_basis = basis_matrix(standard_grid(), prior.size)
-    scores = []
-    for truth, path, ok in zip(truths, paths, simulated):
-        if not ok:
-            continue
-        observed = np.concatenate([
-            log_periodogram(segment).log_periodogram
-            for segment in _segment_series(SampledSeries(path), design)
-        ])
-        z = np.linalg.solve(moments.factor, observed - moments.mean)
-        estimate = prior_state.mean + white.T @ z
-        if np.all(np.isfinite(estimate)):
-            scores.append(discrepancy(grid_basis @ truth.coefficients, grid_basis @ estimate))
-    scores = np.asarray(scores)
+    scores = discrepancy(matvecs(grid_basis, coefficients[usable]),
+                         matvecs(grid_basis, estimates[usable]))
     failures = design.replicates - len(scores)
     if len(scores) == 0:
         return BenchResult(np.nan, np.nan, scores, failures)

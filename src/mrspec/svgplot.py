@@ -40,23 +40,25 @@ class _Frame:
     def py(self, y):
         return self.h - self.pad - (y - self.y0) / (self.y1 - self.y0) * (self.h - 2 * self.pad)
 
+    def points(self, x, y):
+        """The "x,y" pairs of an SVG points list, three decimals each, with
+        ``px`` and ``py`` mapped over the float arrays and one format for all."""
+        xy = np.column_stack([self.px(x), self.py(y)])
+        return " ".join(["%.3f,%.3f"] * len(xy)) % tuple(xy.ravel().tolist())
+
     def polyline(self, x, y, color, width=1.2):
-        pts = " ".join(
-            "%s,%s" % (_fmt(self.px(a)), _fmt(self.py(b)))
-            for a, b in zip(x, y)
-            if np.isfinite(b)
-        )
+        y = np.asarray(y, float)
+        keep = np.isfinite(y)
+        pts = self.points(np.asarray(x, float)[keep], y[keep])
         return '<polyline fill="none" stroke="%s" stroke-width="%.1f" points="%s"/>' % (
             color, width, pts)
 
     def polygon(self, x, lo, hi, color, opacity=0.25):
-        fwd = ["%s,%s" % (_fmt(self.px(a)), _fmt(self.py(b))) for a, b in zip(x, lo)]
-        back = ["%s,%s" % (_fmt(self.px(a)), _fmt(self.py(b))) for a, b in zip(x[::-1], hi[::-1])]
+        x = np.asarray(x, float)
+        pts = self.points(np.concatenate([x, x[::-1]]),
+                          np.concatenate([np.asarray(lo, float), np.asarray(hi, float)[::-1]]))
         return '<polygon fill="%s" fill-opacity="%.2f" stroke="none" points="%s"/>' % (
-            color,
-            opacity,
-            " ".join(fwd + back),
-        )
+            color, opacity, pts)
 
     def axes(self, title="", xlabel="", ylabel=""):
         parts = [

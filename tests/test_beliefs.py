@@ -131,6 +131,28 @@ class TestLogPeriodogram:
             log_periodogram(SampledSeries(np.full(32, 1.5), 1), "x")
 
 
+class TestBatchedRowsMatchSingleRows:
+    def test_log_periodogram_rows_match_log_periodogram(self):
+        # strided views of a path matrix, as run_bench takes its segments
+        paths = np.random.default_rng(0).standard_normal((7, 300))
+        for view in (paths[:, :64], paths[:, 64::6], paths[:, 1:40:3]):
+            rows = beliefs.log_periodogram_rows(view)
+            for row, values in zip(rows, view):
+                assert np.array_equal(row, log_periodogram(SampledSeries(values)).log_periodogram)
+
+    def test_stacked_whitening_matches_single_rows(self):
+        prior = PriorSpec(size=8).to_state()
+        layouts = [PeriodogramData.layout("a", 1, 64), PeriodogramData.layout("b", 6, 64)]
+        moments = forecast_moments(prior, layouts, 600, 0)
+        observed = moments.mean + np.random.default_rng(1).standard_normal((9, len(moments.mean)))
+        z = beliefs.whiten(moments, observed)
+        linv = moments.inverse_factor
+        assert np.array_equal(linv, np.tril(linv))
+        for row, d_obs in zip(z, observed):
+            assert np.array_equal(row, beliefs.whiten(moments, d_obs))
+            assert_close(row, np.linalg.solve(moments.factor, d_obs - moments.mean), 1e-12)
+
+
 class TestForecastMoments:
     def test_noise_floor_on_diagonal(self):
         prior = PriorSpec(size=8).to_state()

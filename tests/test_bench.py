@@ -18,8 +18,8 @@ from mrspec.bench import (
     standard_grid,
     table_sweep,
 )
-from mrspec.models import (DesignError, SampledSeries, SpectralModel, ar2_from_omega, simulate,
-                           subsample)
+from mrspec.models import (DesignError, ModelInvariantError, SampledSeries, SpectralModel,
+                           ar2_from_omega, simulate, subsample)
 
 
 class TestStandardGrid:
@@ -88,7 +88,8 @@ def reference_run_bench(design, prior=None):
         try:
             truth = random_process(proc_seed, prior)
             path = bench.simulate(truth, delta1 * n1 + delta2 * n2, sim_seed)
-            first, second = bench._segment_series(path, design)
+            first = subsample(SampledSeries(path.values[:delta1 * n1]), delta1)
+            second = subsample(SampledSeries(path.values[delta1 * n1:]), delta2)
             observed = np.concatenate([bench.log_periodogram(first).log_periodogram,
                                        bench.log_periodogram(second).log_periodogram])
             state = bench.adjust(prior.to_state(), moments, observed)
@@ -110,6 +111,30 @@ def assert_same_result(got, want):
         assert a == b or (np.isnan(a) and np.isnan(b))
 
 
+def patch_replicate_path(monkeypatch, replicate, edit):
+    """Apply ``edit`` in place to the simulated path of one replicate, both in
+    ``run_bench``'s path matrix and in the loop's ``simulate`` calls."""
+    real_rows, real_one = bench.simulate_log_spectra, bench.simulate
+    calls = []
+
+    def simulate_log_spectra(*args):
+        paths, ok = real_rows(*args)
+        edit(paths[replicate])
+        return paths, ok
+
+    def simulate(*args):
+        path = real_one(*args)
+        calls.append(None)
+        if len(calls) == replicate + 1:
+            values = path.values.copy()
+            edit(values)
+            path = SampledSeries(values)
+        return path
+
+    monkeypatch.setattr(bench, "simulate_log_spectra", simulate_log_spectra)
+    monkeypatch.setattr(bench, "simulate", simulate)
+
+
 # a wide-prior design: under PriorSpec(scale=60) a Durbin-Levinson simulation
 # lost 9 of its 20 replicates at round-off pivots; circulant embedding loses none
 WIDE_PRIOR_DESIGN = BenchDesign(d1=(1, 32), d2=(2, 32), replicates=20, seed=3, mc_samples=600)
@@ -123,20 +148,53 @@ class TestRunBenchMatchesReplicateLoop:
         assert got.failures == failures
 
     def test_non_finite_adjusted_mean_fails_its_replicate(self, monkeypatch):
-        # a zero periodogram ordinate makes the adjusted mean -inf; the calls
-        # come in replicate order, so the same replicate is hit in both runs
+        # a -inf in replicate 5's simulated path makes its periodogram NaN:
+        # the loop's log_periodogram raises on it, run_bench's adjusted mean
+        # for it is not finite
+        def corrupt(path):
+            path[0] = -np.inf
+
+        patch_replicate_path(monkeypatch, 5, corrupt)
+        got = run_bench(WIDE_PRIOR_DESIGN)
+        with np.errstate(invalid="ignore"):  # the loop centres the -inf path
+            want = reference_run_bench(WIDE_PRIOR_DESIGN)
+        assert_same_result(got, want)
+        assert got.failures == 1
+
+    def test_zero_periodogram_ordinate_fails_its_replicate(self, monkeypatch):
+        # a constant second segment has zero periodogram ordinates: the loop's
+        # log_periodogram raises on it, and run_bench counts the replicate as
+        # failed without a warning instead of raising
+        split = WIDE_PRIOR_DESIGN.d1[0] * WIDE_PRIOR_DESIGN.d1[1]
+
+        def flatten(path):
+            path[split:] = 1.5
+
+        patch_replicate_path(monkeypatch, 4, flatten)
+        got = run_bench(WIDE_PRIOR_DESIGN)
+        assert_same_result(got, reference_run_bench(WIDE_PRIOR_DESIGN))
+        assert got.failures == 1 and len(got.scores) == WIDE_PRIOR_DESIGN.replicates - 1
+
+    def test_unsimulated_replicate_fails(self, monkeypatch):
+        # simulate_log_spectra marks a path it could not simulate and leaves
+        # its row NaN, where simulate raises
+        real_rows, real_one = bench.simulate_log_spectra, bench.simulate
         calls = []
 
-        def log_periodogram(series, series_id="series"):
-            data = beliefs.log_periodogram(series, series_id)
-            calls.append(None)
-            if len(calls) == 5:
-                data.log_periodogram[0] = -np.inf
-            return data
+        def simulate_log_spectra(*args):
+            paths, ok = real_rows(*args)
+            paths[7], ok[7] = np.nan, False
+            return paths, ok
 
-        monkeypatch.setattr(bench, "log_periodogram", log_periodogram)
+        def simulate(*args):
+            calls.append(None)
+            if len(calls) == 8:
+                raise ModelInvariantError("spectral density must be finite and positive")
+            return real_one(*args)
+
+        monkeypatch.setattr(bench, "simulate_log_spectra", simulate_log_spectra)
+        monkeypatch.setattr(bench, "simulate", simulate)
         got = run_bench(WIDE_PRIOR_DESIGN)
-        calls.clear()
         assert_same_result(got, reference_run_bench(WIDE_PRIOR_DESIGN))
         assert got.failures == 1
 
