@@ -6,7 +6,8 @@ import numpy as np
 
 from .models import ModelInvariantError, density_of
 
-__all__ = ["principal_frequency", "fold_branches", "fold", "fold_evaluator", "aliased_partners"]
+__all__ = ["principal_frequency", "fold_branches", "branch_mean", "fold", "fold_evaluator",
+           "aliased_partners"]
 
 _TIE_TOL = 1e-12
 
@@ -25,6 +26,23 @@ def fold_branches(nus, delta):
     return principal_frequency((np.asarray(nus, dtype=float)[..., None] + np.arange(delta)) / delta)
 
 
+def branch_mean(values, delta, out=None):
+    """Mean over the fold branches of values laid out along the last axis as
+    ``fold_branches(nus, delta).ravel()``: delta consecutive branches per
+    frequency.  It sums the delta strided slices ``values[..., k::delta]`` in
+    branch order and divides by delta, into ``out`` when given.  Below 8 branches
+    that is the order numpy's ``mean`` over a branch axis sums in, so the result
+    equals it bit for bit; at delta >= 8 numpy sums pairwise, and the two can
+    differ in the last bit."""
+    if out is None:
+        out = np.empty(values.shape[:-1] + (values.shape[-1] // delta,))
+    np.copyto(out, values[..., 0::delta])
+    for k in range(1, delta):
+        out += values[..., k::delta]
+    out /= delta
+    return out
+
+
 def fold(source, delta, nus):
     """Aliased spectrum of the stride-``delta`` subsampled process.
 
@@ -35,10 +53,9 @@ def fold(source, delta, nus):
     nus = np.asarray(nus, dtype=float)
     if np.any(nus < 0) or np.any(nus > 0.5):
         raise ValueError("frequencies must lie in [0, 1/2]")
-    branches = fold_branches(nus, delta)
-    vals = density_of(source)(branches.ravel()).reshape(branches.shape)
+    vals = density_of(source)(fold_branches(nus, delta).ravel())
     with np.errstate(over="ignore"):  # finite branch values can sum past the float range
-        folded = vals.mean(axis=-1)
+        folded = branch_mean(vals, delta).reshape(nus.shape)
     if np.isinf(folded).any():
         raise ModelInvariantError("folded spectrum too large for a float (largest branch "
                                   "value %.6g)" % vals.max())

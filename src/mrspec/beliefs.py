@@ -7,7 +7,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .aliasing import fold_branches
+from .aliasing import branch_mean, fold_branches
 from .models import DesignError, LogSpectrum, basis_matrix
 
 __all__ = [
@@ -152,6 +152,11 @@ def log_periodogram(series, series_id="series"):
     if n < MIN_PERIODOGRAM_N:
         raise DesignError("series %r is too short for a periodogram (N = %d, need N >= %d)"
                           % (series_id, n, MIN_PERIODOGRAM_N))
+    finite = np.isfinite(series.values)
+    if not np.all(finite):
+        k = int(np.argmin(finite))
+        raise ValueError("series %r has a non-finite value %s at index %d"
+                         % (series_id, series.values[k], k))
     freq = fourier_frequencies(n)
     log_pgram = log_periodogram_rows(series.values)
     usable = log_pgram > -np.inf  # False at a zero ordinate, and at NaN
@@ -230,7 +235,10 @@ def forecast_moments(prior, datasets, mc_samples=2000, seed=0):
 
     Each prior draw beta maps to mu_j = log fold(exp(log-spectrum), delta)(nu_j)
     - EULER_GAMMA; the independent log-periodogram noise variance pi^2/6 is
-    added analytically to the diagonal of Var(D).
+    added analytically to the diagonal of Var(D).  The fold is ``branch_mean``
+    written into each dataset's columns of one (S, K) matrix, so at strides
+    1-7 the moments equal, bit for bit, a mean over a reshaped branch axis; at
+    a stride of 8 or more they can differ from it in the last bit.
     """
     if mc_samples < 500:
         raise DesignError("mc_samples must be >= 500, got %r" % (mc_samples,))
@@ -251,14 +259,18 @@ def forecast_moments(prior, datasets, mc_samples=2000, seed=0):
         betas = np.concatenate([drawn, drawn * reflect])
         mc_samples = len(betas)
 
-    mu_parts = []
+    blocks = tuple((d.series_id, len(d.frequencies)) for d in datasets)
+    mu = np.empty((mc_samples, sum(length for _, length in blocks)))
+    start = 0
     # a prior too wide for exp overflows here; that is reported below, not warned about
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for data, psi in zip(datasets, _branch_basis(datasets, size)):
-            logf = betas @ psi.T  # (S, n_freq * delta)
-            folded = np.exp(logf).reshape(mc_samples, len(data.frequencies), data.stride)
-            mu_parts.append(np.log(folded.mean(axis=2)) - EULER_GAMMA)
-    mu = np.concatenate(mu_parts, axis=1)
+        for data, psi, (_, length) in zip(datasets, _branch_basis(datasets, size), blocks):
+            spectra = betas @ psi.T  # (S, n_freq * delta): log f at the fold branches
+            np.exp(spectra, out=spectra)
+            branch_mean(spectra, data.stride, out=mu[:, start:start + length])
+            start += length
+        np.log(mu, out=mu)
+        mu -= EULER_GAMMA
     if not np.all(np.isfinite(mu)):
         peak = max(float((betas @ psi.T).max()) for psi in _branch_basis(datasets, size))
         raise AdjustmentError(
@@ -271,7 +283,6 @@ def forecast_moments(prior, datasets, mc_samples=2000, seed=0):
     denom = mc_samples - 1
     var_d = centered_d.T @ centered_d / denom + LOG_PGRAM_VARIANCE * np.eye(mu.shape[1])
     cross = centered_b.T @ centered_d / denom
-    blocks = tuple((d.series_id, len(d.frequencies)) for d in datasets)
     moments = ForecastMoments(mean_d, var_d, cross, blocks)
     capped = _cap_canonical_correlations(prior.variance, moments.whitened)
     if capped is not moments.whitened:

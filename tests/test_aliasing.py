@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrspec.aliasing import aliased_partners, fold, fold_evaluator
+from mrspec.aliasing import aliased_partners, fold, fold_branches, fold_evaluator
 from mrspec.models import (
     LogSpectrum,
     SpectralModel,
     ar2_from_omega,
     autocovariance,
+    density_of,
     simpson_grid,
     spectral_density,
 )
@@ -27,6 +28,15 @@ class TestFold:
     def test_delta_one_identity(self):
         nus = np.linspace(0, 0.5, 41)
         assert fold(AR2, 1, nus) == pytest.approx(spectral_density(AR2, nus), rel=1e-14)
+
+    @pytest.mark.parametrize("delta", range(1, 8))
+    def test_equals_mean_over_branch_axis(self, delta):
+        # below 8 branches numpy's mean sums in branch order, as branch_mean does
+        nus = np.linspace(0, 0.5, 60).reshape(3, 20)
+        for source in (AR2, LogSpectrum(np.array([0.3, -1.2, 0.7, 0.25]))):
+            branches = fold_branches(nus, delta)
+            vals = density_of(source)(branches.ravel()).reshape(branches.shape)
+            assert np.array_equal(fold(source, delta, nus), vals.mean(axis=-1))
 
     def test_flat_stays_flat(self):
         nus = np.linspace(0, 0.5, 17)

@@ -123,6 +123,17 @@ class TestLogPeriodogram:
         with pytest.raises(DesignError, match=r"series 'x' is too short .*N = 7, need N >= 8"):
             log_periodogram(SampledSeries(np.arange(7.0), 1), "x")
 
+    @pytest.mark.parametrize("value,shown", [(np.inf, "inf"), (-np.inf, "-inf"),
+                                             (np.nan, "nan")])
+    def test_non_finite_value_is_error_naming_series_value_and_index(self, value, shown):
+        # checked before centring, so numpy does not warn, and not reported as a
+        # zero ordinate
+        values = np.arange(32.0)
+        values[[5, 9]] = value
+        with pytest.raises(ValueError, match=r"series 'x' has a non-finite value %s at index 5$"
+                                             % shown):
+            log_periodogram(SampledSeries(values, 1), "x")
+
     def test_zero_ordinate_is_error_naming_series_and_frequency(self):
         # the log of a zero ordinate is -inf, and numpy would warn; the suite's
         # warning filter turns a warning into a test failure
@@ -245,6 +256,51 @@ class TestForecastMoments:
         prior = PriorSpec(size=4).to_state()
         with pytest.raises(DesignError, match="mc_samples must be >= 500, got 3"):
             forecast_moments(prior, [PeriodogramData.layout("a", 1, 16)], mc_samples=3)
+
+
+def reshape_mean(values, delta, out):
+    """The fold step ``forecast_moments`` took before ``branch_mean``: numpy's
+    mean over a reshaped (..., n_freq, delta) branch axis."""
+    np.copyto(out, values.reshape(values.shape[:-1] + (-1, delta)).mean(axis=-1))
+    return out
+
+
+# how far the moments may move at strides >= 8, where numpy's mean sums pairwise
+# and branch_mean in branch order; relative to the largest entry (or 1)
+PAIRWISE_TOL = 256 * np.finfo(float).eps
+
+
+class TestFoldStepMatchesReshapedMean:
+    """forecast_moments against the same call with the old fold step put back."""
+
+    @staticmethod
+    def both(monkeypatch, cells, mc_samples=601, seed=3):
+        prior = PriorSpec(size=12).to_state()
+        layouts = [PeriodogramData.layout("s%d" % i, stride, n)
+                   for i, (stride, n) in enumerate(cells)]
+        got = forecast_moments(prior, layouts, mc_samples, seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(beliefs, "branch_mean", reshape_mean)
+            want = forecast_moments(prior, layouts, mc_samples, seed)
+        return beliefs._reflection_symmetric(prior, layouts), got, want
+
+    @pytest.mark.parametrize("cells,antithetic", [
+        ([(1, 40), (2, 33), (3, 21), (4, 16), (5, 18), (6, 64), (7, 17)], False),
+        ([(6, 128), (2, 128), (1, 128)], False),
+        ([(2, 30), (4, 24), (6, 16)], True),
+        ([(7, 9)], False),
+    ])
+    def test_bit_identical_at_strides_1_to_7(self, monkeypatch, cells, antithetic):
+        reflected, got, want = self.both(monkeypatch, cells)
+        assert reflected == antithetic
+        for name in ("mean", "variance", "cross", "whitened"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("cells", [[(8, 20)], [(9, 16), (1, 30)], [(12, 16), (4, 20)]])
+    def test_within_last_bits_at_strides_8_and_up(self, monkeypatch, cells):
+        _, got, want = self.both(monkeypatch, cells)
+        for name in ("mean", "variance", "cross", "whitened"):
+            assert_close(getattr(got, name), getattr(want, name), PAIRWISE_TOL)
 
 
 class TestAdjust:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrspec.beliefs import BeliefState
 from mrspec.models import LogSpectrum, SampledSeries, SpectralModel
@@ -68,6 +70,52 @@ class TestCsvRoundTrip:
         path.write_text("")
         with pytest.raises(CsvFormatError):
             read_csv(path)
+
+
+def per_cell_csv(header, columns):
+    """The CSV bytes ``write_csv`` must give: each cell by ``format_value``."""
+    rows = [",".join(header)]
+    rows += [",".join(format_value(c[i]) for c in columns) for i in range(len(columns[0]))]
+    return "".join(row + "\n" for row in rows).encode()
+
+
+EDGE_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072009e-308,
+               1.7976931348623157e308, -1.7976931348623157e308]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+COLUMN = st.sampled_from(["int64", "bool", "float64"])
+
+
+class TestCsvBytes:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kinds=st.lists(COLUMN, min_size=1, max_size=5),
+           rows=st.integers(0, 12))
+    def test_equals_per_cell_writer(self, tmp_path_factory, data, kinds, rows):
+        cells = {"int64": st.integers(-2**63, 2**63 - 1), "bool": st.booleans(),
+                 "float64": FLOATS}
+        columns = [np.array(data.draw(st.lists(cells[k], min_size=rows, max_size=rows)),
+                            dtype=k) for k in kinds]
+        header = ["c%d" % i for i in range(len(columns))]
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(path, header, columns)
+        assert path.read_bytes() == per_cell_csv(header, columns)
+
+    def test_strided_and_list_columns(self, tmp_path):
+        # the CLI passes matrix columns (strided views) and plain lists
+        table = np.arange(12.0).reshape(3, 4) / 7.0
+        columns = [[1, 2, 3], [0.5, -1.25, 3.0], table[:, 1], table[:, 3]]
+        path = tmp_path / "t.csv"
+        write_csv(path, list("abcd"), columns)
+        assert path.read_bytes() == per_cell_csv(list("abcd"), [np.asarray(c) for c in columns])
+
+    @pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (3, 3, 4)])
+    def test_unequal_columns_are_rejected_before_the_file_opens(self, tmp_path, lengths):
+        # no IndexError from a shorter later column, no file cut to the first column's length
+        path = tmp_path / "t.csv"
+        columns = [np.arange(float(n)) for n in lengths]
+        with pytest.raises(ValueError, match=r"unequal lengths \[%s\]"
+                           % ", ".join(map(str, lengths))):
+            write_csv(path, ["c%d" % i for i in range(len(lengths))], columns)
+        assert not path.exists()
 
 
 class TestModelDict:
