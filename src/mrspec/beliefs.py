@@ -158,8 +158,14 @@ def log_periodogram(series, series_id="series"):
         raise ValueError("series %r has a non-finite value %s at index %d"
                          % (series_id, series.values[k], k))
     freq = fourier_frequencies(n)
-    log_pgram = log_periodogram_rows(series.values)
-    usable = log_pgram > -np.inf  # False at a zero ordinate, and at NaN
+    # finite values near the float range overflow the mean or the square to
+    # +inf, and inf - inf to NaN; that is reported below, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_pgram = log_periodogram_rows(series.values)
+    if np.any(np.isnan(log_pgram) | (log_pgram == np.inf)):
+        raise ValueError("series %r is too large for a periodogram (largest |value| %.6g)"
+                         % (series_id, np.max(np.abs(series.values))))
+    usable = log_pgram > -np.inf  # False at a zero ordinate
     if not np.all(usable):
         raise ValueError("series %r has a zero periodogram ordinate at nu = %.6g"
                          % (series_id, freq[np.argmin(usable)]))

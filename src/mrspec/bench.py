@@ -191,17 +191,50 @@ def table_sweep(deltas, ns, replicates, seed, prior=None, d1_cells=None, d2_cell
 
 def spline_interpolate(series):
     """Natural cubic spline through the observed points, evaluated at every
-    base index they span; observed points are reproduced exactly."""
+    base index they span.
+
+    The knots are evenly spaced, h = stride apart, so the second derivatives
+    M_i solve the tridiagonal system M_0 = M_{n-1} = 0,
+    M_{i-1} + 4 M_i + M_{i+1} = 6 (y_{i+1} - 2 y_i + y_{i-1}) / h^2
+    (de Boor, A Practical Guide to Splines, ch. IV).  It is strictly
+    diagonally dominant, so one Thomas sweep solves it without pivoting; here
+    it is solved for N_i = h^2 M_i / 6.  At t = k / h between knots i and i+1,
+    s = (1-t) y_i + t y_{i+1} + ((1-t)^3 - (1-t)) N_i + (t^3 - t) N_{i+1};
+    at t = 0 both cubic terms are exactly zero, so every observed point is
+    reproduced bit for bit."""
     if series.stride < 2:
         return SampledSeries(series.values.copy(), stride=1, offset=0, base_step=series.base_step)
-    if len(series) < 4:
+    y = series.values
+    n = len(y)
+    if n < 4:
         raise ValueError("need at least 4 points for cubic spline interpolation")
-    # imported here, its one caller, so that `import mrspec` skips scipy.interpolate
-    from scipy.interpolate import CubicSpline
-
-    idx = series.base_indices()
-    spline = CubicSpline(idx, series.values, bc_type="natural")
-    dense = spline(np.arange(idx[0], idx[-1] + 1))
+    finite = np.isfinite(y)
+    if not np.all(finite):
+        k = int(np.argmin(finite))
+        raise ValueError("cannot interpolate a non-finite value %s at index %d" % (y[k], k))
+    # finite values near the float range can overflow the solve; that is an error below
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = (y[2:] - 2.0 * y[1:-1] + y[:-2]).tolist()
+        # forward elimination on the interior unknowns N_1 .. N_{n-2}, then back substitution
+        scale, elim = [0.25], [rhs[0] * 0.25]
+        for r in rhs[1:]:
+            pivot = 1.0 / (4.0 - scale[-1])
+            scale.append(pivot)
+            elim.append((r - elim[-1]) * pivot)
+        second = [0.0] * n
+        second[n - 2] = elim[-1]
+        for i in range(n - 3, 0, -1):
+            second[i] = elim[i - 1] - scale[i - 1] * second[i + 1]
+        second = np.array(second)[:, None]
+        t = np.arange(series.stride) / series.stride
+        u = 1.0 - t
+        dense = np.empty((n - 1) * series.stride + 1)
+        dense[:-1] = (y[:-1, None] * u + y[1:, None] * t
+                      + second[:-1] * (u ** 3 - u) + second[1:] * (t ** 3 - t)).ravel()
+    dense[-1] = y[-1]
+    if not np.all(np.isfinite(dense)):
+        raise ValueError("series is too large for cubic spline interpolation "
+                         "(largest |value| %.6g)" % np.max(np.abs(y)))
     return SampledSeries(dense, stride=1, offset=0, base_step=series.base_step)
 
 

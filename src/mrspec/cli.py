@@ -288,7 +288,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="mrspec",
         description="Spectral inference for time series at mixed sampling rates.",

@@ -141,6 +141,18 @@ class TestLogPeriodogram:
                                              r"at nu = 0\.03125"):
             log_periodogram(SampledSeries(np.full(32, 1.5), 1), "x")
 
+    @pytest.mark.parametrize("values,largest", [
+        # finite, but the squared ordinates overflow to +inf
+        (np.random.default_rng(0).standard_normal(64) * 1e160, r"2\.32503e\+160"),
+        # finite, but the mean overflows, and inf - inf makes every ordinate NaN
+        (np.array([1.7e308, -1.7e308] * 8), r"1\.7e\+308"),
+    ])
+    def test_overflow_is_error_naming_series_and_largest_value(self, values, largest):
+        # not a zero ordinate, not NaN or inf returned, and no numpy warning
+        with pytest.raises(ValueError, match=r"series 'x' is too large for a periodogram "
+                                             r"\(largest \|value\| %s\)" % largest):
+            log_periodogram(SampledSeries(values, 1), "x")
+
 
 class TestBatchedRowsMatchSingleRows:
     def test_log_periodogram_rows_match_log_periodogram(self):

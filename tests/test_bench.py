@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrspec import beliefs, bench
 from mrspec.beliefs import ForecastMoments, PeriodogramData, PriorSpec, spectrum_summary
@@ -316,6 +318,38 @@ class TestSplineInterpolate:
     def test_rejects_short(self):
         with pytest.raises(ValueError):
             spline_interpolate(SampledSeries(np.zeros(3), stride=2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(stride=st.integers(2, 8), data=st.data(), n=st.integers(4, 300),
+           log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_scipy_natural_cubic_spline(self, stride, data, n, log_scale, seed):
+        # scipy is the test-only oracle; the bound, 1e-12 of the largest |value|
+        # (about 4500 float64 epsilons), leaves room for the two solvers' rounding
+        from scipy.interpolate import CubicSpline
+
+        offset = data.draw(st.integers(0, stride - 1))
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        values = scale * (rng.standard_normal(n) + rng.uniform(-5.0, 5.0))
+        series = SampledSeries(values, stride=stride, offset=offset)
+        dense = spline_interpolate(series).values
+        idx = series.base_indices()
+        oracle = CubicSpline(idx, values, bc_type="natural")(np.arange(idx[0], idx[-1] + 1))
+        assert len(dense) == len(oracle)
+        assert np.max(np.abs(dense - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+        assert np.array_equal(dense[idx - idx[0]], values)
+
+    @pytest.mark.parametrize("value,message", [
+        (np.nan, r"non-finite value nan at index 5"),
+        (np.inf, r"non-finite value inf at index 5"),
+        # finite, but the second differences overflow: an error, not NaN and a warning
+        (1e308, r"too large for cubic spline interpolation \(largest \|value\| 1e\+308\)"),
+    ])
+    def test_rejects_non_finite_or_overflowing_value(self, value, message):
+        values = np.arange(8.0)
+        values[5] = value
+        with pytest.raises(ValueError, match=message):
+            spline_interpolate(SampledSeries(values, stride=2))
 
 
 class TestBaselineSpectra:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mrspec.cli import _COMMANDS, main
+from mrspec.cli import _COMMANDS, build_parser, main
 from mrspec.models import SampledSeries
 from mrspec.serialize import read_csv, read_json, write_json, write_series
 
@@ -62,6 +62,16 @@ class TestSimulate:
                          extra=["--seed", "1"])
         assert code == 0
         assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
+
+    def test_one_parser_and_no_flag_carried_to_the_next_call(self, tmp_path):
+        # the parser is built once per process; a --seed given to one call must
+        # not reach the next, which reads its seed from its config
+        assert build_parser() is build_parser()
+        cfg = {"model": {"sigma2": 1.0}, "n": 16, "seed": 2}
+        run(tmp_path, "simulate", cfg, out="flag", extra=["--seed", "1"])
+        code, out = run(tmp_path, "simulate", cfg, out="plain")
+        assert code == 0
+        assert read_json(out / "manifest.json")["config"]["seed"] == 2
 
 
 class TestSpectrum:
@@ -205,6 +215,10 @@ class TestEstimate:
         # every ordinate of a constant series is zero: exit 3, not NaN outputs and exit 0
         (np.full(32, 1.5), 3, "series 'flat' has a zero periodogram ordinate at nu = 0.03125"),
         (np.array([0.3, -1.2, 0.8]), 2, "series 'flat' is too short for a periodogram"),
+        # finite values whose periodogram overflows: exit 3, not NaN outputs and exit 0
+        (np.random.default_rng(0).standard_normal(64) * 1e160, 3,
+         "series 'flat' is too large for a periodogram"),
+        (np.array([1.7e308, -1.7e308] * 8), 3, "series 'flat' is too large for a periodogram"),
     ])
     def test_unusable_series_names_it(self, tmp_path, capsys, values, code, message):
         write_series(tmp_path / "flat.csv", tmp_path / "flat.json", SampledSeries(values))

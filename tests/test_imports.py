@@ -1,6 +1,6 @@
 """Import footprint: ``import mrspec`` loads no scipy module, and nor does any
-command but ``compare-interp``; numpy.fft does every transform.  The first
-spline call loads scipy.interpolate, and scipy.linalg with it."""
+command or the cubic spline; numpy does every transform and solve.  scipy is a
+test-only dependency."""
 
 import json
 import os
@@ -10,7 +10,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
-DEFERRED = ("scipy.stats", "scipy.interpolate", "scipy.linalg")
 
 
 def scipy_loaded_after(code):
@@ -29,7 +28,7 @@ def test_import_loads_no_scipy():
     assert scipy_loaded_after("import mrspec, mrspec.cli") == []
 
 
-def test_commands_but_compare_interp_load_no_scipy(tmp_path):
+def test_commands_load_no_scipy(tmp_path):
     # one small run of each command in one interpreter; each must exit 0
     configs = {
         "simulate": {"model": {"ar": [0.5, -0.2], "sigma2": 1.0}, "n": 64, "seed": 7,
@@ -40,6 +39,8 @@ def test_commands_but_compare_interp_load_no_scipy(tmp_path):
         "estimate": {"series": [str(tmp_path / "simulate" / "series.csv")],
                      "prior": {"size": 6}, "mc_samples": 500, "grid_points": 8},
         "bench": {"deltas": [2], "ns": [16], "replicates": 2, "prior": {"size": 6}},
+        "compare-interp": {"n_total": 120, "delta": 3, "prior": {"size": 6},
+                           "mc_samples": 500},
         "pc-fan": {"belief": str(GOLDEN_INPUTS / "belief.json"), "components": 1,
                    "grid_points": 8},
         "quadrature": {"d": 2, "level": 2},
@@ -55,13 +56,11 @@ def test_commands_but_compare_interp_load_no_scipy(tmp_path):
     assert scipy_loaded_after("\n".join(lines)) == []
 
 
-def test_spline_interpolate_loads_interpolate_when_called():
+def test_spline_interpolate_loads_no_scipy():
     code = (
         "import numpy as np\n"
         "from mrspec import SampledSeries, spline_interpolate\n"
         "dense = spline_interpolate(SampledSeries(np.arange(0.0, 20.0, 3.0), stride=3))\n"
         "assert np.allclose(dense.values, np.arange(19.0), atol=1e-10)\n"
     )
-    loaded = scipy_loaded_after(code)
-    # CubicSpline brings scipy.linalg with it
-    assert [m for m in DEFERRED if m in loaded] == ["scipy.interpolate", "scipy.linalg"]
+    assert scipy_loaded_after(code) == []
