@@ -206,8 +206,8 @@ class ForecastMoments:
     @cached_property
     def factor(self):
         """Lower Cholesky factor L of Var(D), made on first use.  The Var(D) of
-        ``forecast_moments`` is a sample covariance plus pi^2/6 on the diagonal,
-        so its eigenvalues are at least pi^2/6."""
+        ``forecast_moments`` is C^T C plus a residual covariance plus pi^2/6 on
+        the diagonal, so its eigenvalues are at least pi^2/6 up to round-off."""
         var_d = self.variance
         if not np.all(np.isfinite(var_d)):
             raise AdjustmentError("data variance is not finite")
@@ -237,22 +237,37 @@ def _branch_basis(datasets, size):
 
 
 def forecast_moments(prior, datasets, mc_samples=2000, seed=0):
-    """Monte Carlo prior moments of the stacked log-periodogram vector.
+    """Monte Carlo prior moments of the stacked log-periodogram vector D.
 
     Each prior draw beta maps to mu_j = log fold(exp(log-spectrum), delta)(nu_j)
-    - EULER_GAMMA; the independent log-periodogram noise variance pi^2/6 is
-    added analytically to the diagonal of Var(D).  The fold is ``branch_mean``
-    written into each dataset's columns of one (S, K) matrix, so at strides
-    1-7 the moments equal, bit for bit, a mean over a reshaped branch axis; at
-    a stride of 8 or more they can differ from it in the last bit.
+    - EULER_GAMMA.  The fold is ``branch_mean`` written into each dataset's
+    columns of one (S, K) matrix, so at strides 1-7 the sampled means equal, bit
+    for bit, a mean over a reshaped branch axis; at a stride of 8 or more they
+    can differ from it in the last bit.  The moments regress the centred mu on
+    the centred standard scores x = (beta - E beta) U Lambda^-1/2, whose mean 0
+    and variance I are exact (the control-variate estimator; Glasserman, Monte
+    Carlo Methods in Financial Engineering, 2004, sec. 4.1).  With P = x^T mu and
+    C = (x^T x)^-1 P: Cov(beta, D) = U Lambda^1/2 C, E(D) = mean(mu) - mean(x) C
+    and Var(D) = C^T C + (mu^T mu - P^T C) / (S - 1 - rank) + (pi^2/6) I, the
+    last term the log-periodogram noise.  A stride-1 block is linear in beta, so
+    its moments are exact up to rounding, and every canonical correlation of
+    beta and D is below 1.
     """
     if mc_samples < 500:
         raise DesignError("mc_samples must be >= 500, got %r" % (mc_samples,))
     size = prior.size
     vals, vecs = np.linalg.eigh(prior.variance)
     root = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    rng = np.random.default_rng(seed)
+    # the prior's directions above rounding, relative to its largest variance
+    kept = vals > max(vals[-1], 0.0) * size * np.finfo(float).eps
+    rank = int(kept.sum())
     reflect = _reflection_signs(size) if _reflection_symmetric(prior, datasets) else None
+    if reflect is not None:
+        mc_samples = 2 * ((mc_samples + 1) // 2)
+    if mc_samples <= rank + 1:
+        raise DesignError("mc_samples must exceed the prior's rank + 1 to regress on the "
+                          "draws, got mc_samples %d for rank %d" % (mc_samples, rank))
+    rng = np.random.default_rng(seed)
     if reflect is None:
         betas = prior.mean + rng.standard_normal((mc_samples, size)) @ root.T
     else:
@@ -260,10 +275,8 @@ def forecast_moments(prior, datasets, mc_samples=2000, seed=0):
         # spectrum about omega = 1/4, which maps beta_m -> (-1)^m beta_m;
         # pairing each draw with its reflection makes the sampled moments
         # exactly symmetric instead of symmetric only in the MC limit
-        half = (mc_samples + 1) // 2
-        drawn = prior.mean + rng.standard_normal((half, size)) @ root.T
+        drawn = prior.mean + rng.standard_normal((mc_samples // 2, size)) @ root.T
         betas = np.concatenate([drawn, drawn * reflect])
-        mc_samples = len(betas)
 
     blocks = tuple((d.series_id, len(d.frequencies)) for d in datasets)
     mu = np.empty((mc_samples, sum(length for _, length in blocks)))
@@ -275,6 +288,7 @@ def forecast_moments(prior, datasets, mc_samples=2000, seed=0):
             np.exp(spectra, out=spectra)
             branch_mean(spectra, data.stride, out=mu[:, start:start + length])
             start += length
+            del spectra
         np.log(mu, out=mu)
         mu -= EULER_GAMMA
     if not np.all(np.isfinite(mu)):
@@ -283,18 +297,17 @@ def forecast_moments(prior, datasets, mc_samples=2000, seed=0):
             "prior too wide for exp: the forecast log-periodogram means are not finite "
             "(largest sampled log-spectrum value %.6g)" % peak)
 
-    mean_d = mu.mean(axis=0)
-    centered_d = mu - mean_d
-    centered_b = betas - betas.mean(axis=0)
-    denom = mc_samples - 1
-    var_d = centered_d.T @ centered_d / denom + LOG_PGRAM_VARIANCE * np.eye(mu.shape[1])
-    cross = centered_b.T @ centered_d / denom
-    moments = ForecastMoments(mean_d, var_d, cross, blocks)
-    capped = _cap_canonical_correlations(prior.variance, moments.whitened)
-    if capped is not moments.whitened:
-        object.__setattr__(moments, "whitened", capped)
-        object.__setattr__(moments, "cross", (moments.factor @ capped).T)
-    return moments
+    scores = (betas - prior.mean) @ (root[:, kept] / vals[kept])
+    del betas
+    mean_x, mean_d = scores.mean(axis=0), mu.mean(axis=0)
+    scores -= mean_x
+    mu -= mean_d
+    proj = scores.T @ mu
+    coef = np.linalg.solve(scores.T @ scores, proj)
+    del scores
+    residual = (mu.T @ mu - proj.T @ coef) / (mc_samples - 1 - rank)
+    var_d = coef.T @ coef + 0.5 * (residual + residual.T) + LOG_PGRAM_VARIANCE * np.eye(len(mean_d))
+    return ForecastMoments(mean_d - mean_x @ coef, var_d, root[:, kept] @ coef, blocks)
 
 
 def _reflection_signs(size):
@@ -311,25 +324,6 @@ def _reflection_symmetric(prior, datasets):
         return False
     reflected = (signs[:, None] * prior.variance) * signs
     return np.allclose(reflected, prior.variance, atol=1e-12 * max(np.trace(prior.variance), 1.0))
-
-
-def _cap_canonical_correlations(var_b, whitened):
-    """Shrink the whitened cross-covariance W = L^-1 Cov(D, beta) so its
-    canonical correlations with the exact prior variance stay <= 1.
-
-    Monte Carlo noise can make Cov(beta, D) slightly too strong relative to
-    Var(beta), which would drive adjusted variances negative; capping the
-    correlations, the singular values of W Var(beta)^-1/2, restores a valid
-    joint second-order specification.  Canonical correlations do not depend
-    on which square root of Var(D) whitens.  Uncapped input comes back
-    unchanged."""
-    vals_b, vecs_b = np.linalg.eigh(var_b)
-    root_b = np.sqrt(np.clip(vals_b, 0.0, None))
-    inv_root_b = np.where(root_b > 0, 1.0 / np.where(root_b > 0, root_b, 1.0), 0.0)
-    u, s, vt = np.linalg.svd((whitened @ vecs_b) * inv_root_b, full_matrices=False)
-    if s.size == 0 or s[0] <= 1.0:
-        return whitened
-    return (u * np.minimum(s, 1.0) @ vt) @ (vecs_b * root_b).T
 
 
 def adjust(prior, moments, observed):
@@ -358,9 +352,9 @@ def whiten(moments, observed):
 
 
 def _adjusted(prior, white, z):
-    """E(beta) + W^T z and Var(beta) - W^T W.  Round-off on the prior's scale can
-    make a direction the cap left at zero variance negative, so that is the
-    scale of the check."""
+    """E(beta) + W^T z and Var(beta) - W^T W.  Every canonical correlation of
+    ``forecast_moments`` is below 1, so the variance is positive semi-definite
+    up to round-off on the prior's scale, which is the scale of the check."""
     variance = _project_psd(prior.variance - white.T @ white, np.trace(prior.variance))
     return BeliefState(prior.mean + matvecs(white.T, z), variance)
 

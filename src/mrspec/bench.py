@@ -201,7 +201,10 @@ def spline_interpolate(series):
     it is solved for N_i = h^2 M_i / 6.  At t = k / h between knots i and i+1,
     s = (1-t) y_i + t y_{i+1} + ((1-t)^3 - (1-t)) N_i + (t^3 - t) N_{i+1};
     at t = 0 both cubic terms are exactly zero, so every observed point is
-    reproduced bit for bit."""
+    reproduced bit for bit.  A stride-1 result starts at base index 0, so the
+    series must too."""
+    if series.offset:
+        raise ValueError("cannot interpolate a series with offset %d, only 0" % series.offset)
     if series.stride < 2:
         return SampledSeries(series.values.copy(), stride=1, offset=0, base_step=series.base_step)
     y = series.values

@@ -25,7 +25,14 @@ from mrspec.beliefs import (
     sequential_adjust,
     spectrum_summary,
 )
-from mrspec.models import DesignError, SampledSeries, SpectralModel, simulate, subsample
+from mrspec.models import (
+    DesignError,
+    SampledSeries,
+    SpectralModel,
+    basis_matrix,
+    simulate,
+    subsample,
+)
 
 
 class TestBeliefState:
@@ -244,7 +251,7 @@ class TestForecastMoments:
            size=st.integers(1, 12), log_scale=st.floats(-6.0, 3.0),
            seed=st.integers(0, 2**32 - 1))
     def test_data_variance_eigenvalues_at_least_noise_floor(self, cells, size, log_scale, seed):
-        # Var(D) is a sample covariance plus (pi^2/6) I; ForecastMoments.factor
+        # Var(D) is C^T C plus a residual covariance plus (pi^2/6) I; ForecastMoments.factor
         # has no fallback for a Var(D) that is not positive definite
         prior = PriorSpec(size=size, scale=10.0**log_scale).to_state()
         layouts = [PeriodogramData.layout("s%d" % i, stride, n)
@@ -268,6 +275,28 @@ class TestForecastMoments:
         prior = PriorSpec(size=4).to_state()
         with pytest.raises(DesignError, match="mc_samples must be >= 500, got 3"):
             forecast_moments(prior, [PeriodogramData.layout("a", 1, 16)], mc_samples=3)
+
+    @pytest.mark.parametrize("mc_samples,stride,drawn", [
+        (500, 1, 500), (601, 1, 601), (599, 2, 600), (600, 2, 600)])
+    def test_too_few_samples_for_prior_rank_is_design_error(self, mc_samples, stride, drawn):
+        # the regression on the draws needs more of them (after the antithetic
+        # rounding up to an even count) than the prior's rank + 1
+        prior = PriorSpec(size=600).to_state()
+        with pytest.raises(DesignError, match="got mc_samples %d for rank 600" % drawn):
+            forecast_moments(prior, [PeriodogramData.layout("a", stride, 16)], mc_samples)
+
+    @pytest.mark.parametrize("mc_samples,stride", [(602, 1), (601, 2)])
+    def test_samples_just_above_prior_rank_run(self, mc_samples, stride):
+        prior = PriorSpec(size=600).to_state()
+        moments = forecast_moments(prior, [PeriodogramData.layout("a", stride, 16)], mc_samples)
+        assert np.all(np.isfinite(moments.variance))
+
+    def test_rank_counts_only_directions_above_rounding(self):
+        # a rank-2 prior of size 600 regresses on two scores, so 500 draws do
+        loadings = np.random.default_rng(0).standard_normal((600, 2))
+        prior = BeliefState(np.zeros(600), loadings @ loadings.T)
+        moments = forecast_moments(prior, [PeriodogramData.layout("a", 1, 16)], 500)
+        assert np.all(np.isfinite(moments.cross))
 
 
 def reshape_mean(values, delta, out):
@@ -353,14 +382,14 @@ class TestAdjust:
         with pytest.raises(ValueError):
             adjust(prior, m, np.zeros(len(m.mean) + 1))
 
-    def test_capped_one_coefficient_prior_adjusts_to_zero_variance(self):
-        # the cap leaves the one canonical correlation at 1, so the adjusted
-        # variance is 0 up to round-off on the prior's scale (-2.2e-16 here)
+    def test_one_coefficient_prior_adjusts_to_closed_form(self):
+        # two stride-1 layouts of 29 points give 28 ordinates, each the intercept
+        # plus noise of variance pi^2/6, so the adjusted variance is 1/(1 + 28 * 6/pi^2)
         prior = PriorSpec(size=1).to_state()
         layouts = [PeriodogramData.layout("a", 1, 29), PeriodogramData.layout("b", 1, 29)]
         m = forecast_moments(prior, layouts, mc_samples=500, seed=13)
         post = adjust(prior, m, m.mean)
-        assert post.variance[0, 0] == pytest.approx(0.0, abs=1e-15)
+        assert post.variance[0, 0] == pytest.approx(1.0 / (1.0 + 28 * 6 / np.pi**2), rel=1e-10)
         assert post.mean[0] == pytest.approx(prior.mean[0], abs=1e-12)
 
     def test_singular_data_variance_raises(self):
@@ -481,18 +510,6 @@ class TestSequentialAdjustProperties:
                                   mc_samples=500, seed=0)
 
 
-def eigh_capped_cross(var_b, var_d, cross):
-    """Reference cap by the symmetric square roots (eigh) of both variances:
-    the capped Cov(beta, D) and the largest canonical correlation before it."""
-    roots = []
-    for var in (var_b, var_d):
-        vals, vecs = np.linalg.eigh(var)
-        roots.append((vecs * np.sqrt(vals) @ vecs.T, vecs / np.sqrt(vals) @ vecs.T))
-    (root_b, inv_b), (root_d, inv_d) = roots
-    u, s, vt = np.linalg.svd(inv_b @ cross @ inv_d, full_matrices=False)
-    return root_b @ (u * np.minimum(s, 1.0) @ vt) @ root_d, s[0]
-
-
 class TestOneFactorisation:
     def test_var_d_factored_once_and_no_data_sized_eigh(self, monkeypatch):
         prior = PriorSpec(size=8).to_state()
@@ -521,41 +538,6 @@ class TestOneFactorisation:
         assert factored == [(k, k)] * 2
         assert set(eigh_shapes) == {(8, 8)}
 
-    def test_cap_matches_eigh_whitening(self, monkeypatch):
-        # interp_comparison(0)'s three layouts all fire the cap
-        uncapped, moments = [], []
-        real_cap, real_forecast = beliefs._cap_canonical_correlations, bench.forecast_moments
-
-        def cap(var_b, whitened):
-            uncapped.append(whitened)
-            return real_cap(var_b, whitened)
-
-        def forecast(*args):
-            moments.append(real_forecast(*args))
-            return moments[-1]
-
-        monkeypatch.setattr(beliefs, "_cap_canonical_correlations", cap)
-        monkeypatch.setattr(bench, "forecast_moments", forecast)
-        bench.interp_comparison(0)
-        var_b = PriorSpec().to_state().variance
-        assert len(moments) == len(uncapped) == 3
-        for white, m in zip(uncapped, moments):
-            want, top = eigh_capped_cross(var_b, m.variance, (m.factor @ white).T)
-            assert top > 1.0
-            assert_close(m.cross, want, 1e-12)
-            assert_close(m.whitened, np.linalg.solve(m.factor, m.cross.T), 1e-12)
-            _, top_after = eigh_capped_cross(var_b, m.variance, m.cross)
-            assert top_after <= 1.0 + 1e-12
-
-    def test_uncapped_cross_comes_back_unchanged(self):
-        prior = PriorSpec(size=8).to_state()
-        m = forecast_moments(prior, [PeriodogramData.layout("a", 2, 30)], 600, 0)
-        cross = 0.5 * m.cross
-        _, top = eigh_capped_cross(prior.variance, m.variance, cross)
-        assert top < 1.0
-        white = np.linalg.solve(m.factor, cross.T)
-        assert beliefs._cap_canonical_correlations(prior.variance, white) is white
-
 
 def assert_textbook_update(prior, moments, observed, state):
     """``state`` is E(beta) + C Var(D)^-1 (d - E(D)) and Var(beta) - C Var(D)^-1 C^T,
@@ -580,9 +562,10 @@ class TestAdjustIsTextbookUpdate:
         observed = moments.mean + 2.0 * rng.standard_normal(moments.mean.shape)
         assert_textbook_update(prior, moments, observed, adjust(prior, moments, observed))
 
-    def test_capped_interp_comparison(self, monkeypatch):
-        # interp_comparison(0)'s three layouts all fire the cap, which leaves
-        # their largest canonical correlation at 1
+    def test_interp_comparison_correlations_below_one(self, monkeypatch):
+        # the regression estimator's Var(D) is at least C^T C + (pi^2/6) I, so no
+        # canonical correlation of beta and D reaches 1 on interp_comparison(0)'s
+        # three layouts, where the sample covariances went above 1
         calls = []
 
         def spy(prior, moments, observed):
@@ -593,9 +576,49 @@ class TestAdjustIsTextbookUpdate:
         bench.interp_comparison(0)
         assert len(calls) == 3
         for prior, moments, observed, state in calls:
-            _, top = eigh_capped_cross(prior.variance, moments.variance, moments.cross)
-            assert top == pytest.approx(1.0, abs=1e-12)
+            assert top_canonical_correlation(prior.variance, moments.variance, moments.cross) < 1.0
             assert_textbook_update(prior, moments, observed, state)
+
+
+def top_canonical_correlation(var_b, var_d, cross):
+    """Largest singular value of Var(beta)^-1/2 Cov(beta, D) Var(D)^-1/2, with
+    the symmetric square roots."""
+    inv_roots = []
+    for var in (var_b, var_d):
+        vals, vecs = np.linalg.eigh(var)
+        inv_roots.append(vecs / np.sqrt(vals) @ vecs.T)
+    return np.linalg.svd(inv_roots[0] @ cross @ inv_roots[1], compute_uv=False)[0]
+
+
+# relative to the largest entry of the closed form; fixed before the property first ran
+STRIDE_ONE_TOL = 1e-10
+
+
+class TestStrideOneIsExact:
+    """At stride 1 the log-periodogram means are linear in beta, D = Psi beta -
+    EULER_GAMMA + noise, so the adjustment has the closed form
+    E(beta) + V Psi^T S^-1 (d - E(D)) and V - V Psi^T S^-1 Psi V, with
+    S = Psi V Psi^T + (pi^2/6) I; the regression on the draws reproduces it."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(lengths=st.lists(st.integers(8, 200), min_size=1, max_size=3),
+           size=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_adjustment_matches_closed_form(self, lengths, size, seed):
+        prior = PriorSpec(size=size).to_state()
+        layouts = [PeriodogramData.layout("s%d" % i, 1, n) for i, n in enumerate(lengths)]
+        moments = forecast_moments(prior, layouts, 500, seed)
+        observed = moments.mean + 2.0 * np.random.default_rng(seed).standard_normal(
+            moments.mean.shape)
+        state = adjust(prior, moments, observed)
+
+        psi = basis_matrix(np.concatenate([l.frequencies for l in layouts]), size)
+        var_b = prior.variance
+        var_d = psi @ var_b @ psi.T + LOG_PGRAM_VARIANCE * np.eye(len(psi))
+        gain = np.linalg.solve(var_d, psi @ var_b).T
+        mean = prior.mean + gain @ (observed - (psi @ prior.mean - EULER_GAMMA))
+        variance = var_b - gain @ psi @ var_b
+        for got, want in ((state.mean, mean), (state.variance, variance)):
+            assert np.abs(got - want).max() <= STRIDE_ONE_TOL * np.abs(want).max()
 
 
 class TestSpectrumSummary:

@@ -320,24 +320,31 @@ class TestSplineInterpolate:
             spline_interpolate(SampledSeries(np.zeros(3), stride=2))
 
     @settings(max_examples=200, deadline=None)
-    @given(stride=st.integers(2, 8), data=st.data(), n=st.integers(4, 300),
+    @given(stride=st.integers(2, 8), n=st.integers(4, 300),
            log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
-    def test_matches_scipy_natural_cubic_spline(self, stride, data, n, log_scale, seed):
+    def test_matches_scipy_natural_cubic_spline(self, stride, n, log_scale, seed):
         # scipy is the test-only oracle; the bound, 1e-12 of the largest |value|
         # (about 4500 float64 epsilons), leaves room for the two solvers' rounding
         from scipy.interpolate import CubicSpline
 
-        offset = data.draw(st.integers(0, stride - 1))
         rng = np.random.default_rng(seed)
         scale = 10.0 ** log_scale
         values = scale * (rng.standard_normal(n) + rng.uniform(-5.0, 5.0))
-        series = SampledSeries(values, stride=stride, offset=offset)
-        dense = spline_interpolate(series).values
+        series = SampledSeries(values, stride=stride)
+        dense = spline_interpolate(series)
         idx = series.base_indices()
-        oracle = CubicSpline(idx, values, bc_type="natural")(np.arange(idx[0], idx[-1] + 1))
-        assert len(dense) == len(oracle)
-        assert np.max(np.abs(dense - oracle)) <= 1e-12 * np.max(np.abs(oracle))
-        assert np.array_equal(dense[idx - idx[0]], values)
+        oracle = CubicSpline(idx, values, bc_type="natural")(np.arange(idx[-1] + 1))
+        assert np.array_equal(dense.base_indices(), np.arange(idx[-1] + 1))
+        assert np.max(np.abs(dense.values - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+        assert np.array_equal(dense.values[idx], values)
+
+    @pytest.mark.parametrize("stride,offset", [(2, 1), (3, 2), (8, 5)])
+    def test_rejects_nonzero_offset(self, stride, offset):
+        # a stride-1 result starts at base index 0, so it cannot hold values that
+        # start at base index ``offset``; that is an error, not a shifted series
+        series = SampledSeries(np.arange(6.0), stride=stride, offset=offset)
+        with pytest.raises(ValueError, match="offset %d" % offset):
+            spline_interpolate(series)
 
     @pytest.mark.parametrize("value,message", [
         (np.nan, r"non-finite value nan at index 5"),

@@ -467,6 +467,15 @@ class TestExitCodes:
         assert code == 2
         assert "mc_samples" in capsys.readouterr().err
 
+    def test_mc_samples_not_above_prior_rank_is_config_error(self, tmp_path, capsys):
+        code, sim = run(tmp_path, "simulate", {"model": {"sigma2": 1.0}, "n": 32}, out="sim")
+        assert code == 0
+        code, out = run(tmp_path, "estimate", {"series": [str(sim / "series.csv")],
+                                               "prior": {"size": 600}, "mc_samples": 500})
+        assert code == 2
+        assert "got mc_samples 500 for rank 600" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("cell", [[1, 4], [1], [1, "x"]])
     def test_bad_bench_segment_is_config_error(self, tmp_path, capsys, cell):
         code, out = run(tmp_path, "bench", {"d1_cells": [cell], "d2_cells": [[1, 16]],

@@ -5,9 +5,12 @@ The session covers every command: the criterion-12 configs, ``estimate`` on
 two series, a 1 x 2 cell ``bench`` and a ``loglik-surface`` over an
 ``n_high_list``.  It runs in one subprocess with ``OPENBLAS_NUM_THREADS=1`` and
 in one with the default thread count.  Every number of every CSV and JSON
-output (manifests and SVGs aside) must agree with the golden file within
-1e-11 of the largest absolute value in its column: output bytes are identical
-only for one machine and one BLAS thread setting.
+output (manifests aside) must agree with the golden file within 1e-11 of the
+largest absolute value in its column: output bytes are identical only for one
+machine and one BLAS thread setting.  An SVG prints its coordinates to three
+decimals, so there the text between the numbers must be equal and every
+number must agree within 0.0011, which absorbs a last digit that rounds the
+other way.
 
 A change that moves outputs beyond that on purpose regenerates the goldens,
 from the repository root, with
@@ -19,6 +22,7 @@ and reports the largest change per file.
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -32,6 +36,9 @@ from mrspec.serialize import read_csv, write_json
 
 GOLDEN = Path(__file__).parent / "golden"
 REL_TOL = 1e-11
+SVG_TOL = 0.0011
+# a signed decimal number, so that a sign that flips at -0.000 is a number's change
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 SERIES = {"model": {"ar": [0.4], "sigma2": 1.0}, "n": 64, "seed": 3}
@@ -78,7 +85,7 @@ def _resolve(value, root):
 def _compared(root):
     """The session's outputs that the test compares, relative to ``root``."""
     return sorted(str(p.relative_to(root)) for p in root.rglob("*")
-                  if p.suffix in (".csv", ".json") and p.name != "manifest.json")
+                  if p.suffix in (".csv", ".json", ".svg") and p.name != "manifest.json")
 
 
 def run_session(root):
@@ -125,6 +132,9 @@ def _mismatches(got_root):
         return ["files differ: %s" % sorted(set(got_files) ^ set(want_files))]
     bad = []
     for rel in want_files:
+        if rel.endswith(".svg"):
+            bad.extend(_svg_mismatches(rel, got_root / rel, GOLDEN / rel))
+            continue
         got, want = _columns(got_root / rel), _columns(GOLDEN / rel)
         if list(got) != list(want):
             bad.append("%s: columns %s, golden %s" % (rel, list(got), list(want)))
@@ -145,6 +155,18 @@ def _mismatches(got_root):
                 bad.append("%s[%s]: off by %.3g, %.3g of the column's largest value"
                            % (rel, name, err, err / scale if scale else np.inf))
     return bad
+
+
+def _svg_mismatches(rel, got_path, want_path):
+    """Up to one line: the SVG's text between numbers differs, or a number is
+    off by more than SVG_TOL."""
+    got, want = got_path.read_text(), want_path.read_text()
+    if _NUMBER.split(got) != _NUMBER.split(want):
+        return ["%s: text between numbers differs" % rel]
+    got_num = np.array(_NUMBER.findall(got), dtype=float)
+    want_num = np.array(_NUMBER.findall(want), dtype=float)
+    err = np.abs(got_num - want_num).max(initial=0.0)
+    return ["%s: a number is off by %.3g" % (rel, err)] if err > SVG_TOL else []
 
 
 def test_outputs_match_golden_at_both_thread_settings(tmp_path):
