@@ -1,5 +1,6 @@
-"""Exact Gaussian log-likelihood for arbitrarily subsampled data and the
-Monte Carlo likelihood-surface experiments for the AR(2) peak-frequency scan."""
+"""Exact Gaussian log-likelihoods for arbitrarily subsampled data, all by one
+state-space recursion with no covariance matrix (``_filter``), and the Monte
+Carlo likelihood-surface experiments for the AR(2) peak-frequency scan."""
 
 from dataclasses import dataclass, field, replace
 
@@ -10,8 +11,8 @@ from .models import (
     NotPositiveDefiniteError,
     SpectralModel,
     ar2_from_omega,
-    arma_autocovariance,
-    autocovariance,
+    arma_state_space,
+    autocovariance,  # noqa: F401  unused here, but kept for perfbench/spans.py, as simulate
     simulate,  # noqa: F401  unused here, but perfbench/spans.py traces models.simulate by this name
     simulate_replicates,
 )
@@ -96,123 +97,161 @@ class ExperimentDesign:
         return np.concatenate([low, high]).astype(int)
 
 
-def _data_rows(values, n):
-    """Datasets as the rows of an (R, n) matrix: ``values`` is one dataset of
-    shape (n,) or R datasets as the rows of an (R, n) matrix."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim not in (1, 2) or values.shape[-1] != n:
-        raise ValueError("data must have shape (%d,) or (replicates, %d)" % (n, n))
-    if not np.all(np.isfinite(values)):
-        raise ValueError("data must not contain infs or NaNs")
-    return np.atleast_2d(values)
+def _as_indices(indices):
+    """Base-grid indices as a nonempty 1-d int array, else ValueError, which
+    names the first entry that a cast to int would truncate."""
+    raw = np.asarray(indices)
+    if raw.ndim != 1 or len(raw) == 0:
+        raise ValueError("indices must be a nonempty 1-d sequence")
+    with np.errstate(invalid="ignore"):
+        ints = raw.astype(int)
+    if np.any(raw != ints):
+        raise ValueError("indices must be integers, got %r" % raw[raw != ints][0].item())
+    return ints
 
 
 def exact_loglik(model, observations):
-    """Exact log-density of zero-mean Gaussian observations at arbitrary
-    base-grid indices under a SpectralModel.
-
-    ``observations`` is a sequence of (index, value) pairs; the covariance is
-    Sigma_jk = gamma(|idx_j - idx_k|), factored densely, so any SARMA model
-    works.
-    """
+    """Exact log-density of zero-mean Gaussian observations, a sequence of
+    (index, value) pairs at distinct base-grid indices, under a SpectralModel:
+    the scan of SurfaceScanner for the one model, whose cost grows with n and
+    the log of the largest gap, not with the index span.  NotPositiveDefiniteError
+    names the index whose innovation variance is not positive."""
     obs = list(observations)
-    indices = np.asarray([i for i, _ in obs], dtype=int)
+    indices = _as_indices([i for i, _ in obs])
     values = np.asarray([v for _, v in obs], dtype=float)
-    if len(indices) == 0:
-        raise ValueError("observations must be nonempty")
-    if np.any(indices < 0) or len(np.unique(indices)) != len(indices):
+    if np.any(indices < 0) or np.any(np.diff(np.sort(indices)) == 0):
         raise ValueError("indices must be distinct and non-negative")
-    gamma = autocovariance(model, int(np.max(indices) - np.min(indices)))
-    cov = gamma[np.abs(np.subtract.outer(indices, indices))]
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        pivot = float(np.min(np.linalg.eigvalsh(cov)))
-        raise NotPositiveDefiniteError(
-            "observation covariance not positive definite (smallest pivot %.6g)" % pivot,
-            pivot,
-        )
-    w = np.linalg.solve(chol, _data_rows(values, len(values))[0])
-    return -0.5 * (len(values) * _LOG_2PI + w @ w) - np.sum(np.log(np.diag(chol)))
+    plan, var = _filter(indices, *arma_state_space(
+        -model.full_ar_poly()[1:, None], model.full_ma_poly()[1:, None], model.innovation_variance))
+    bad = np.flatnonzero(~((0 < var) & (var < np.inf)))
+    if len(bad):
+        j, pivot = plan[0][bad[0]], var[bad[0], 0]
+        raise NotPositiveDefiniteError("observation covariance not positive definite at index "
+                                       "%d (pivot %.6g)" % (indices[j], pivot), pivot)
+    return _scan(plan, values, [len(values)])[0, 0, 0]
 
 
-def _gap_transition(phi, noise, gap):
-    """(Phi^k, Q_k) for a gap of k >= 0 steps, stacked over the grid: the state
-    moves as s' = Phi^k s + noise of covariance Q_k.  Binary powers of the
-    one-step pair (Phi, Q_1), with (A_a, Q_a) after (A_b, Q_b) composing to
-    (A_a A_b, Q_a + A_a Q_b A_a^T), build Q_k from positive semidefinite
-    terms only, so no digits cancel near the unit circle as they do in
-    Gamma - Phi^k Gamma Phi^kT."""
+def _gap_transition(phi, noise, gaps):
+    """(Phi^k, Q_k) for each gap k of ``gaps``, stacked on a new leading axis:
+    over k steps the state moves as s' = Phi^k s + noise of covariance Q_k.
+    Binary powers of (Phi, Q_1), shared by all gaps, with (A_a, Q_a) after
+    (A_b, Q_b) composing to (A_a A_b, Q_a + A_a Q_b A_a^T): Q_k is a sum of
+    positive semidefinite terms, so no digits cancel near the unit circle."""
     def compose(first, second):
         (a, q), (b, r) = first, second
         return a @ b, q + a @ r @ np.swapaxes(a, -1, -2)
 
-    power, step = (np.broadcast_to(np.eye(2), phi.shape), np.zeros_like(noise)), (phi, noise)
-    while gap:
-        if gap & 1:
-            power = compose(step, power)
-        gap >>= 1
-        step = compose(step, step)
+    eye = np.broadcast_to(np.eye(phi.shape[-1]), (len(gaps),) + phi.shape)
+    power, step = (eye.copy(), np.zeros(eye.shape)), (phi, noise)
+    for bit in range(int(gaps.max(initial=0)).bit_length()):
+        if bit:
+            step = compose(step, step)
+        on = (gaps >> bit) & 1 == 1
+        power[0][on], power[1][on] = compose(step, (power[0][on], power[1][on]))
     return power
 
 
+def _filter(indices, phi, noise, stationary):
+    """The data-free half of the scan, for G processes given by (G, r, r)
+    transitions, state noises and stationary state variances (arma_state_space).
+    After y_j only the other state components are uncertain (x's row and column
+    of their variance stay exactly 0), with mean m.  With A = Phi^k over the
+    gap before y_j (A = 0 first, predicting from the stationary law), gain K_j
+    and frame F = [A_.0, -e_0, A_..], u = (y_{j-1}, y_j, m) gives the innovation
+    e_j = -F_0 u and the new mean m'_i = F_i u + K_i e_j.  Returns the v_j and
+    the plan ``_scan`` runs: sort order, each step's frame, the frames,
+    weights (-1 / sqrt(v_j), K_j), and the (n, G) j log 2pi + sum log v of each
+    prefix, NaN from the first v_j not positive and finite."""
+    if phi.shape[-1] == 1:  # a second state component, always 0, keeps m nonempty
+        phi, noise, stationary = (np.pad(x, [(0, 0), (0, 1), (0, 1)])
+                                  for x in (phi, noise, stationary))
+    order = np.argsort(indices, kind="stable")
+    gaps, gap_of_step = np.unique(np.diff(indices[order]), return_inverse=True)
+    # (transition, r, r, G), with the first step's Phi^k = 0 and Q = P
+    phis, noises = (np.ascontiguousarray(np.concatenate([first[None], rest]).transpose(0, 2, 3, 1))
+                    for first, rest in zip((np.zeros_like(phi), stationary),
+                                           _gap_transition(phi, noise, gaps)))
+    steps = np.concatenate([[0], gap_of_step + 1])
+    (r, g), n = phis.shape[2:], len(steps)
+    # the state's variance before y_j is Q + sum_lm p_lm h_l h_m^T, with p the
+    # variance of the unobserved components and h_l column l + 1 of A
+    columns = np.ascontiguousarray(phis[:, :, 1:].swapaxes(1, 2))
+    pairs = list(np.ndindex(r - 1, r - 1))
+    var, weights, p = np.empty((n, g)), np.empty((n, r, g)), np.zeros((r - 1, r - 1, g))
+    with np.errstate(all="ignore"):
+        for j, s in enumerate(steps):
+            h = columns[s]
+            c = sum((h[l][:, None] * (p[l, m] * h[m]) for l, m in pairs), noises[s])
+            var[j] = c[0, 0]
+            np.divide(c[1:, 0], c[0, 0], out=weights[j, 1:])
+            p = c[1:, 1:] - weights[j, 1:, None] * c[0, 1:]
+    # the steps after a failure run on v = 1, K = 0, so that no arithmetic warns
+    failed = np.logical_or.accumulate(~((0 < var) & (var < np.inf)), axis=0)
+    safe = np.where(failed, 1.0, var)
+    np.divide(-1.0, np.sqrt(safe, out=weights[:, 0]), out=weights[:, 0])
+    np.copyto(weights[:, 1:], 0.0, where=failed[:, None])
+    frames = np.concatenate([phis[:, :, :1], np.zeros_like(phis[:, :, :1]), phis[:, :, 1:]], 2)
+    frames[:, 0, 1] = -1.0
+    const = np.cumsum(np.log(safe, out=safe), axis=0, out=safe)
+    const += np.arange(1, n + 1)[:, None] * _LOG_2PI
+    const[failed] = np.nan
+    return (order, steps, frames, weights, const), var
+
+
+def _scan(plan, values, ends):
+    """Log-likelihoods under the G processes of a ``_filter`` plan, one (R, G)
+    matrix per prefix length in ``ends``, of ``values``: one dataset of shape
+    (n,) or R datasets as the rows of an (R, n) matrix, finite."""
+    order, steps, frames, weights, const = plan
+    n, rows = len(order), np.asarray(values, dtype=float)
+    if rows.ndim not in (1, 2) or rows.shape[-1] != n:
+        raise ValueError("data must have shape (%d,) or (replicates, %d)" % (n, n))
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("data must not contain infs or NaNs")
+    rows = np.atleast_2d(rows)
+    dim, shape = frames.shape[1], (len(rows), frames.shape[-1])
+    # column j holds y_{j-1}; the first step's "previous value" is 0
+    data = np.zeros((len(rows), n + 1))
+    data[:, 1:] = rows[:, order]
+    w, term, q = np.empty(shape), np.empty(shape), np.zeros(shape)
+    # m'_0 overwrites m_0 once nothing else reads it; m'_1.. go to spares
+    means, spares = list(np.zeros((dim - 1,) + shape)), list(np.empty((dim - 2,) + shape))
+    coef = np.empty(frames.shape[1:])  # this step's map from u to (e_j / sqrt(v_j), m')
+    out = np.empty((len(ends),) + shape)
+    for j, s in enumerate(steps):
+        np.multiply(weights[j, :, None], frames[s, 0], out=coef)
+        np.subtract(frames[s, 1:], coef[1:], out=coef[1:])
+        pair = data[:, j:j + 2]
+        for value, c in zip([w, *spares, means[0]], [coef[0], *coef[2:], coef[1]]):
+            np.multiply(means[0], c[2], out=value)
+            for m, cm in zip(means[1:], c[3:]):
+                np.multiply(m, cm, out=term)
+                value += term
+            np.matmul(pair, c[:2], out=term)
+            value += term
+        means[1:], spares = spares, means[1:]
+        np.square(w, out=w)
+        q += w
+        for i in [i for i, end in enumerate(ends) if end == j + 1]:
+            np.add(const[j], q, out=out[i])
+            out[i] *= -0.5
+    return out
+
+
 class SurfaceScanner:
-    """Exact likelihood scan over an omega0 grid for one index pattern.
-
-    The AR(2) process at each grid point is the Markov chain of the state
-    s_t = (x_t, x_{t-1}), so its exact Gaussian likelihood at any index set is
-    the prediction-error decomposition (Jones 1980, Technometrics 22:389;
-    Brockwell & Davis, Time Series: Theory and Methods, sec. 12.3).  Over the
-    sorted indices, with k the gap to the previous one and m the conditional
-    mean of the x before it,
-
-        e_j = y_j - (Phi^k)_00 y_{j-1} - (Phi^k)_01 m
-        m  <- (Phi^k)_10 y_{j-1} + (Phi^k)_11 m + K_j e_j
-
-    and the log-likelihood sums log v_j and e_j^2 / v_j: O(n) per grid point
-    and dataset.  ``__init__`` does all that depends only on the design and
-    the grid: gamma(0) and gamma(1) from one batched arma_autocovariance
-    call, Phi^k and Q_k once per distinct gap, and the data-free variance
-    recursion, keeping the gain K_j and innovation variance v_j of every step.
-    """
+    """Exact likelihood scan over an omega0 grid for one index pattern: the
+    prediction-error decomposition of the AR(2) model of each grid point, a
+    Markov chain in its state of r = 2 (Jones 1980, Technometrics 22:389;
+    Gardner, Harvey & Phillips 1980, AS 154), O(n) per grid point and dataset.
+    ``__init__`` does all that depends only on the design and the grid: one
+    batched arma_state_space call, Phi^k and Q_k per distinct gap, and the
+    data-free variance recursion (``_filter``)."""
 
     def __init__(self, indices, grid, modulus=0.9, sigma2=1.0):
-        self.indices = np.asarray(indices, dtype=int)
+        self.indices = _as_indices(indices)
         self.grid = np.asarray(grid, dtype=float)
-        if self.indices.ndim != 1 or len(self.indices) == 0:
-            raise ValueError("indices must be a nonempty 1-d sequence")
-        self._order = np.argsort(self.indices, kind="stable")
-        gaps, gap_of_step = np.unique(np.diff(self.indices[self._order]), return_inverse=True)
-        phi1, phi2 = np.broadcast_arrays(*ar2_from_omega(self.grid, modulus))
-        gamma0, gamma1 = arma_autocovariance(np.stack([phi1, phi2]), (), sigma2, 1)
-        g = len(self.grid)
-        phi, noise = np.zeros((g, 2, 2)), np.zeros((g, 2, 2))
-        phi[:, 0, 0], phi[:, 0, 1], phi[:, 1, 0] = phi1, phi2, 1.0
-        noise[:, 0, 0] = sigma2
-        # the first step predicts from the stationary law: Phi^k = 0, Q = Gamma
-        stationary = np.stack([np.stack([gamma0, gamma1], -1), np.stack([gamma1, gamma0], -1)], -1)
-        moves = [(np.zeros_like(phi), stationary)]
-        moves += [_gap_transition(phi, noise, int(k)) for k in gaps]
-        # (transition, 2, 2, G): every coefficient is a contiguous (G,) row
-        self._phis, noises = (np.ascontiguousarray(np.moveaxis(np.stack(x), 1, -1))
-                              for x in zip(*moves))
-        self._step = np.concatenate([[0], gap_of_step + 1])
-        n = len(self._step)
-        self._gain, self._var = np.empty((n, g)), np.empty((n, g))
-        p = np.zeros(g)  # variance of x_{t-1} given the data up to x_t
-        with np.errstate(all="ignore"):
-            for j, s in enumerate(self._step):
-                (_, a01), (_, a11) = self._phis[s]
-                (q00, _), (q10, q11) = noises[s]
-                v = p * a01 * a01 + q00
-                c = p * a01 * a11 + q10
-                self._gain[j], self._var[j] = c / v, v
-                p = p * a11 * a11 + q11 - self._gain[j] * c
-        # a grid point fails from the first step whose innovation variance is
-        # not positive and finite (a repeated index gives v = 0); the steps
-        # after it run on v = 1, K = 0, so that no arithmetic warns
-        self._failed = np.logical_or.accumulate(~((0 < self._var) & (self._var < np.inf)), axis=0)
-        self._var[self._failed], self._gain[self._failed] = 1.0, 0.0
+        phi = np.stack(np.broadcast_arrays(*ar2_from_omega(self.grid, modulus)))
+        self._plan = _filter(self.indices, *arma_state_space(phi, (), sigma2))[0]
 
     def loglik(self, values, lengths=None):
         """Log-likelihood over the grid: a (G,) vector for one dataset of shape
@@ -223,39 +262,11 @@ class SurfaceScanner:
         to a scanner built on those indices alone.  Grid points whose
         innovation variance is not positive and finite come back NaN;
         non-finite data raises ValueError."""
-        n = len(self._step)
+        n = len(self.indices)
         ends = [n] if lengths is None else [int(length) for length in lengths]
         if not all(1 <= end <= n for end in ends):
             raise ValueError("prefix lengths must lie in [1, %d], got %r" % (n, lengths))
-        rows = _data_rows(values, n)
-        r, g = len(rows), len(self.grid)
-        # column j holds y_{j-1}; the first step's "previous value" is 0
-        data = np.zeros((r, n + 1))
-        data[:, 1:] = rows[:, self._order]
-        w, m, q, term = np.empty((r, g)), np.zeros((r, g)), np.zeros((r, g)), np.empty((r, g))
-        out, logdet = np.empty((len(ends), r, g)), np.zeros(g)
-        slots = {}  # step -> the outputs that end there
-        for i, end in enumerate(ends):
-            slots.setdefault(end - 1, []).append(i)
-        for j, (s, gain, var) in enumerate(zip(self._step, self._gain, self._var)):
-            (a00, a01), (a10, a11) = self._phis[s]
-            scale = 1.0 / np.sqrt(var)
-            pair = data[:, j:j + 2]
-            # w = e_j / sqrt(v_j) = (y_j - a00 y_{j-1} - a01 m) / sqrt(v_j)
-            np.matmul(pair, np.stack([-a00 * scale, scale]), out=w)
-            np.multiply(m, a01 * scale, out=term)
-            w -= term
-            # m <- a10 y_{j-1} + a11 m + K_j e_j, with e_j written out
-            m *= a11 - gain * a01
-            np.matmul(pair, np.stack([a10 - gain * a00, gain]), out=term)
-            m += term
-            np.square(w, out=w)
-            q += w
-            logdet += np.log(var)
-            for i in slots.get(j, ()):
-                np.add((j + 1) * _LOG_2PI + logdet, q, out=out[i])
-                out[i] *= -0.5
-                out[i][:, self._failed[j]] = np.nan
+        out = _scan(self._plan, values, ends)
         if np.ndim(values) == 1:
             out = out[:, 0]
         return out if lengths is not None else out[0]
@@ -267,8 +278,6 @@ def omega_surface(indices, values, grid, modulus=0.9, sigma2=1.0):
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    if len(np.asarray(values)) == 0:
-        raise ValueError("data must be nonempty")
     scanner = SurfaceScanner(indices, grid, modulus, sigma2)
     return LikelihoodSurface(grid, scanner.loglik(values), aligned=False)
 

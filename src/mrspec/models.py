@@ -20,6 +20,7 @@ __all__ = [
     "spectral_density",
     "basis_matrix",
     "arma_autocovariance",
+    "arma_state_space",
     "autocovariance",
     "levinson",
     "simulate",
@@ -39,7 +40,8 @@ class DesignError(ValueError):
 
 
 class NotPositiveDefiniteError(ArithmeticError):
-    """A covariance matrix failed its Cholesky factorization."""
+    """A covariance matrix is not positive definite: a Cholesky pivot, that is
+    an innovation variance of a prediction recursion, is not positive."""
 
     def __init__(self, message, smallest_pivot=None):
         super().__init__(message)
@@ -269,6 +271,19 @@ def _node_density(source, max_lag):
     return f
 
 
+def _psi_weights(phi, theta, count):
+    """psi_0..psi_{count-1}, the leading coefficients of theta(B) / phi(B), as a
+    list (entries broadcast over the batch axes of ``phi`` and ``theta``):
+    psi_0 = 1 and psi_j = theta_j + sum_{k=1}^{min(j,p)} phi_k psi_{j-k}, with
+    theta_j = 0 past q."""
+    theta = [1.0] + list(theta)
+    psi = [1.0]
+    for j in range(1, count):
+        head = theta[j] if j < len(theta) else 0.0
+        psi.append(head + sum(phi[k - 1] * psi[j - k] for k in range(1, min(j, len(phi)) + 1)))
+    return psi
+
+
 def arma_autocovariance(phi, theta, sigma2, max_lag):
     """Exact autocovariances gamma(0..max_lag) of causal ARMA processes
     phi(B) X_t = theta(B) Z_t with Var(Z_t) = sigma2, by the linear-system
@@ -297,10 +312,8 @@ def arma_autocovariance(phi, theta, sigma2, max_lag):
     batch = np.broadcast_shapes(phi.shape[1:], theta.shape[1:], np.shape(sigma2))
     p, q = len(phi), len(theta)
     m = max(p, q) + 1
+    psi = _psi_weights(phi, theta, q + 1)
     theta = [1.0] + list(theta)
-    psi = [1.0]
-    for j in range(1, q + 1):
-        psi.append(theta[j] + sum(phi[k - 1] * psi[j - k] for k in range(1, min(j, p) + 1)))
     system = np.zeros(batch + (m, m))
     rows = np.arange(m)
     system[..., rows, rows] = 1.0
@@ -316,6 +329,39 @@ def arma_autocovariance(phi, theta, sigma2, max_lag):
         # one product per coefficient, summed in lag order, so columns stay independent
         gamma[h] = sum(phi[j - 1] * gamma[h - j] for j in range(1, p + 1))
     return gamma
+
+
+def arma_state_space(phi, theta, sigma2):
+    """State-space form of the causal ARMA processes of arma_autocovariance
+    (same arguments and batch axes).  With r = max(p, q + 1), the state
+    s_t = (x_t, x^_{t+1|t}, ..., x^_{t+r-1|t}) of x_t and its predictions from
+    the infinite past is a Markov chain, s_{t+1} = T s_t + psi Z_{t+1}
+    (Akaike 1974; Gardner, Harvey & Phillips 1980, AS 154).
+
+    Returns (T, Q, P), each of shape batch + (r, r): T shifts the state up by
+    one and its last row holds phi_r .. phi_1; Q = sigma2 psi psi^T, with
+    psi_0..psi_{r-1} the psi-weights; P is the stationary state variance
+        P_ij = gamma(|i - j|) - sigma2 sum_{k < min(i,j)} psi_k psi_{k+|i-j|},
+    taken from the exact autocovariances rather than a Lyapunov solve, which
+    loses digits near the unit circle."""
+    phi = np.asarray(phi, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    p, r = len(phi), max(len(phi), len(theta) + 1)
+    batch = np.broadcast_shapes(phi.shape[1:], theta.shape[1:], np.shape(sigma2))
+    psi = np.empty(batch + (r,))
+    for j, weight in enumerate(_psi_weights(phi, theta, r)):
+        psi[..., j] = weight
+    transition = np.zeros(batch + (r, r))
+    transition[..., np.arange(r - 1), np.arange(1, r)] = 1.0
+    for j in range(1, p + 1):
+        transition[..., r - 1, r - j] = phi[j - 1]
+    rows, cols = np.indices((r, r))
+    # x_{t+i} = s_i + sum_{k<i} psi_k Z_{t+i-k}: row i of ``ahead`` holds those psi_k
+    ahead = np.where(rows > cols, psi[..., np.maximum(rows - cols - 1, 0)], 0.0)
+    gamma = np.moveaxis(arma_autocovariance(phi, theta, sigma2, r - 1), 0, -1)
+    scale = np.broadcast_to(sigma2, batch)[..., None, None]
+    stationary = gamma[..., np.abs(rows - cols)] - scale * (ahead @ np.swapaxes(ahead, -1, -2))
+    return transition, scale * psi[..., :, None] * psi[..., None, :], stationary
 
 
 def autocovariance(source, max_lag):

@@ -20,7 +20,14 @@ from mrspec.likelihood import (
     mc_average_surface,
     omega_surface,
 )
-from mrspec.models import DesignError, SpectralModel, ar2_from_omega, autocovariance, simulate
+from mrspec.models import (
+    DesignError,
+    NotPositiveDefiniteError,
+    SpectralModel,
+    ar2_from_omega,
+    autocovariance,
+    simulate,
+)
 
 
 def dense_oracle(indices, values, grid, modulus, sigma2=1.0):
@@ -148,12 +155,16 @@ class TestExactLoglik:
 
     @settings(max_examples=50, deadline=None)
     @given(phi2=st.floats(-0.9, 0.9), u=st.floats(-0.9, 0.9), theta=st.floats(-0.9, 0.9),
-           sigma2=st.floats(0.1, 10.0),
+           seasonal_ar=st.lists(st.floats(-0.9, 0.9), max_size=1),
+           seasonal_ma=st.lists(st.floats(-0.9, 0.9), max_size=1),
+           period=st.integers(2, 12), sigma2=st.floats(0.1, 10.0),
            indices=st.lists(st.integers(0, 200), min_size=1, max_size=25, unique=True),
            seed=st.integers(0, 2**32 - 1))
-    def test_random_index_sets_match_dense_cholesky(self, phi2, u, theta, sigma2, indices,
-                                                    seed):
-        model = SpectralModel(ar=(u * (1.0 - phi2), phi2), ma=(theta,),
+    def test_random_index_sets_match_dense_cholesky(self, phi2, u, theta, seasonal_ar,
+                                                    seasonal_ma, period, sigma2, indices, seed):
+        # seasonal factors at periods 2-12 give states of dimension up to 14
+        model = SpectralModel(ar=(u * (1.0 - phi2), phi2), ma=(theta,), seasonal_ar=seasonal_ar,
+                              seasonal_ma=seasonal_ma, season_period=period,
                               innovation_variance=sigma2)
         indices = np.asarray(indices)
         values = np.random.default_rng(seed).standard_normal(len(indices)) * np.sqrt(sigma2)
@@ -167,6 +178,25 @@ class TestExactLoglik:
     def test_rejects_duplicate_indices(self):
         with pytest.raises(ValueError):
             exact_loglik(SpectralModel(), [(0, 1.0), (0, 2.0)])
+
+    def test_fractional_index_is_named_not_truncated(self):
+        with pytest.raises(ValueError, match="2.5"):
+            exact_loglik(SpectralModel(ar=(0.5,)), [(0, 1.0), (2.5, 2.0)])
+        with pytest.raises(ValueError, match="2.5"):
+            SurfaceScanner(np.array([0.0, 2.5, 4.0]), default_omega_grid(5))
+        # whole numbers of any numeric type are indices
+        assert exact_loglik(SpectralModel(), [(0.0, 1.0), (2.0, 2.0)]) == pytest.approx(
+            norm.logpdf([1.0, 2.0]).sum(), abs=1e-12)
+
+    def test_observations_far_apart_are_independent(self):
+        # 10^6 steps apart the correlation is far below rounding, and the scan's
+        # cost grows with the log of the gap, not with the gap
+        model = SpectralModel(ar=(0.5, -0.2), ma=(0.3,), seasonal_ar=(0.7,),
+                              seasonal_ma=(-0.4,), season_period=12, innovation_variance=1.3)
+        values = np.array([0.4, -1.1])
+        got = exact_loglik(model, [(0, values[0]), (10**6, values[1])])
+        want = norm.logpdf(values, scale=np.sqrt(autocovariance(model, 0)[0])).sum()
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -295,15 +325,17 @@ class TestBatchedLoglik:
                 assert ll == pytest.approx(exact_loglik(model, zip(self.indices, v)), abs=1e-9)
 
     def test_failed_factorisation_is_nan_column(self, monkeypatch):
-        real = likelihood.arma_autocovariance
+        real = likelihood.arma_state_space
 
-        def second_point_not_positive_definite(*args):
-            # gamma(1) > gamma(0): the covariance of (x_t, x_{t+1}) is indefinite
-            gamma = real(*args)
-            gamma[:, 1] = [1.0, 10.0]
-            return gamma
+        def indefinite(points):
+            def state_space(*args):
+                # Cov(x_t, x^_{t+1|t}) > Var(x_t): the stationary state variance is indefinite
+                transition, noise, stationary = real(*args)
+                stationary[points] = [[1.0, 10.0], [10.0, 1.0]]
+                return transition, noise, stationary
+            return state_space
 
-        monkeypatch.setattr(likelihood, "arma_autocovariance", second_point_not_positive_definite)
+        monkeypatch.setattr(likelihood, "arma_state_space", indefinite(1))
         scanner = SurfaceScanner(self.indices, self.grid)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -312,6 +344,11 @@ class TestBatchedLoglik:
         assert np.isnan(batch[:, 1]).all()
         assert np.isfinite(np.delete(batch, 1, axis=1)).all()
         assert np.isnan(single[1]) and np.isfinite(np.delete(single, 1)).all()
+        # one model: the failed scan raises, naming where, instead of returning NaN
+        monkeypatch.setattr(likelihood, "arma_state_space", indefinite(Ellipsis))
+        model = SpectralModel(ar=ar2_from_omega(0.2, 0.9))
+        with pytest.raises(NotPositiveDefiniteError, match="at index 2 "):
+            exact_loglik(model, zip(self.indices, self._values(1)[0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_data_raises(self, bad):

@@ -14,6 +14,7 @@ from mrspec.models import (
     SpectralModel,
     ar2_from_omega,
     arma_autocovariance,
+    arma_state_space,
     autocovariance,
     levinson,
     simpson_grid,
@@ -286,6 +287,30 @@ class TestExactAutocovariance:
         gamma = autocovariance(model, 40)
         assert_close_to(gamma, psi_weight_gamma(phi, theta, sigma2, 40), 1e-10)
         assert all(v > 0 for _, v in levinson(gamma))
+
+
+class TestStateSpace:
+    def test_seasonal_state_reproduces_the_autocovariances(self):
+        # P is stationary under the transition, and x_t, the first component,
+        # has Cov(x_{t+h}, x_t) = (T^h)_0. P_.0 = gamma(h)
+        model = SpectralModel(ar=(0.5, -0.2), ma=(0.4,), seasonal_ar=(0.6,),
+                              seasonal_ma=(0.3,), season_period=4, innovation_variance=1.7)
+        phi, theta = -model.full_ar_poly()[1:], model.full_ma_poly()[1:]
+        transition, noise, stationary = arma_state_space(phi, theta, 1.7)
+        assert transition.shape == noise.shape == stationary.shape == (6, 6)
+        assert_close_to((transition @ stationary @ transition.T + noise).ravel(),
+                        stationary.ravel(), 1e-12)
+        lagged = [np.linalg.matrix_power(transition, h)[0] @ stationary[:, 0] for h in range(31)]
+        assert_close_to(lagged, autocovariance(model, 30), 1e-12)
+
+    def test_batched_entries_equal_single_calls(self):
+        rng = np.random.default_rng(7)
+        phi, theta = rng.uniform(-0.2, 0.2, (2, 4)), rng.uniform(-0.5, 0.5, (3, 4))
+        sigma2 = rng.uniform(0.5, 2.0, 4)
+        batch = arma_state_space(phi, theta, sigma2)
+        for j in range(4):
+            for got, want in zip(batch, arma_state_space(phi[:, j], theta[:, j], sigma2[j])):
+                assert np.array_equal(got[j], want)
 
 
 class TestSimulate:
