@@ -285,10 +285,11 @@ def omega_surface(indices, values, grid, modulus=0.9, sigma2=1.0):
 def mc_average_surface(design, keep_replicates=False, n_highs=None):
     """Monte Carlo average of max-aligned likelihood surfaces.
 
-    Replicate r simulates with seed design.seed ^ r; the reduction is in
-    replicate order, so the result does not depend on scheduling.  With
-    ``keep_replicates`` the per-replicate (unaligned) surfaces come back too,
-    as a (replicates, grid) matrix, for standard-error estimates.
+    Replicate r simulates with the r-th seed np.random.SeedSequence(design.seed)
+    spawns; the reduction is in replicate order, so the result does not
+    depend on scheduling.  With ``keep_replicates`` the per-replicate
+    (unaligned) surfaces come back too, as a (replicates, grid) matrix, for
+    standard-error estimates.
 
     ``n_highs``, a sequence of n_high values, asks for the nested designs that
     take every other field from ``design``: their base indices are prefixes
@@ -303,7 +304,7 @@ def mc_average_surface(design, keep_replicates=False, n_highs=None):
     indices = max(designs, key=lambda d: d.n_high).base_indices()
     truth = SpectralModel(ar=ar2_from_omega(design.omega_true, design.modulus))
     scanner = SurfaceScanner(indices, design.grid, design.modulus, 1.0)
-    seeds = [design.seed ^ r for r in range(design.replicates)]
+    seeds = np.random.SeedSequence(design.seed).spawn(design.replicates)
     paths = simulate_replicates(truth, int(indices[-1]) + 1, seeds)
     scans = scanner.loglik(paths[:, indices], [d.n_low + d.n_high for d in designs])
     results = []

@@ -40,8 +40,8 @@ class DesignError(ValueError):
 
 
 class NotPositiveDefiniteError(ArithmeticError):
-    """A covariance matrix is not positive definite: a Cholesky pivot, that is
-    an innovation variance of a prediction recursion, is not positive."""
+    """A covariance matrix is not positive (semi)definite: an innovation variance
+    of a prediction recursion is not positive, or an eigenvalue is negative."""
 
     def __init__(self, message, smallest_pivot=None):
         super().__init__(message)
@@ -383,42 +383,49 @@ def autocovariance(source, max_lag):
 
 
 def levinson(gamma):
-    """Durbin-Levinson recursion on autocovariances gamma(0..p).
+    """Durbin-Levinson recursion on autocovariances gamma(0..p), a 1-d vector.
 
-    Lags run along axis 0; a 2-d ``gamma`` holds one process per column, and
-    one recursion runs them all.  Yields (phi_t, v_t) for orders t = 0..p:
-    phi_t holds the coefficients of the best linear predictor of x_t from
-    x_{t-1}, ..., x_0 (most recent first, lags on axis 0) and v_t its
-    innovation variance, the t-th pivot of the Cholesky factorisation of
-    Toeplitz(gamma), so v_t <= 0 means that matrix is not positive definite.
-    phi_t is a view the next step overwrites.  Each column equals the
-    recursion on that column alone bit for bit: every inner product is summed
-    in lag order.
+    Yields (phi_t, v_t) for orders t = 0..p: phi_t holds the coefficients of
+    the best linear predictor of x_t from x_{t-1}, ..., x_0 (most recent
+    first) and v_t its innovation variance, the t-th pivot of the Cholesky
+    factorisation of Toeplitz(gamma), so v_t <= 0 means that matrix is not
+    positive definite.  phi_t is a view the next step overwrites.
     """
     gamma = np.asarray(gamma, dtype=float)
-    phi = np.empty((len(gamma) - 1,) + gamma.shape[1:])
+    phi = np.empty(len(gamma) - 1)
     v = gamma[0]
     yield phi[:0], v
     for t in range(1, len(gamma)):
         k = t - 1
-        a = (gamma[t] - np.vecdot(phi[:k], gamma[k:0:-1], axis=0)) / v
+        a = (gamma[t] - np.vecdot(phi[:k], gamma[k:0:-1])) / v
         phi[:k] -= a * phi[:k][::-1]
         phi[k] = a
         v = v * (1.0 - a * a)
         yield phi[:t], v
 
 
-def _levinson_paths(gamma, z):
-    """Colour standard normals ``z`` (time on axis 0, one column per path when
-    2-d) into paths with covariance Toeplitz(gamma) by the Durbin-Levinson
-    innovation recursion; NotPositiveDefiniteError at the first pivot <= 0."""
-    x = np.empty_like(z)
-    for t, (phi, v) in enumerate(levinson(gamma)):
-        if v <= 0:
-            raise NotPositiveDefiniteError("covariance not positive definite at step %d "
-                                           "(smallest pivot %.6g)" % (t, v), v)
-        x[t] = np.vecdot(phi, x[t - 1 :: -1][:t], axis=0) + np.sqrt(v) * z[t]
-    return x
+def _state_paths(transition, noise, stationary, window):
+    """Paths of the chain (T, Q, P) of arma_state_space, one per column of the
+    (n + r - 1, R) normals z in ``window``, as the rows of an (R, n) array:
+    s_0 = P^(1/2) z_{<r}, s_{t+1} = T s_t + sigma psi z_{r+t}, x_t = (s_t)_0.
+    Rows t..t+r-1 of the window hold s_t, so T's shift is free, and each
+    normal is overwritten once used.  Products are elementwise, each AR row
+    summed in lag order, so a path depends on its own normals alone, bit for
+    bit.  An eigenvalue of P below -1e-12 times the largest, or NaN, raises
+    NotPositiveDefiniteError; round-off ones below 0 count as 0."""
+    values, vectors = np.linalg.eigh(stationary)  # a singular P passes, unlike Cholesky
+    if not values[0] >= -1e-12 * values[-1]:  # NaN fails too
+        raise NotPositiveDefiniteError("stationary state variance not positive semidefinite "
+                                       "(eigenvalue %.6g)" % values[0], values[0])
+    root = vectors * np.sqrt(np.maximum(values, 0.0))
+    r, gain = len(root), noise[:, :1] / np.sqrt(noise[0, 0])  # sigma psi, as psi_0 = 1
+    ar = [(c, r - j) for j, c in enumerate(transition[-1, ::-1], start=1) if c]
+    window[:r] = sum(root[:, k, None] * window[k] for k in range(r))
+    for t in range(len(window) - r):
+        kick = gain * window[t + r]
+        window[t + r] = sum(c * window[t + lag] for c, lag in ar)
+        window[t + 1 : t + r + 1] += kick
+    return window[: len(window) - r + 1].T
 
 
 def _normals(n, seeds):
@@ -459,18 +466,21 @@ def simulate_replicates(source, n, seeds):
     """Zero-mean Gaussian paths of length n of one process, one per seed, as
     the rows of a (len(seeds), n) array; row r depends only on seeds[r].
 
-    A SpectralModel path has its exact Toeplitz(gamma) covariance, by the
-    Durbin-Levinson recursion (NotPositiveDefiniteError at a pivot <= 0).  A
-    LogSpectrum or callable path has exactly the Toeplitz(gamma~) of
+    A SpectralModel path has its exact Toeplitz(gamma) covariance, as the
+    first component of the arma_state_space chain started from its stationary
+    law (NotPositiveDefiniteError if that variance has a clearly negative
+    eigenvalue).  A LogSpectrum or callable path has exactly the Toeplitz(gamma~) of
     ``autocovariance``, by circulant embedding, which has no pivot to fail;
     a density that is not finite and positive raises ModelInvariantError.
-    The autocovariance and recursion, or the density and FFT, are computed
-    once for all rows."""
+    The state-space form, or the density and FFT, are computed once for all
+    rows."""
     if not isinstance(source, SpectralModel):
         f = _node_density(source, _max_lag(n))
         return _circulant_paths(f, _normals(2 * len(f) - 2, seeds), n)
-    gamma = autocovariance(source, _max_lag(n))
-    return _levinson_paths(gamma, np.ascontiguousarray(_normals(n, seeds).T)).T
+    chain = arma_state_space(-source.full_ar_poly()[1:], source.full_ma_poly()[1:],
+                             source.innovation_variance)
+    count = _max_lag(n) + len(chain[0])  # n + r - 1 normals per path
+    return _state_paths(*chain, np.ascontiguousarray(_normals(count, seeds).T))
 
 
 _CHUNK = 25  # paths per FFT batch, which bounds the (chunk, 2m) transients

@@ -96,6 +96,19 @@ class TestLoglikSurface:
         assert len(omega) == 9
         assert np.nanmax(ll) == 0.0
 
+    def test_distinct_seeds_give_distinct_surfaces(self, tmp_path):
+        # seeds that differ only below the replicate count once drew the same
+        # replicates in another order
+        cfg = {"n_low": 12, "n_high": 2, "replicates": 100, "omega_true": 0.3,
+               "grid_points": 9}
+        surfaces = []
+        for seed in ("0", "1"):
+            code, out = run(tmp_path, "loglik-surface", cfg, out="seed" + seed,
+                            extra=["--seed", seed])
+            assert code == 0
+            surfaces.append(read_csv(out / "surface.csv")[1][1])
+        assert np.abs(surfaces[0] - surfaces[1]).max() > 1e-6
+
     def test_sweep_writes_one_file_per_setting(self, tmp_path):
         code, out = run(tmp_path, "loglik-surface",
                         {"n_low": 12, "n_high_list": [0, 2], "replicates": 2,

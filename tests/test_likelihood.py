@@ -378,8 +378,9 @@ class TestMcAverageSurface:
         indices = design.base_indices()
         scanner = SurfaceScanner(indices, design.grid)
         truth = SpectralModel(ar=ar2_from_omega(design.omega_true, design.modulus))
-        for r, row in enumerate(per_rep):
-            path = simulate(truth, int(indices[-1]) + 1, design.seed ^ r)
+        seeds = np.random.SeedSequence(design.seed).spawn(design.replicates)
+        for row, seed in zip(per_rep, seeds, strict=True):
+            path = simulate(truth, int(indices[-1]) + 1, seed)
             assert np.allclose(row, scanner.loglik(path.values[indices]), rtol=0, atol=1e-9)
 
     def test_aligned_and_deterministic(self):

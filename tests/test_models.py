@@ -6,6 +6,7 @@ from scipy.fft import irfft
 from scipy.linalg import toeplitz
 
 from mrspec import models
+from mrspec.cli import main
 from mrspec.models import (
     LogSpectrum,
     ModelInvariantError,
@@ -354,20 +355,6 @@ class TestLevinson:
             assert v == pytest.approx(1.3, rel=1e-10)
 
 
-    def test_stacked_columns_equal_1d_recursion(self):
-        sources = [SpectralModel(ar=(0.7, -0.2), ma=(0.3,)),
-                   SpectralModel(ar=ar2_from_omega(0.3, 0.95)),
-                   LogSpectrum(np.array([0.2, -0.5, 0.3]))]
-        gammas = np.stack([autocovariance(s, 80) for s in sources], axis=1)
-        stacked = [(phi.copy(), v.copy()) for phi, v in levinson(gammas)]
-        assert stacked[-1][0].shape == (80, 3)
-        for j in range(len(sources)):
-            single = levinson(gammas[:, j].copy())
-            for (phi, v), (phi1, v1) in zip(stacked, single, strict=True):
-                assert np.array_equal(phi[:, j], phi1)
-                assert v[j] == v1
-
-
 class TestSimulateLogSpectra:
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     def test_rows_equal_simulate_or_fail_where_it_raises(self):
@@ -411,16 +398,83 @@ class TestSimulateReplicates:
         for row, seed in zip(paths, seeds):
             assert np.array_equal(row, simulate(model, 40, seed).values)
 
-    def test_non_positive_pivot_raises(self, monkeypatch):
-        # Toeplitz([1, 0.9, 0]) has eigenvalue 1 - 0.9 * sqrt(2) < 0; the
-        # pivots of steps 2 and 3 are both negative, and step 2 is reported
-        gamma = np.array([1.0, 0.9, 0.0, -0.9, 0.0])
-        monkeypatch.setattr(models, "autocovariance", lambda *args: gamma)
-        with pytest.raises(NotPositiveDefiniteError, match="at step 2 ") as err:
-            simulate(SpectralModel(), 5, 0)
-        assert err.value.smallest_pivot == pytest.approx(-3.2631578947368434, rel=1e-12)
-        with pytest.raises(NotPositiveDefiniteError, match="at step 2 "):
-            simulate_replicates(SpectralModel(), 5, [0, 1])
+    def test_non_positive_pivot_raises(self, monkeypatch, tmp_path):
+        real = models.arma_state_space
+
+        def indefinite(*args):
+            # Cov(x_t, x^_{t+1|t}) > Var(x_t): the stationary state variance has
+            # eigenvalues 11 and -9
+            transition, noise, stationary = real(*args)
+            stationary[...] = [[1.0, 10.0], [10.0, 1.0]]
+            return transition, noise, stationary
+
+        monkeypatch.setattr(models, "arma_state_space", indefinite)
+        model = SpectralModel(ar=(0.5, -0.2))
+        with pytest.raises(NotPositiveDefiniteError, match="eigenvalue -9") as err:
+            simulate(model, 5, 0)
+        assert err.value.smallest_pivot == pytest.approx(-9.0, rel=1e-12)
+        with pytest.raises(NotPositiveDefiniteError, match="eigenvalue -9"):
+            simulate_replicates(model, 5, [0, 1])
+        config = tmp_path / "sim.json"
+        config.write_text('{"model": {"ar": [0.5, -0.2], "sigma2": 1.0}, "n": 5}')
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run")]) == 3
+
+
+def state_space(model):
+    return arma_state_space(-model.full_ar_poly()[1:], model.full_ma_poly()[1:],
+                            model.innovation_variance)
+
+
+def linear_map(model, n):
+    """The (n, n + r - 1) matrix A with path = A z for the normals z of a
+    SpectralModel path: column k is the path from the k-th unit normal."""
+    chain = state_space(model)
+    return models._state_paths(*chain, np.eye(n + len(chain[0]) - 1)).T
+
+
+def assert_exact_paths(model, n):
+    gamma = autocovariance(model, n - 1)
+    a = linear_map(model, n)
+    assert np.abs(a @ a.T - toeplitz(gamma)).max() <= 1e-12 * gamma[0]
+    # simulate is that linear map of the normals drawn from its seed
+    z = np.random.default_rng(5).standard_normal(a.shape[1])
+    np.testing.assert_allclose(simulate(model, n, 5).values, a @ z,
+                               rtol=0, atol=1e-12 * np.sqrt(gamma[0]))
+
+
+# the range of the likelihood's random SARMA models: at +-0.95, near-cancelling
+# factors can put the computed gamma 1e-11 of gamma(0) off the true one, and
+# by n = 50 these paths come within 10% of the bound (a Durbin-Levinson
+# colouring of the same gamma reaches 9e-12)
+SARMA_COEFFICIENTS = st.floats(-0.9, 0.9)
+
+
+class TestStatePaths:
+    @settings(max_examples=60, deadline=None)
+    @given(phi2=SARMA_COEFFICIENTS, u=SARMA_COEFFICIENTS,
+           ma=st.lists(SARMA_COEFFICIENTS, max_size=1),
+           seasonal_ar=st.lists(SARMA_COEFFICIENTS, max_size=1),
+           seasonal_ma=st.lists(SARMA_COEFFICIENTS, max_size=1),
+           period=st.integers(1, 12), sigma2=st.floats(0.1, 10.0), n=st.integers(1, 50))
+    def test_covariance_of_linear_map_is_toeplitz_of_autocovariance(
+            self, phi2, u, ma, seasonal_ar, seasonal_ma, period, sigma2, n):
+        # seasonal factors at periods 1-12 give states of dimension up to 14
+        model = SpectralModel(ar=(u * (1.0 - phi2), phi2), ma=ma, seasonal_ar=seasonal_ar,
+                              seasonal_ma=seasonal_ma, season_period=period,
+                              innovation_variance=sigma2)
+        assert_exact_paths(model, n)
+
+    @pytest.mark.parametrize("model", [
+        # x^_{t+1|t} = 0.5 x_t: the state variance has a zero eigenvalue up to round-off
+        SpectralModel(ar=(0.5, 0.0)),
+        # white noise with a cancelled root: x^_{t+1|t} = 0, an exact zero eigenvalue
+        SpectralModel(ar=(0.5,), ma=(-0.5,)),
+    ])
+    def test_singular_stationary_variance(self, model):
+        # a plain Cholesky factorisation of such a variance fails
+        values = np.linalg.eigvalsh(state_space(model)[2])
+        assert abs(values[0]) <= 1e-15 * values[-1]
+        assert_exact_paths(model, 30)
 
 
 def ar1_density(w):
