@@ -18,27 +18,29 @@ def principal_frequency(omega):
     return np.where(u > 0.5, 1.0 - u, u)
 
 
-def fold_branches(nus, delta):
+def fold_branches(nus, delta, k=None):
     """The source frequencies principal_frequency((nu + k)/delta), k < delta, that
-    stride-``delta`` sampling folds onto each coarse frequency nu, on a new last axis."""
+    stride-``delta`` sampling folds onto each coarse frequency nu, on a new last
+    axis; given ``k``, that branch alone, in the shape of ``nus`` and equal to
+    that slice of the whole bit for bit."""
     if not isinstance(delta, Integral) or delta < 1:
         raise ValueError("delta must be an integer >= 1, got %r" % (delta,))
-    return principal_frequency((np.asarray(nus, dtype=float)[..., None] + np.arange(delta)) / delta)
+    nus = np.asarray(nus, dtype=float)
+    if k is None:
+        nus, k = nus[..., None], np.arange(delta)
+    return principal_frequency((nus + k) / delta)
 
 
-def branch_mean(values, delta, out=None):
-    """Mean over the fold branches of values laid out along the last axis as
-    ``fold_branches(nus, delta).ravel()``: delta consecutive branches per
-    frequency.  It sums the delta strided slices ``values[..., k::delta]`` in
-    branch order and divides by delta, into ``out`` when given.  Below 8 branches
-    that is the order numpy's ``mean`` over a branch axis sums in, so the result
-    equals it bit for bit; at delta >= 8 numpy sums pairwise, and the two can
-    differ in the last bit."""
-    if out is None:
-        out = np.empty(values.shape[:-1] + (values.shape[-1] // delta,))
-    np.copyto(out, values[..., 0::delta])
+def branch_mean(branch, delta, out):
+    """Mean over the fold branches k = 0..delta-1 of the arrays ``branch(k)``,
+    into ``out``: branch 0 copied, each later branch added in branch order, then
+    divided by delta.  Only one branch need exist at a time, so no (..., delta)
+    array is built.  Below 8 branches that is the order numpy's ``mean`` over a
+    branch axis sums in, so the result equals it bit for bit; at delta >= 8
+    numpy sums pairwise, and the two can differ in the last bit."""
+    np.copyto(out, branch(0))
     for k in range(1, delta):
-        out += values[..., k::delta]
+        out += branch(k)
     out /= delta
     return out
 
@@ -48,17 +50,22 @@ def fold(source, delta, nus):
 
     f_delta(nu) = (1/delta) * sum_k f_ext((nu + k)/delta) for nu in [0, 1/2]
     in units of the coarse sampling rate, so that the coarse autocovariance
-    satisfies gamma_delta(h) = gamma(delta*h).
+    satisfies gamma_delta(h) = gamma(delta*h).  The density is evaluated one
+    branch at a time.
     """
     nus = np.asarray(nus, dtype=float)
     if np.any(nus < 0) or np.any(nus > 0.5):
         raise ValueError("frequencies must lie in [0, 1/2]")
-    vals = density_of(source)(fold_branches(nus, delta).ravel())
+    density = density_of(source)
+
+    def branch(k):
+        return density(fold_branches(nus, delta, k).ravel())
+
     with np.errstate(over="ignore"):  # finite branch values can sum past the float range
-        folded = branch_mean(vals, delta).reshape(nus.shape)
+        folded = branch_mean(branch, delta, np.empty(nus.size)).reshape(nus.shape)
     if np.isinf(folded).any():
         raise ModelInvariantError("folded spectrum too large for a float (largest branch "
-                                  "value %.6g)" % vals.max())
+                                  "value %.6g)" % max(branch(k).max() for k in range(delta)))
     return folded
 
 

@@ -218,40 +218,85 @@ class ForecastMoments:
 
     @cached_property
     def inverse_factor(self):
-        """L^-1, made once from ``factor``; every data vector is whitened by it.
-        It is lower triangular, as L is, so leading entries of z = L^-1 (d - E(D))
-        depend only on leading entries of d."""
-        return np.tril(np.linalg.inv(self.factor))
+        """L^-1, made once from ``factor`` by ``_invert_lower``; every data vector
+        is whitened by it.  It is lower triangular, as L is, with exact zeros above
+        the diagonal, so leading entries of z = L^-1 (d - E(D)) depend only on
+        leading entries of d."""
+        inverse = np.zeros_like(self.factor)
+        _invert_lower(self.factor, inverse)
+        return inverse
 
     @cached_property
     def whitened(self):
         """W = L^-1 Cov(D, beta), shape (K, M); its leading rows belong to the
-        leading blocks of D, because L is lower triangular."""
-        return np.linalg.solve(self.factor, self.cross.T)
+        leading blocks of D, because L^-1 is lower triangular."""
+        return self.inverse_factor @ self.cross.T
 
 
-def _branch_basis(datasets, size):
-    """Basis matrices at the folded branch frequencies of each dataset."""
-    return [basis_matrix(fold_branches(data.frequencies, data.stride).ravel(), size)
-            for data in datasets]
+# rows up to which _invert_lower substitutes forward instead of halving
+_SUBSTITUTION_ROWS = 64
+
+
+def _invert_lower(lower, out):
+    """Write the inverse of a nonsingular lower triangular matrix into the lower
+    triangle of ``out``, by halves: [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B
+    A^-1, C^-1]], down to blocks of at most ``_SUBSTITUTION_ROWS`` rows, which
+    forward substitution inverts one row at a time.  No pivoting, and no entry
+    above the diagonal is written."""
+    n = len(lower)
+    if n <= _SUBSTITUTION_ROWS:
+        recip = 1.0 / np.diagonal(lower)
+        np.fill_diagonal(out, recip)
+        for i in range(1, n):
+            out[i, :i] = (lower[i, :i] @ out[:i, :i]) * -recip[i]
+        return
+    h = n // 2
+    _invert_lower(lower[:h, :h], out[:h, :h])
+    _invert_lower(lower[h:, h:], out[h:, h:])
+    np.matmul(out[h:, h:], lower[h:, :h] @ out[:h, :h], out=out[h:, :h])
+    np.negative(out[h:, :h], out=out[h:, :h])
+
+
+def _branch_basis(data, size, k):
+    """Basis matrix at fold branch k of each of the dataset's frequencies."""
+    return basis_matrix(fold_branches(data.frequencies, data.stride, k), size)
+
+
+def _fold_draws(betas, data, out, buffer):
+    """The fold of exp(log-spectrum) at the dataset's frequencies for each draw,
+    into the (S, n_freq) ``out``: ``branch_mean`` over the branches, each the
+    product of the draws with that branch's basis, exponentiated in place in the
+    first S * n_freq entries of the flat ``buffer``.  At stride 1 the one branch
+    is made in ``out`` itself."""
+    def branch(k, into):
+        np.matmul(betas, _branch_basis(data, betas.shape[1], k).T, out=into)
+        return np.exp(into, out=into)
+
+    if data.stride == 1:
+        branch(0, out)
+    else:
+        into = buffer[:out.size].reshape(out.shape)
+        branch_mean(lambda k: branch(k, into), data.stride, out)
 
 
 def forecast_moments(prior, datasets, mc_samples=2000, seed=0):
     """Monte Carlo prior moments of the stacked log-periodogram vector D.
 
     Each prior draw beta maps to mu_j = log fold(exp(log-spectrum), delta)(nu_j)
-    - EULER_GAMMA.  The fold is ``branch_mean`` written into each dataset's
-    columns of one (S, K) matrix, so at strides 1-7 the sampled means equal, bit
-    for bit, a mean over a reshaped branch axis; at a stride of 8 or more they
-    can differ from it in the last bit.  The moments regress the centred mu on
-    the centred standard scores x = (beta - E beta) U Lambda^-1/2, whose mean 0
-    and variance I are exact (the control-variate estimator; Glasserman, Monte
-    Carlo Methods in Financial Engineering, 2004, sec. 4.1).  With P = x^T mu and
-    C = (x^T x)^-1 P: Cov(beta, D) = U Lambda^1/2 C, E(D) = mean(mu) - mean(x) C
-    and Var(D) = C^T C + (mu^T mu - P^T C) / (S - 1 - rank) + (pi^2/6) I, the
-    last term the log-periodogram noise.  A stride-1 block is linear in beta, so
-    its moments are exact up to rounding, and every canonical correlation of
-    beta and D is below 1.
+    - EULER_GAMMA.  The fold sums one branch at a time (``branch_mean``) into
+    each dataset's columns of one (S, K) matrix, so besides it only one (S,
+    n_freq) branch exists at a time, whatever the stride; at strides 1-7 the
+    sampled means equal, bit for bit, numpy's mean of the same branches over a
+    branch axis, and at a stride of 8 or more they can differ from it in the
+    last bit.  The moments
+    regress the centred mu on the centred standard scores x = (beta - E beta) U
+    Lambda^-1/2, whose mean 0 and variance I are exact (the control-variate
+    estimator; Glasserman, Monte Carlo Methods in Financial Engineering, 2004,
+    sec. 4.1).  With P = x^T mu and C = (x^T x)^-1 P: Cov(beta, D) = U Lambda^1/2
+    C, E(D) = mean(mu) - mean(x) C and Var(D) = C^T C + (mu^T mu - P^T C) / (S -
+    1 - rank) + (pi^2/6) I, the last term the log-periodogram noise.  A stride-1
+    block is linear in beta, so its moments are exact up to rounding, and every
+    canonical correlation of beta and D is below 1.
     """
     if mc_samples < 500:
         raise DesignError("mc_samples must be >= 500, got %r" % (mc_samples,))
@@ -280,19 +325,20 @@ def forecast_moments(prior, datasets, mc_samples=2000, seed=0):
 
     blocks = tuple((d.series_id, len(d.frequencies)) for d in datasets)
     mu = np.empty((mc_samples, sum(length for _, length in blocks)))
+    buffer = np.empty(mc_samples * max((len(d.frequencies) for d in datasets if d.stride > 1),
+                                       default=0))
     start = 0
     # a prior too wide for exp overflows here; that is reported below, not warned about
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for data, psi, (_, length) in zip(datasets, _branch_basis(datasets, size), blocks):
-            spectra = betas @ psi.T  # (S, n_freq * delta): log f at the fold branches
-            np.exp(spectra, out=spectra)
-            branch_mean(spectra, data.stride, out=mu[:, start:start + length])
+        for data, (_, length) in zip(datasets, blocks):
+            _fold_draws(betas, data, mu[:, start:start + length], buffer)
             start += length
-            del spectra
+        del buffer
         np.log(mu, out=mu)
         mu -= EULER_GAMMA
     if not np.all(np.isfinite(mu)):
-        peak = max(float((betas @ psi.T).max()) for psi in _branch_basis(datasets, size))
+        peak = max(float((betas @ _branch_basis(data, size, k).T).max())
+                   for data in datasets for k in range(data.stride))
         raise AdjustmentError(
             "prior too wide for exp: the forecast log-periodogram means are not finite "
             "(largest sampled log-spectrum value %.6g)" % peak)

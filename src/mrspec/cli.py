@@ -3,7 +3,8 @@ CSV/JSON/SVG emission.
 
 Each command's config keys, with their readers and defaults, are one entry of
 ``_FIELDS``, read by ``serialize.read_fields``; a key outside it is a config
-error.  Exit codes: 0 success, 2 input/config error, 3 numerical failure.
+error.  Exit codes: 0 success, 2 input/config error, 3 numerical failure,
+including an array too large to allocate.
 Every run writes a manifest echoing the config as given (with ``--seed``
 applied), and reruns with the same config produce byte-identical CSV output.
 """
@@ -321,7 +322,8 @@ def main(argv=None):
     except (ConfigError, DesignError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except (ArithmeticError, ValueError) as exc:
+    # MemoryError: a size in the config too large to allocate
+    except (ArithmeticError, ValueError, MemoryError) as exc:
         print("numerical error: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
     return 0

@@ -472,18 +472,31 @@ def simulate_replicates(source, n, seeds):
     eigenvalue).  A LogSpectrum or callable path has exactly the Toeplitz(gamma~) of
     ``autocovariance``, by circulant embedding, which has no pivot to fail;
     a density that is not finite and positive raises ModelInvariantError.
-    The state-space form, or the density and FFT, are computed once for all
-    rows."""
+    The state-space form, or the density, is computed once for all rows; the
+    normals and FFTs of the circulant embedding go in ``_chunks`` of rows."""
     if not isinstance(source, SpectralModel):
         f = _node_density(source, _max_lag(n))
-        return _circulant_paths(f, _normals(2 * len(f) - 2, seeds), n)
+        paths = np.empty((len(seeds), n))
+        width = 2 * len(f) - 2
+        for rows in _chunks(len(seeds), width):
+            paths[rows] = _circulant_paths(f, _normals(width, [seeds[r] for r in rows]), n)
+        return paths
     chain = arma_state_space(-source.full_ar_poly()[1:], source.full_ma_poly()[1:],
                              source.innovation_variance)
     count = _max_lag(n) + len(chain[0])  # n + r - 1 normals per path
     return _state_paths(*chain, np.ascontiguousarray(_normals(count, seeds).T))
 
 
-_CHUNK = 25  # paths per FFT batch, which bounds the (chunk, 2m) transients
+# bytes of normals per chunk of circulant paths: at most 10 rows at 2m = 8192,
+# so each (chunk, 2m) transient of the embedding stays near 0.65 MB
+_CHUNK_BYTES = 10 * 8192 * 8
+
+
+def _chunks(count, width):
+    """Row indices 0..count-1 in consecutive chunks of as many rows of ``width``
+    floats as ``_CHUNK_BYTES`` holds, at least one."""
+    step = max(1, _CHUNK_BYTES // (8 * width))
+    return (np.arange(start, min(start + step, count)) for start in range(0, count, step))
 
 
 def simulate_log_spectra(log_spectra, n, seeds):
@@ -493,13 +506,12 @@ def simulate_log_spectra(log_spectra, n, seeds):
     ``ok[r]`` is False, and row r NaN, exactly where ``simulate(log_spectra[r],
     n, seeds[r])`` raises ModelInvariantError; elsewhere row r
     equals that path bit for bit.  The cosine basis on the nodes is shared and
-    one FFT colours each batch of ``_CHUNK`` rows; each log-density stays its
+    one FFT colours each of the ``_chunks`` of rows; each log-density stays its
     own matrix-vector product, as a stacked product changes the last bits."""
     basis = basis_matrix(_autocovariance_nodes(_max_lag(n)), log_spectra[0].size)
     paths = np.full((len(seeds), n), np.nan)
     ok = np.zeros(len(seeds), dtype=bool)
-    for start in range(0, len(seeds), _CHUNK):
-        rows = np.arange(start, min(start + _CHUNK, len(seeds)))
+    for rows in _chunks(len(seeds), 2 * len(basis) - 2):
         f = np.stack([np.exp(basis @ log_spectra[r].coefficients) for r in rows])
         ok[rows] = good = _admissible(f)
         if good.any():

@@ -299,10 +299,14 @@ class TestForecastMoments:
         assert np.all(np.isfinite(moments.cross))
 
 
-def reshape_mean(values, delta, out):
+def reshape_mean(branch, delta, out):
     """The fold step ``forecast_moments`` took before ``branch_mean``: numpy's
-    mean over a reshaped (..., n_freq, delta) branch axis."""
-    np.copyto(out, values.reshape(values.shape[:-1] + (-1, delta)).mean(axis=-1))
+    mean over a branch axis with every branch held at once, the (..., n_freq,
+    delta) reshape of the old (S, n_freq * delta) product."""
+    values = np.empty(out.shape + (delta,))
+    for k in range(delta):
+        values[..., k] = branch(k)
+    np.copyto(out, values.mean(axis=-1))
     return out
 
 
@@ -320,9 +324,18 @@ class TestFoldStepMatchesReshapedMean:
         layouts = [PeriodogramData.layout("s%d" % i, stride, n)
                    for i, (stride, n) in enumerate(cells)]
         got = forecast_moments(prior, layouts, mc_samples, seed)
+        strides = []
+
+        def reference(branch, delta, out):
+            strides.append(delta)
+            return reshape_mean(branch, delta, out)
+
         with monkeypatch.context() as patch:
-            patch.setattr(beliefs, "branch_mean", reshape_mean)
+            patch.setattr(beliefs, "branch_mean", reference)
             want = forecast_moments(prior, layouts, mc_samples, seed)
+        # the reference folded every block with more than one branch, so the
+        # comparison is not of the new fold step with itself
+        assert strides == [stride for stride, _ in cells if stride > 1]
         return beliefs._reflection_symmetric(prior, layouts), got, want
 
     @pytest.mark.parametrize("cells,antithetic", [
@@ -342,6 +355,19 @@ class TestFoldStepMatchesReshapedMean:
         _, got, want = self.both(monkeypatch, cells)
         for name in ("mean", "variance", "cross", "whitened"):
             assert_close(getattr(got, name), getattr(want, name), PAIRWISE_TOL)
+
+
+class TestFoldMemory:
+    def test_peak_does_not_grow_with_the_stride(self, traced_peak):
+        # one branch is held at a time, so a stride-6 fold needs one (S, n_freq)
+        # buffer more than a stride-1 one, not six times the product
+        prior = PriorSpec().to_state()
+
+        def peak(stride):
+            layout = PeriodogramData.layout("a", stride, 128)
+            return traced_peak(lambda: forecast_moments(prior, [layout], 2000, 0))
+
+        assert peak(6) <= 1.5 * peak(1)
 
 
 class TestAdjust:
@@ -516,8 +542,9 @@ class TestOneFactorisation:
         layouts = [PeriodogramData.layout("a", 2, 20), PeriodogramData.layout("b", 1, 16),
                    PeriodogramData.layout("c", 3, 24)]
         observed = [np.zeros(len(l.frequencies)) for l in layouts]
-        factored, eigh_shapes = [], []
+        factored, eigh_shapes, lu_shapes = [], [], []
         real_cholesky, real_eigh = np.linalg.cholesky, np.linalg.eigh
+        real_inv, real_solve = np.linalg.inv, np.linalg.solve
 
         def cholesky(a, *args, **kwargs):
             factored.append(a.shape)
@@ -527,8 +554,18 @@ class TestOneFactorisation:
             eigh_shapes.append(np.shape(a))
             return real_eigh(a, *args, **kwargs)
 
+        def inv(a, *args, **kwargs):
+            lu_shapes.append(np.shape(a))
+            return real_inv(a, *args, **kwargs)
+
+        def solve(a, *args, **kwargs):
+            lu_shapes.append(np.shape(a))
+            return real_solve(a, *args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        monkeypatch.setattr(np.linalg, "solve", solve)
         k = sum(len(l.frequencies) for l in layouts)
         sequential_adjust(prior, layouts, observed, mc_samples=600, seed=0)
         assert factored == [(k, k)]
@@ -537,6 +574,25 @@ class TestOneFactorisation:
         adjust(prior, moments, np.concatenate(observed))
         assert factored == [(k, k)] * 2
         assert set(eigh_shapes) == {(8, 8)}
+        # the only LU is the regression's, on the prior's rank: L^-1 and W come by
+        # triangular arithmetic from the one factor
+        assert set(lu_shapes) == {(8, 8)}
+
+
+class TestLowerInverse:
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_inverse_by_halves(self, size, seed):
+        # a Var(D) as forecast_moments makes it: C^T C + pi^2/6 I
+        rng = np.random.default_rng(seed)
+        coef = rng.standard_normal((rng.integers(1, 40), size))
+        cross = rng.standard_normal((rng.integers(1, 40), size))
+        moments = ForecastMoments(np.zeros(size), coef.T @ coef + LOG_PGRAM_VARIANCE * np.eye(size),
+                                  cross, (("d", size),))
+        factor, inverse = moments.factor, moments.inverse_factor
+        assert np.all(inverse[np.triu_indices(size, 1)] == 0.0)
+        assert_close(inverse @ factor, np.eye(size), 1e-13)
+        assert_close(moments.whitened, np.linalg.solve(factor, cross.T), 1e-12)
 
 
 def assert_textbook_update(prior, moments, observed, state):

@@ -489,6 +489,25 @@ class TestExitCodes:
         assert "got mc_samples 500 for rank 600" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,cfg", [
+        ("estimate", {"mc_samples": 10**12}),
+        ("compare-interp", {"mc_samples": 10**12}),
+        ("spectrum", {"model": {"ar": [0.5], "sigma2": 1.0}, "grid_points": 10**12}),
+    ])
+    def test_size_too_large_to_allocate_is_numerical_error(self, tmp_path, capsys, command,
+                                                           cfg):
+        # numpy's MemoryError: one line and exit 3, not a traceback and exit 1
+        if command == "estimate":
+            code, sim = run(tmp_path, "simulate", {"model": {"sigma2": 1.0}, "n": 32}, out="sim")
+            assert code == 0
+            cfg = dict(cfg, series=[str(sim / "series.csv")])
+            capsys.readouterr()
+        code, out = run(tmp_path, command, cfg)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("cell", [[1, 4], [1], [1, "x"]])
     def test_bad_bench_segment_is_config_error(self, tmp_path, capsys, cell):
         code, out = run(tmp_path, "bench", {"d1_cells": [cell], "d2_cells": [[1, 16]],

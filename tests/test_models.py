@@ -380,13 +380,38 @@ class TestSimulateLogSpectra:
 
     def test_rows_do_not_depend_on_their_batch(self):
         rng = np.random.default_rng(2)
-        spectra = [LogSpectrum(rng.standard_normal(5)) for _ in range(2 * models._CHUNK + 3)]
+        chunk = chunk_rows()
+        spectra = [LogSpectrum(rng.standard_normal(5)) for _ in range(2 * chunk + 3)]
         seeds = [9 ^ r for r in range(len(spectra))]
         paths, ok = simulate_log_spectra(spectra, 64, seeds)
         assert ok.all()
-        for r in (0, models._CHUNK - 1, models._CHUNK, len(spectra) - 1):
+        for r in (0, chunk - 1, chunk, len(spectra) - 1):
             alone, _ = simulate_log_spectra(spectra[r : r + 1], 64, seeds[r : r + 1])
             assert np.array_equal(alone[0], paths[r])
+
+
+def chunk_rows(n=64):
+    """Rows per chunk of the circulant embedding of a length-n path."""
+    return len(next(models._chunks(10**6, 2 * len(models._autocovariance_nodes(n - 1)) - 2)))
+
+
+class TestCirculantMemory:
+    @pytest.mark.parametrize("simulate_rows", [
+        lambda spectra, n, seeds: simulate_log_spectra(spectra, n, seeds),
+        lambda spectra, n, seeds: simulate_replicates(spectra[0], n, seeds),
+    ], ids=["simulate_log_spectra", "simulate_replicates"])
+    def test_peak_grows_with_replicates_only_by_the_paths(self, traced_peak, simulate_rows):
+        # the normals and FFTs go a chunk of rows at a time, so from one chunk
+        # to four only the (R, n) paths grow; seeds and the mask are below 2 KB
+        n = 896
+        chunk = chunk_rows(n)
+        spectra = [LogSpectrum(np.array([0.2, -0.5, 0.3]))] * (4 * chunk)
+        seeds = list(range(4 * chunk))
+
+        def peak(rows):
+            return traced_peak(lambda: simulate_rows(spectra[:rows], n, seeds[:rows]))
+
+        assert peak(4 * chunk) - peak(chunk) <= 3 * chunk * n * 8 + 2048
 
 
 class TestSimulateReplicates:
@@ -509,8 +534,9 @@ class TestCirculantEmbedding:
         np.testing.assert_allclose(coarse, fine, rtol=0, atol=1e-12 * fine[0])
 
     def test_replicate_rows_equal_simulate(self):
+        # over more than two chunks of rows
         source = LogSpectrum(np.array([0.1, -0.4, 0.2]))
-        seeds = [3, 4, 5]
+        seeds = list(range(3, 2 * chunk_rows(50) + 6))
         paths = simulate_replicates(source, 50, seeds)
         for row, seed in zip(paths, seeds):
             assert np.array_equal(row, simulate(source, 50, seed).values)
