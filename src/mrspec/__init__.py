@@ -5,7 +5,7 @@ and spectral uncertainty propagation."""
 
 __version__ = "0.1.0"
 
-from .aliasing import aliased_partners, fold, fold_evaluator
+from .aliasing import aliased_partners, fold
 from .beliefs import (
     BeliefState,
     PeriodogramData,
@@ -33,7 +33,6 @@ from .likelihood import (
     LikelihoodSurface,
     exact_loglik,
     mc_average_surface,
-    omega_surface,
 )
 from .models import (
     LogSpectrum,

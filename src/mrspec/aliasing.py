@@ -6,8 +6,7 @@ import numpy as np
 
 from .models import ModelInvariantError, density_of
 
-__all__ = ["principal_frequency", "fold_branches", "branch_mean", "fold", "fold_evaluator",
-           "aliased_partners"]
+__all__ = ["principal_frequency", "fold_branches", "branch_mean", "fold", "aliased_partners"]
 
 _TIE_TOL = 1e-12
 
@@ -67,11 +66,6 @@ def fold(source, delta, nus):
         raise ModelInvariantError("folded spectrum too large for a float (largest branch "
                                   "value %.6g)" % max(branch(k).max() for k in range(delta)))
     return folded
-
-
-def fold_evaluator(source, delta):
-    """Closure form of :func:`fold` for use as a density evaluator."""
-    return lambda nus: fold(source, delta, nus)
 
 
 def aliased_partners(omega, delta):

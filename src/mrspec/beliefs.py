@@ -101,7 +101,8 @@ class PriorSpec:
 
     def variances(self):
         m = np.arange(self.size)
-        return self.scale / (1.0 + (m / self.cutoff) ** (2.0 * self.smoothness))
+        with np.errstate(over="ignore"):  # a steep prior's power overflows to a variance of 0
+            return self.scale / (1.0 + (m / self.cutoff) ** (2.0 * self.smoothness))
 
     def to_state(self):
         mean = np.zeros(self.size)
@@ -431,7 +432,6 @@ def sequential_adjust(prior, datasets, observed_list, mc_samples=2000, seed=0):
 class SpectrumSummary:
     """Pointwise mean and central credible bands for the log-spectrum."""
 
-    omegas: np.ndarray
     mean: np.ndarray
     sd: np.ndarray
     bands: dict  # level -> (lo, hi)
@@ -449,7 +449,7 @@ def spectrum_summary(state, grid):
     mean = psi @ state.mean
     sd = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", psi, state.variance, psi), 0.0))
     bands = {level: (mean - z * sd, mean + z * sd) for level, z in _BAND_Z.items()}
-    return SpectrumSummary(grid, mean, sd, bands)
+    return SpectrumSummary(mean, sd, bands)
 
 
 def difference_grid(states, grid):

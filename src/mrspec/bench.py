@@ -133,11 +133,9 @@ def run_bench(design, prior=None):
     prior_state = prior.to_state()
     moments = forecast_moments(prior_state, layouts, design.mc_samples, moment_seed)
     sim_seeds, proc_seeds = zip(*(rep_seed.spawn(2) for rep_seed in rep_seeds))
+    truths = [random_process(seed, prior) for seed in proc_seeds]
+    paths = simulate_log_spectra(truths, delta1 * n1 + delta2 * n2, sim_seeds)
     try:
-        # a truth is rejected only when the prior itself yields non-finite
-        # coefficients, and then every replicate's truth is
-        truths = [random_process(seed, prior) for seed in proc_seeds]
-        paths, simulated = simulate_log_spectra(truths, delta1 * n1 + delta2 * n2, sim_seeds)
         # every replicate has the same adjusted variance; adjust rejects it
         # here, once, when it is not positive semi-definite
         adjust(prior_state, moments, moments.mean)
@@ -151,7 +149,7 @@ def run_bench(design, prior=None):
         observed = np.concatenate([log_periodogram_rows(paths[:, :split:delta1]),
                                    log_periodogram_rows(paths[:, split::delta2])], axis=1)
         estimates = prior_state.mean + matvecs(moments.whitened.T, whiten(moments, observed))
-    usable = simulated & np.all(np.isfinite(estimates), axis=1)
+    usable = np.all(np.isfinite(estimates), axis=1)
     coefficients = np.array([truth.coefficients for truth in truths])
     grid_basis = basis_matrix(standard_grid(), prior.size)
     scores = discrepancy(matvecs(grid_basis, coefficients[usable]),

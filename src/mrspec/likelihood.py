@@ -23,7 +23,6 @@ __all__ = [
     "default_omega_grid",
     "exact_loglik",
     "SurfaceScanner",
-    "omega_surface",
     "mc_average_surface",
 ]
 
@@ -41,7 +40,6 @@ class LikelihoodSurface:
 
     omegas: np.ndarray
     loglik: np.ndarray
-    aligned: bool = False
 
     def __post_init__(self):
         omegas = np.asarray(self.omegas, dtype=float)
@@ -52,14 +50,10 @@ class LikelihoodSurface:
             raise ValueError("omegas must be strictly increasing within (0, 1/2)")
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "loglik", loglik)
-        if self.aligned and np.nanmax(loglik) != 0.0:
-            raise ValueError("aligned surface must have maximum 0")
 
     def align(self):
-        """Subtract the maximum (idempotent)."""
-        if self.aligned:
-            return self
-        return LikelihoodSurface(self.omegas, self.loglik - np.nanmax(self.loglik), True)
+        """Subtract the maximum (idempotent: the maximum is then 0)."""
+        return LikelihoodSurface(self.omegas, self.loglik - np.nanmax(self.loglik))
 
 
 @dataclass(frozen=True)
@@ -250,6 +244,8 @@ class SurfaceScanner:
     def __init__(self, indices, grid, modulus=0.9, sigma2=1.0):
         self.indices = _as_indices(indices)
         self.grid = np.asarray(grid, dtype=float)
+        if self.grid.size == 0:
+            raise ValueError("grid must be nonempty")
         phi = np.stack(np.broadcast_arrays(*ar2_from_omega(self.grid, modulus)))
         self._plan = _filter(self.indices, *arma_state_space(phi, (), sigma2))[0]
 
@@ -270,16 +266,6 @@ class SurfaceScanner:
         if np.ndim(values) == 1:
             out = out[:, 0]
         return out if lengths is not None else out[0]
-
-
-def omega_surface(indices, values, grid, modulus=0.9, sigma2=1.0):
-    """Exact log-likelihood surface over candidate peak frequencies for one
-    dataset of (base index, value) observations."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
-    scanner = SurfaceScanner(indices, grid, modulus, sigma2)
-    return LikelihoodSurface(grid, scanner.loglik(values), aligned=False)
 
 
 def mc_average_surface(design, keep_replicates=False, n_highs=None):
@@ -310,7 +296,6 @@ def mc_average_surface(design, keep_replicates=False, n_highs=None):
     results = []
     for per_rep in scans:
         # a failed grid point is NaN in every replicate, so a plain mean keeps it NaN
-        avg = per_rep.mean(axis=0)
-        surface = LikelihoodSurface(design.grid, avg - np.nanmax(avg), aligned=True)
+        surface = LikelihoodSurface(design.grid, per_rep.mean(axis=0)).align()
         results.append((surface, per_rep) if keep_replicates else surface)
     return results if n_highs is not None else results[0]

@@ -473,7 +473,7 @@ def simulate_replicates(source, n, seeds):
     ``autocovariance``, by circulant embedding, which has no pivot to fail;
     a density that is not finite and positive raises ModelInvariantError.
     The state-space form, or the density, is computed once for all rows; the
-    normals and FFTs of the circulant embedding go in ``_chunks`` of rows."""
+    normals, and the FFTs of the circulant embedding, go in ``_chunks`` of rows."""
     if not isinstance(source, SpectralModel):
         f = _node_density(source, _max_lag(n))
         paths = np.empty((len(seeds), n))
@@ -483,12 +483,14 @@ def simulate_replicates(source, n, seeds):
         return paths
     chain = arma_state_space(-source.full_ar_poly()[1:], source.full_ma_poly()[1:],
                              source.innovation_variance)
-    count = _max_lag(n) + len(chain[0])  # n + r - 1 normals per path
-    return _state_paths(*chain, np.ascontiguousarray(_normals(count, seeds).T))
+    window = np.empty((_max_lag(n) + len(chain[0]), len(seeds)))  # n + r - 1 normals per path
+    for rows in _chunks(len(seeds), len(window)):
+        window[:, rows] = _normals(len(window), [seeds[r] for r in rows]).T
+    return _state_paths(*chain, window)
 
 
-# bytes of normals per chunk of circulant paths: at most 10 rows at 2m = 8192,
-# so each (chunk, 2m) transient of the embedding stays near 0.65 MB
+# bytes of normals per chunk of paths: at most 10 rows at 2m = 8192, so each
+# (chunk, 2m) transient of the circulant embedding stays near 0.65 MB
 _CHUNK_BYTES = 10 * 8192 * 8
 
 
@@ -501,23 +503,22 @@ def _chunks(count, width):
 
 def simulate_log_spectra(log_spectra, n, seeds):
     """Paths of ``simulate`` for many LogSpectrum processes of one basis size,
-    one seed each, as the rows of a (len(seeds), n) array, and a mask ``ok``.
+    one seed each, as the rows of a (len(seeds), n) array.
 
-    ``ok[r]`` is False, and row r NaN, exactly where ``simulate(log_spectra[r],
-    n, seeds[r])`` raises ModelInvariantError; elsewhere row r
-    equals that path bit for bit.  The cosine basis on the nodes is shared and
-    one FFT colours each of the ``_chunks`` of rows; each log-density stays its
-    own matrix-vector product, as a stacked product changes the last bits."""
+    Row r is NaN exactly where ``simulate(log_spectra[r], n, seeds[r])`` raises
+    ModelInvariantError; elsewhere it equals that path bit for bit.  The cosine
+    basis on the nodes is shared and one FFT colours each of the ``_chunks`` of
+    rows; each log-density stays its own matrix-vector product, as a stacked
+    product changes the last bits."""
     basis = basis_matrix(_autocovariance_nodes(_max_lag(n)), log_spectra[0].size)
-    paths = np.full((len(seeds), n), np.nan)
-    ok = np.zeros(len(seeds), dtype=bool)
-    for rows in _chunks(len(seeds), 2 * len(basis) - 2):
-        f = np.stack([np.exp(basis @ log_spectra[r].coefficients) for r in rows])
-        ok[rows] = good = _admissible(f)
-        if good.any():
-            z = _normals(2 * len(basis) - 2, [seeds[r] for r in rows[good]])
-            paths[rows[good]] = _circulant_paths(f[good], z, n)
-    return paths, ok
+    width = 2 * len(basis) - 2
+    paths = np.empty((len(seeds), n))
+    for rows in _chunks(len(seeds), width):
+        with np.errstate(over="ignore"):  # a density past the float range fails its row
+            f = np.stack([np.exp(basis @ log_spectra[r].coefficients) for r in rows])
+        f[~_admissible(f)] = np.nan  # the FFT spreads a NaN density over its whole path
+        paths[rows] = _circulant_paths(f, _normals(width, [seeds[r] for r in rows]), n)
+    return paths
 
 
 def subsample(series, delta, offset=0):

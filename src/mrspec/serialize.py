@@ -228,10 +228,14 @@ def _check_rows(path, bad, describe):
 
 
 def read_series(path_csv, path_sidecar=None):
-    """A series CSV and its optional JSON sidecar, read by ``SIDECAR_FIELDS``.
-    A non-finite value, or an index other than offset + stride * k in data
-    row k, is a format error naming its row."""
-    _, (indices, values) = read_csv(path_csv)
+    """A series CSV with the header ``index,value`` and its optional JSON sidecar,
+    read by ``SIDECAR_FIELDS``.  Another header, a non-finite value, or an index
+    other than offset + stride * k in data row k is a format error naming it."""
+    header, columns = read_csv(path_csv)
+    if header != ["index", "value"]:
+        raise CsvFormatError("%s has header %r, expected 'index,value'"
+                             % (path_csv, ",".join(header)))
+    indices, values = columns
     _check_rows(path_csv, ~np.isfinite(values), lambda k: "non-finite value %s" % values[k])
     meta = read_fields(SIDECAR_FIELDS, read_json(path_sidecar) if path_sidecar else {},
                        "series sidecar %s" % path_sidecar)

@@ -35,16 +35,12 @@ class PCDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns, orthonormal
-    base: object  # the BeliefState this decomposes
-
-    def component(self, k):
-        return self.eigenvalues[k], self.eigenvectors[:, k]
 
 
 def pc_decomposition(state):
     vals, vecs = np.linalg.eigh(state.variance)
     order = np.argsort(vals)[::-1]
-    return PCDecomposition(np.clip(vals[order], 0.0, None), vecs[:, order], state)
+    return PCDecomposition(np.clip(vals[order], 0.0, None), vecs[:, order])
 
 
 def pc_fan(state, k, grid):
@@ -54,7 +50,7 @@ def pc_fan(state, k, grid):
     deciles of the standard normal; the middle curve is the exponentiated
     mean.  Returns an array of shape (9, len(grid))."""
     decomp = pc_decomposition(state)
-    lam, vec = decomp.component(k)
+    lam, vec = decomp.eigenvalues[k], decomp.eigenvectors[:, k]
     if lam < 1e-14 * max(decomp.eigenvalues[0], 1e-300):
         raise ValueError("component %d is numerically null" % k)
     grid = np.asarray(grid, dtype=float)
@@ -68,8 +64,6 @@ class QuadratureGrid:
     """Nodes and weights for the d-dimensional standard normal measure.
     Weights may be negative (Smolyak combination)."""
 
-    dimension: int
-    level: int
     nodes: np.ndarray  # (n, d)
     weights: np.ndarray
 
@@ -116,7 +110,7 @@ def sparse_grid(d, level):
     keys = sorted(merged)
     nodes = np.array(keys, dtype=float).reshape(len(keys), d)
     weights = np.array([merged[k] for k in keys])
-    return QuadratureGrid(d, level, nodes, weights)
+    return QuadratureGrid(nodes, weights)
 
 
 def propagate(state, d, level, functional):

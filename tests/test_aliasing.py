@@ -1,9 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrspec.aliasing import aliased_partners, fold, fold_branches, fold_evaluator
+from mrspec.aliasing import aliased_partners, fold, fold_branches
 from mrspec.models import (
     LogSpectrum,
     SpectralModel,
@@ -48,7 +50,7 @@ class TestFold:
     def test_subsampled_autocovariance(self):
         # gamma_delta(h) = gamma(delta * h), checked through quadrature
         gamma = autocovariance(AR2, 20)
-        gamma_folded = autocovariance(fold_evaluator(AR2, 2), 10)
+        gamma_folded = autocovariance(partial(fold, AR2, 2), 10)
         assert gamma_folded == pytest.approx(gamma[::2], abs=1e-6)
 
     @settings(max_examples=40, deadline=None)
@@ -71,21 +73,21 @@ class TestFold:
 
     def test_composition(self):
         nus = np.linspace(0, 0.5, 33)
-        double = fold(fold_evaluator(AR2, 2), 3, nus)
+        double = fold(partial(fold, AR2, 2), 3, nus)
         assert double == pytest.approx(fold(AR2, 6, nus), abs=1e-10)
 
     @settings(max_examples=40, deadline=None)
     @given(model=ARMA, delta=st.integers(1, 8))
     def test_power_conservation_property(self, model, delta):
         # 2 integral f_delta = gamma_delta(0) = gamma(0) = 2 integral f
-        folded = autocovariance(fold_evaluator(model, delta), 0)[0]
+        folded = autocovariance(partial(fold, model, delta), 0)[0]
         assert folded == pytest.approx(autocovariance(model, 0)[0], rel=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(model=ARMA, delta1=st.integers(1, 5), delta2=st.integers(1, 5),
            nus=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=20))
     def test_composition_property(self, model, delta1, delta2, nus):
-        twice = fold(fold_evaluator(model, delta1), delta2, nus)
+        twice = fold(partial(fold, model, delta1), delta2, nus)
         once = fold(model, delta1 * delta2, nus)
         np.testing.assert_allclose(twice, once, rtol=1e-12)
 

@@ -64,6 +64,12 @@ class TestPriorSpec:
         # half power at the cutoff index
         assert v[4] == pytest.approx(0.5)
 
+    def test_steep_prior_reaches_zero_variance_without_warning(self):
+        # (m / cutoff) ** 400 overflows from m = 3 on; its limit is a variance of 0
+        v = PriorSpec(smoothness=200, cutoff=0.5).variances()
+        assert v[0] == 1.0 and 0.0 < v[2] < v[1]
+        assert np.all(v[3:] == 0.0)
+
     def test_to_state(self):
         s = PriorSpec(size=8, intercept_mean=1.5).to_state()
         assert s.mean[0] == 1.5

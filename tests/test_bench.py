@@ -120,9 +120,9 @@ def patch_replicate_path(monkeypatch, replicate, edit):
     calls = []
 
     def simulate_log_spectra(*args):
-        paths, ok = real_rows(*args)
+        paths = real_rows(*args)
         edit(paths[replicate])
-        return paths, ok
+        return paths
 
     def simulate(*args):
         path = real_one(*args)
@@ -176,15 +176,15 @@ class TestRunBenchMatchesReplicateLoop:
         assert got.failures == 1 and len(got.scores) == WIDE_PRIOR_DESIGN.replicates - 1
 
     def test_unsimulated_replicate_fails(self, monkeypatch):
-        # simulate_log_spectra marks a path it could not simulate and leaves
-        # its row NaN, where simulate raises
+        # simulate_log_spectra leaves the row of a path it could not simulate
+        # NaN, where simulate raises
         real_rows, real_one = bench.simulate_log_spectra, bench.simulate
         calls = []
 
         def simulate_log_spectra(*args):
-            paths, ok = real_rows(*args)
-            paths[7], ok[7] = np.nan, False
-            return paths, ok
+            paths = real_rows(*args)
+            paths[7] = np.nan
+            return paths
 
         def simulate(*args):
             calls.append(None)

@@ -224,6 +224,28 @@ class TestEstimate:
         assert "'series'" in err and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("header", ["foo,bar", "index", "index,value,extra"])
+    def test_wrong_header_is_config_error_naming_file(self, tmp_path, capsys, header):
+        # foo,bar was read as index,value; one or three columns did not unpack,
+        # and the message named neither the file nor the header
+        csv = tmp_path / "s.csv"
+        width = header.count(",") + 1
+        csv.write_text("\n".join([header] + [",".join([str(k)] * width) for k in range(32)]))
+        code, out = run(tmp_path, "estimate", {"series": [str(csv)], "mc_samples": 600})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'series'" in err and "%s has header %r" % (csv, header) in err
+        assert not out.exists()
+
+    def test_steep_prior_runs_without_warning(self, tmp_path, capsys):
+        # (m / cutoff) ** 400 overflows from m = 3 on, to a prior variance of 0
+        _, sim_out = run(tmp_path, "simulate", {"model": {"sigma2": 1.0}, "n": 32}, out="sim")
+        code, _ = run(tmp_path, "estimate", {"series": [str(sim_out / "series.csv")],
+                                             "prior": {"smoothness": 200, "cutoff": 0.5},
+                                             "mc_samples": 600})
+        assert code == 0
+        assert "Warning" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("values,code,message", [
         # every ordinate of a constant series is zero: exit 3, not NaN outputs and exit 0
         (np.full(32, 1.5), 3, "series 'flat' has a zero periodogram ordinate at nu = 0.03125"),

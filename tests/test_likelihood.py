@@ -18,7 +18,6 @@ from mrspec.likelihood import (
     default_omega_grid,
     exact_loglik,
     mc_average_surface,
-    omega_surface,
 )
 from mrspec.models import (
     DesignError,
@@ -62,9 +61,8 @@ class TestLikelihoodSurface:
     def test_align_idempotent(self):
         s = LikelihoodSurface(np.array([0.1, 0.2, 0.3]), np.array([-5.0, -1.0, -3.0]))
         a = s.align()
-        assert a.aligned
         assert np.nanmax(a.loglik) == 0.0
-        assert a.align() is a
+        assert np.array_equal(a.align().loglik, a.loglik)
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
@@ -77,10 +75,6 @@ class TestLikelihoodSurface:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             LikelihoodSurface(np.array([0.1, 0.2]), np.zeros(3))
-
-    def test_rejects_misaligned_flag(self):
-        with pytest.raises(ValueError):
-            LikelihoodSurface(np.array([0.1, 0.2]), np.array([-1.0, -2.0]), True)
 
 
 class TestExperimentDesign:
@@ -209,8 +203,8 @@ class TestOmegaSurface:
         indices = np.arange(12)
         truth = SpectralModel(ar=ar2_from_omega(0.25, 0.9))
         values = simulate(truth, 12, seed=2).values
-        surface = omega_surface(indices, values, grid)
-        for g, ll in zip(grid, surface.loglik):
+        surface = SurfaceScanner(indices, grid).loglik(values)
+        for g, ll in zip(grid, surface):
             model = SpectralModel(ar=ar2_from_omega(g, 0.9))
             want = exact_loglik(model, list(zip(indices, values)))
             assert ll == pytest.approx(want, abs=1e-8)
@@ -220,13 +214,13 @@ class TestOmegaSurface:
         omega0 = 0.3
         truth = SpectralModel(ar=ar2_from_omega(omega0, 0.9))
         values = simulate(truth, 400, seed=11).values
-        surface = omega_surface(np.arange(400), values, grid)
-        peak = grid[np.nanargmax(surface.loglik)]
+        surface = SurfaceScanner(np.arange(400), grid).loglik(values)
+        peak = grid[np.nanargmax(surface)]
         assert abs(peak - omega0) < 0.03
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
-            omega_surface(np.arange(3), np.zeros(3), np.array([]))
+            SurfaceScanner(np.arange(3), np.array([]))
 
 
 class TestSurfaceScanner:
@@ -237,8 +231,8 @@ class TestSurfaceScanner:
         rng = np.random.default_rng(4)
         for _ in range(3):
             values = rng.standard_normal(len(indices))
-            fresh = omega_surface(indices, values, grid)
-            assert np.allclose(scanner.loglik(values), fresh.loglik)
+            fresh = SurfaceScanner(indices, grid).loglik(values)
+            assert np.allclose(scanner.loglik(values), fresh)
 
     @pytest.mark.parametrize("modulus", [0.9, 0.999])
     def test_covariances_use_exact_model_autocovariances(self, modulus):
@@ -390,7 +384,6 @@ class TestMcAverageSurface:
         )
         s1 = mc_average_surface(design)
         s2 = mc_average_surface(design)
-        assert s1.aligned
         assert np.nanmax(s1.loglik) == 0.0
         assert np.array_equal(s1.loglik, s2.loglik)
 

@@ -1,5 +1,7 @@
 """Round-trip tests for the CSV/JSON serialization helpers."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,15 @@ class TestSeriesRoundTrip:
         write_series(csv, side, series)
         got = read_series(csv)
         assert (got.stride, got.offset, got.base_step) == (1, 0, 1.0)
+
+    @pytest.mark.parametrize("header", ["foo,bar", "index", "index,value,extra"])
+    def test_header_must_be_index_value(self, tmp_path, header):
+        # two wrong names read as (index, value); one or three columns failed to unpack
+        csv = tmp_path / "s.csv"
+        width = header.count(",") + 1
+        csv.write_text("\n".join([header] + [",".join([str(k)] * width) for k in range(3)]) + "\n")
+        with pytest.raises(CsvFormatError, match=re.escape("%s has header %r" % (csv, header))):
+            read_series(csv)
 
     @pytest.mark.parametrize("meta,row", [(None, 2), ({"stride": 4}, 2),
                                           ({"stride": 2, "offset": 1}, 3)])

@@ -188,7 +188,7 @@ class TestKolmogorovVariance:
 
 class TestQuadratureGridIntegrate:
     def test_integrate_matches_dot_product(self):
-        grid = QuadratureGrid(1, 1, np.array([[1.0], [2.0]]), np.array([0.5, 0.5]))
+        grid = QuadratureGrid(np.array([[1.0], [2.0]]), np.array([0.5, 0.5]))
         assert grid.integrate(lambda x: x[0]) == pytest.approx(1.5)
 
     def test_sums_match_the_node_loop(self):
