@@ -110,7 +110,7 @@ def run_bench(design, prior=None):
     with the check that the adjusted variance is positive semi-definite, and
     the cosine bases on the embedding nodes and on the scoring grid.  Batched
     over the rows of the path matrix: the truths, simulated by circulant
-    embedding with one FFT per chunk of replicates (``simulate_log_spectra``),
+    embedding a chunk of replicates at a time (``simulate_log_spectra``),
     and each segment's log-periodograms, one rfft over its strided view of
     the rows.  Still one matrix-vector product per replicate, so that no row
     depends on the batch: the whitening z = L^-1 (d - E(D)), the adjusted mean

@@ -248,7 +248,8 @@ def simpson_grid(quad_points):
     return omegas, w * (h / 3.0)
 
 
-QUAD_PANELS = 4096  # panels of every quadrature on [0, 1/2] and of the circulant embedding
+# panels of every quadrature on [0, 1/2] and of gamma~, whose 2m bounds every circulant embedding
+QUAD_PANELS = 4096
 
 
 def _autocovariance_nodes(max_lag):
@@ -370,8 +371,8 @@ def autocovariance(source, max_lag):
     A SpectralModel gets them exactly, in closed form (arma_autocovariance).
     A LogSpectrum or plain callable density f gets gamma~, the m-panel
     trapezoid rule for 2 * integral f(w) cos(2 pi w h) dw, from one real FFT:
-    exactly the autocovariance of the 2m-point circulant with eigenvalues
-    f(j / 2m) that ``simulate`` realises, off from gamma by the aliased lags,
+    the autocovariance of the 2m-point circulant with eigenvalues f(j / 2m),
+    which ``simulate`` realises exactly, off from gamma by the aliased lags,
     gamma~(h) = sum_k gamma(h + 2mk); m is QUAD_PANELS, or 2 * max_lag where
     that is more.
     """
@@ -437,10 +438,10 @@ def _normals(n, seeds):
 
 
 def _circulant_paths(f, z, n):
-    """Paths sqrt(2m) irfft(sqrt(f) xi, 2m)[:, :n] with covariance Toeplitz(gamma~),
-    from densities ``f`` at j / (2m), j = 0..m (a row per path, or one for all)
-    and (R, 2m) normals z: xi_0 = z_0, xi_m = z_1, xi_j = (z_{j+1} + i z_{m+j})
-    / sqrt(2).  Circulant embedding: Davies & Harte 1987; Wood & Chan 1994."""
+    """Paths sqrt(2m) irfft(sqrt(f) xi, 2m)[:, :n] of the 2m-point circulant with
+    eigenvalues ``f`` at j / (2m), j = 0..m (a row per path, or one for all), from
+    (R, 2m) normals z: xi_0 = z_0, xi_m = z_1, xi_j = (z_{j+1} + i z_{m+j}) / sqrt(2).
+    Circulant embedding: Davies & Harte 1987; Wood & Chan 1994."""
     m = f.shape[-1] - 1
     xi = np.zeros((len(z), m + 1), dtype=complex)
     xi.real[:, 0], xi.real[:, m] = z[:, 0], z[:, 1]
@@ -448,6 +449,49 @@ def _circulant_paths(f, z, n):
     xi.imag[:, 1:m] = z[:, m + 1 :] * np.sqrt(0.5)
     xi *= np.sqrt(f)
     return np.sqrt(2.0 * m) * np.fft.irfft(xi, 2 * m, axis=-1)[:, :n]
+
+
+def _min_embeddings(f, n):
+    """Yield (rows, eigenvalues) for the rows of the densities ``f`` at j / (2m),
+    j = 0..m: each row, once, with the eigenvalues at j / (2M), j = 0..M, of the
+    smallest circulant of gamma~ = irfft(f, 2m) that holds Toeplitz(gamma~[0..n-1])
+    and is non-negative definite (Wood & Chan 1994; Dietrich & Newsam 1997).
+
+    2M starts at the least power of two >= 2(n - 1), and the eigenvalues are the
+    rfft of the even extension gamma~[0..M], gamma~[M-1..1].  A row with one below 0
+    as computed (no tolerance; NaN fails too) doubles on its own, up to 2m, where the
+    eigenvalues are f itself, so every row ends.  The nodes have m >= 2(n - 1), so
+    the first 2M is below 2m."""
+    m = f.shape[-1] - 1
+    gamma = np.fft.irfft(f, 2 * m)
+    rows = np.arange(len(f))
+    half = 1 << max(n - 2, 0).bit_length()
+    while half < m and len(rows):
+        even = np.concatenate([gamma[rows, : half + 1], gamma[rows, half - 1 : 0 : -1]], axis=-1)
+        eigen = np.fft.rfft(even).real
+        fits = np.all(eigen >= 0, axis=-1)
+        yield rows[fits], eigen[fits]
+        rows, half = rows[~fits], min(2 * half, m)
+    yield rows, f[rows]
+
+
+def _embedded_paths(f, n, seeds):
+    """Paths of length n with covariance Toeplitz(gamma~), gamma~ = irfft(f, 2m), one
+    per seed, as the rows of a (len(seeds), n) array, from densities ``f`` at
+    j / (2m), j = 0..m: one row per seed, or one row for every seed.  Each path
+    colours the 2M normals of its own seed at the embedding ``_min_embeddings``
+    chooses for its density, so it depends on that density and seed alone; the
+    draws go in ``_chunks`` sized for 2m, whatever M is."""
+    paths = np.empty((len(seeds), n))
+    for rows, eigen in _min_embeddings(f, n):
+        if len(f) == 1 and len(rows):  # the one density serves every seed
+            rows = np.arange(len(seeds))
+            eigen = np.broadcast_to(eigen, (len(seeds), eigen.shape[-1]))
+        normals = 2 * eigen.shape[-1] - 2
+        for chunk in _chunks(len(rows), 2 * f.shape[-1] - 2):
+            paths[rows[chunk]] = _circulant_paths(
+                eigen[chunk], _normals(normals, [seeds[r] for r in rows[chunk]]), n)
+    return paths
 
 
 def _max_lag(n):
@@ -469,18 +513,16 @@ def simulate_replicates(source, n, seeds):
     A SpectralModel path has its exact Toeplitz(gamma) covariance, as the
     first component of the arma_state_space chain started from its stationary
     law (NotPositiveDefiniteError if that variance has a clearly negative
-    eigenvalue).  A LogSpectrum or callable path has exactly the Toeplitz(gamma~) of
-    ``autocovariance``, by circulant embedding, which has no pivot to fail;
+    eigenvalue).  A LogSpectrum or callable path has exactly the Toeplitz(gamma~)
+    of ``autocovariance``, by circulant embedding, which has no pivot to fail: the
+    smallest power-of-two circulant 2M >= 2(n - 1) of gamma~ whose eigenvalues are
+    non-negative, up to the 2m nodes (``_min_embeddings``), colouring 2M normals;
     a density that is not finite and positive raises ModelInvariantError.
-    The state-space form, or the density, is computed once for all rows; the
-    normals, and the FFTs of the circulant embedding, go in ``_chunks`` of rows."""
+    The state-space form, or the density and its embedding, is computed once for
+    all rows; the normals, and the FFTs of the circulant embedding, go in
+    ``_chunks`` of rows."""
     if not isinstance(source, SpectralModel):
-        f = _node_density(source, _max_lag(n))
-        paths = np.empty((len(seeds), n))
-        width = 2 * len(f) - 2
-        for rows in _chunks(len(seeds), width):
-            paths[rows] = _circulant_paths(f, _normals(width, [seeds[r] for r in rows]), n)
-        return paths
+        return _embedded_paths(_node_density(source, _max_lag(n))[None], n, seeds)
     chain = arma_state_space(-source.full_ar_poly()[1:], source.full_ma_poly()[1:],
                              source.innovation_variance)
     window = np.empty((_max_lag(n) + len(chain[0]), len(seeds)))  # n + r - 1 normals per path
@@ -489,8 +531,9 @@ def simulate_replicates(source, n, seeds):
     return _state_paths(*chain, window)
 
 
-# bytes of normals per chunk of paths: at most 10 rows at 2m = 8192, so each
-# (chunk, 2m) transient of the circulant embedding stays near 0.65 MB
+# bytes per chunk of paths: at most 10 rows at 2m = 8192, so each (chunk, 2m)
+# transient of the circulant embedding stays near 0.65 MB; a smaller embedding
+# 2M keeps the same rows per chunk, and so less
 _CHUNK_BYTES = 10 * 8192 * 8
 
 
@@ -503,21 +546,33 @@ def _chunks(count, width):
 
 def simulate_log_spectra(log_spectra, n, seeds):
     """Paths of ``simulate`` for many LogSpectrum processes of one basis size,
-    one seed each, as the rows of a (len(seeds), n) array.
+    one seed each, as the rows of a (len(seeds), n) array; no spectra give a
+    (0, n) array.  Spectra and seeds of different lengths, or a spectrum whose
+    basis size differs from the first's, raise ValueError.
 
     Row r is NaN exactly where ``simulate(log_spectra[r], n, seeds[r])`` raises
-    ModelInvariantError; elsewhere it equals that path bit for bit.  The cosine
-    basis on the nodes is shared and one FFT colours each of the ``_chunks`` of
-    rows; each log-density stays its own matrix-vector product, as a stacked
-    product changes the last bits."""
-    basis = basis_matrix(_autocovariance_nodes(_max_lag(n)), log_spectra[0].size)
-    width = 2 * len(basis) - 2
+    ModelInvariantError; elsewhere it equals that path bit for bit, so each row
+    gets the smallest circulant embedding that its own density allows
+    (``_min_embeddings``).  The cosine basis on the nodes is shared and the FFTs
+    go a chunk of rows at a time; each log-density stays its own matrix-vector
+    product, as a stacked product changes the last bits."""
+    if len(log_spectra) != len(seeds):
+        raise ValueError("%d log-spectra but %d seeds" % (len(log_spectra), len(seeds)))
+    nodes = _autocovariance_nodes(_max_lag(n))
+    if not log_spectra:
+        return np.empty((0, n))
+    size = log_spectra[0].size
+    for r, spectrum in enumerate(log_spectra):
+        if spectrum.size != size:
+            raise ValueError("log_spectra[%d] has basis size %d, log_spectra[0] has %d"
+                             % (r, spectrum.size, size))
+    basis = basis_matrix(nodes, size)
     paths = np.empty((len(seeds), n))
-    for rows in _chunks(len(seeds), width):
+    for rows in _chunks(len(seeds), 2 * len(nodes) - 2):
         with np.errstate(over="ignore"):  # a density past the float range fails its row
             f = np.stack([np.exp(basis @ log_spectra[r].coefficients) for r in rows])
-        f[~_admissible(f)] = np.nan  # the FFT spreads a NaN density over its whole path
-        paths[rows] = _circulant_paths(f, _normals(width, [seeds[r] for r in rows]), n)
+        f[~_admissible(f)] = np.nan  # no embedding fits a NaN density, and the FFT spreads it
+        paths[rows] = _embedded_paths(f, n, [seeds[r] for r in rows])
     return paths
 
 

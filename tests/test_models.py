@@ -6,6 +6,7 @@ from scipy.fft import irfft
 from scipy.linalg import toeplitz
 
 from mrspec import models
+from mrspec.bench import random_process
 from mrspec.cli import main
 from mrspec.models import (
     LogSpectrum,
@@ -387,6 +388,23 @@ class TestSimulateLogSpectra:
             alone = simulate_log_spectra(spectra[r : r + 1], 64, seeds[r : r + 1])
             assert np.array_equal(alone[0], paths[r])
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_spectra_and_seeds_of_unequal_length_raise(self, count):
+        # a seed short dropped a spectrum, a seed over was an IndexError
+        spectra = [LogSpectrum(np.array([0.1, -0.2]))] * 3
+        with pytest.raises(ValueError, match="3 log-spectra but %d seeds" % count):
+            simulate_log_spectra(spectra, 10, list(range(count)))
+
+    def test_no_spectra_give_no_rows(self):
+        assert simulate_log_spectra([], 10, []).shape == (0, 10)
+        assert simulate_replicates(LogSpectrum(np.zeros(2)), 10, []).shape == (0, 10)
+
+    def test_mixed_basis_sizes_raise_naming_the_first(self):
+        spectra = [LogSpectrum(np.zeros(size)) for size in (3, 3, 4, 2)]
+        with pytest.raises(ValueError, match=r"log_spectra\[2\] has basis size 4, "
+                                             r"log_spectra\[0\] has 3"):
+            simulate_log_spectra(spectra, 10, [0, 1, 2, 3])
+
 
 def chunk_rows(n=64):
     """Rows per chunk of the circulant embedding of a length-n path."""
@@ -512,26 +530,63 @@ def ar1_density(w):
     return spectral_density(SpectralModel(ar=(0.8,)), w)
 
 
+def embedding(source, n):
+    """The eigenvalues at j / (2M), j = 0..M, of the circulant embedding that a
+    length-n path of ``source`` colours its 2M normals with."""
+    f = models._node_density(source, n - 1)
+    [eigen] = [eigen for rows, eigen in models._min_embeddings(f[None], n) if len(rows)]
+    return eigen[0]
+
+
 class TestCirculantEmbedding:
-    @pytest.mark.parametrize("source,n", [
-        (LogSpectrum(np.array([0.3, 1.2, -0.8, 0.5])), 40),
-        # 2 * (n - 1) panels exceed QUAD_PANELS, so the embedding grows with n
-        (ar1_density, 300),
-    ])
+    @pytest.mark.parametrize("source,n,size", [
+        (LogSpectrum(np.array([0.3, 1.2, -0.8, 0.5])), 40, 128),
+        # 2 * (n - 1) panels exceed QUAD_PANELS, so the nodes grow with n, to
+        # m = 598, and the embedding 2M = 1024 lies below 2m
+        (ar1_density, 300, 1024),
+        # a prior draw whose least embedding, 2M = 64, has a negative eigenvalue
+        (random_process(2), 32, 128),
+    ], ids=["source0-40", "ar1_density-300", "doubled-32"])
     def test_covariance_of_linear_map_is_toeplitz_of_autocovariance(self, monkeypatch, source,
-                                                                      n):
-        # a small embedding, as the linear map is built from a 2m x 2m identity
+                                                                      n, size):
+        # few panels, so that a path of 300 outgrows them; the linear map is
+        # built from a 2M x 2M identity
         monkeypatch.setattr(models, "QUAD_PANELS", 128)
         gamma = autocovariance(source, n - 1)
-        f = models._node_density(source, n - 1)
-        normals = 2 * (len(f) - 1)
+        eigen = embedding(source, n)
+        normals = 2 * (len(eigen) - 1)
+        assert normals == size
         # column k is the path the k-th unit normal gives; simulate is linear in its normals
-        linear_map = models._circulant_paths(f, np.eye(normals), n).T
+        linear_map = models._circulant_paths(eigen, np.eye(normals), n).T
         cov = linear_map @ linear_map.T
         assert np.abs(cov - toeplitz(gamma)).max() <= 1e-12 * gamma[0]
         z = np.random.default_rng(5).standard_normal(normals)
         np.testing.assert_allclose(simulate(source, n, 5).values,
                                    linear_map @ z, rtol=0, atol=1e-12 * np.sqrt(gamma[0]))
+        if isinstance(source, LogSpectrum):
+            # simulate_log_spectra takes the same embedding for the row in a batch
+            # whose other row, white noise, fits the least one
+            batch = [LogSpectrum(np.zeros(source.size)), source]
+            row = simulate_log_spectra(batch, n, [4, 5])[1]
+            assert np.array_equal(row, simulate(source, n, 5).values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(coefficients=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12),
+           n=st.integers(1, 3000))
+    def test_least_embedding_is_exact_and_non_negative(self, coefficients, n):
+        source = LogSpectrum(np.array(coefficients))
+        f = models._node_density(source, n - 1)
+        m = len(f) - 1
+        gamma = np.fft.irfft(f, 2 * m)
+        eigen = embedding(source, n)
+        size = 2 * (len(eigen) - 1)
+        # a power of two from 2(n - 1) up, or the 2m nodes themselves when every
+        # power of two below 2m fails
+        assert 2 * (n - 1) <= size <= 2 * m
+        assert size == 2 * m or size & (size - 1) == 0
+        assert np.all(eigen >= 0)
+        lags = np.fft.irfft(eigen, size)[:n]
+        assert np.abs(lags - gamma[:n]).max() <= 1e-12 * gamma[0]
 
     def test_trapezoid_autocovariance_matches_exact(self):
         # gamma~ differs from gamma by the aliased lags h + 2mk, negligible here
