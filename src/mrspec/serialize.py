@@ -8,7 +8,6 @@ is a ConfigError naming the key.  Numbers must be finite, integers integral.
 
 import json
 import math
-from itertools import chain
 
 import numpy as np
 
@@ -22,7 +21,6 @@ __all__ = [
     "number",
     "integer",
     "list_of",
-    "number_array",
     "known",
     "read_fields",
     "one_source",
@@ -82,43 +80,6 @@ def list_of(item, min_len=1):
             raise ConfigError("must be a list%s, got %r"
                               % (" of at least %d item(s)" % min_len if min_len else "", value))
         return [item(v) for v in value]
-    return read
-
-
-def _plain_lists(value, depth):
-    """Whether ``value`` is lists nested ``depth`` deep of plain ints and floats."""
-    level = [value]
-    for _ in range(depth):
-        if set(map(type, level)) != {list}:
-            return False
-        level = list(chain.from_iterable(level))
-    return set(map(type, level)) <= {int, float}
-
-
-def number_array(depth):
-    """Reader of a rectangular array of finite numbers as lists nested ``depth``
-    deep, none empty: a float array.  Plain ints and floats are checked by one
-    numpy conversion; any other value is read by ``list_of(number)`` nested as
-    deep, so a bad item fails with the message that names it."""
-    items = number
-    for _ in range(depth):
-        items = list_of(items)
-
-    def read(value):
-        if _plain_lists(value, depth):
-            try:
-                array = np.array(value, dtype=float)
-            except (ValueError, OverflowError):  # ragged, or an int past the float range
-                pass
-            else:
-                if array.ndim == depth and array.size and np.isfinite(array).all():
-                    return array
-        value = items(value)
-        try:
-            return np.array(value, dtype=float)
-        except ValueError:
-            raise ConfigError("must be rectangular, got rows of lengths %s"
-                              % sorted({len(row) for row in value}))
     return read
 
 
@@ -290,13 +251,22 @@ def belief_to_dict(state):
     return {"mean": state.mean.tolist(), "variance": state.variance.tolist()}
 
 
-BELIEF_FIELDS = {"mean": (number_array(1), REQUIRED),
-                 "variance": (number_array(2), REQUIRED)}
+def _matrix(value):
+    """A list of lists of finite numbers, all of one length."""
+    rows = list_of(list_of(number))(value)
+    lengths = sorted({len(row) for row in rows})
+    if len(lengths) > 1:
+        raise ConfigError("must be rectangular, got rows of lengths %s" % lengths)
+    return rows
+
+
+BELIEF_FIELDS = {"mean": (list_of(number), REQUIRED),
+                 "variance": (_matrix, REQUIRED)}
 
 
 def belief_from_dict(cfg):
     belief = read_fields(BELIEF_FIELDS, cfg, "belief")
-    return BeliefState(belief["mean"], belief["variance"])
+    return BeliefState(np.asarray(belief["mean"]), np.asarray(belief["variance"]))
 
 
 def write_json(path, obj):

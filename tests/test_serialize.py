@@ -10,19 +10,14 @@ from hypothesis import strategies as st
 from mrspec.beliefs import BeliefState
 from mrspec.models import LogSpectrum, SampledSeries, SpectralModel
 from mrspec.serialize import (
-    BELIEF_FIELDS,
-    REQUIRED,
     ConfigError,
     CsvFormatError,
     belief_from_dict,
     belief_to_dict,
     format_value,
-    list_of,
     model_from_dict,
     model_to_dict,
-    number,
     read_csv,
-    read_fields,
     read_json,
     read_series,
     spectrum_source_from_dict,
@@ -210,44 +205,18 @@ class TestBeliefDict:
         assert np.array_equal(got.mean, state.mean)
         assert np.array_equal(got.variance, state.variance)
 
-    # the per-item readers: the reference for the values and the messages
-    ITEM_BY_ITEM = {"mean": (list_of(number), REQUIRED),
-                    "variance": (list_of(list_of(number)), REQUIRED)}
-
-    @pytest.mark.parametrize("mean,variance,key", [
-        ([0.0, True], [[1, 0], [0, 1]], "mean"),
-        ([0.0, 1], [[1, "0"], [0, 1]], "variance"),
-        ([0.0, 1], [[1, 0], [0, float("nan")]], "variance"),
-        ([0.0, 1], [[1, 0], 3], "variance"),
-        ([], [[1]], "mean"),
-        ([0.0, 10**400], [[1, 0], [0, 1]], "mean"),
-    ], ids=["bool", "string", "nan", "scalar-row", "empty", "huge-int"])
-    def test_bad_entry_fails_with_the_item_by_item_message(self, mean, variance, key):
-        cfg = {"mean": mean, "variance": variance}
-        with pytest.raises(ConfigError) as reference:
-            read_fields(self.ITEM_BY_ITEM, cfg, "belief")
-        assert str(reference.value).startswith("belief field %r: " % key)
-        with pytest.raises(ConfigError, match="^%s$" % re.escape(str(reference.value))):
-            belief_from_dict(cfg)
-
-    def test_ragged_row_is_config_error_naming_the_key(self):
-        # the per-item readers pass it, and it used to fail in numpy with no key named
-        with pytest.raises(ConfigError, match=r"^belief field 'variance': must be rectangular, "
-                                              r"got rows of lengths \[1, 2\]$"):
-            belief_from_dict({"mean": [0.0, 1.0], "variance": [[1.0, 0.0], [0.0]]})
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 6).flatmap(lambda k: st.tuples(st.just(k), st.lists(
-        st.one_of(st.integers(-2**70, 2**70), st.floats(allow_nan=False, allow_infinity=False)),
-        min_size=k + k * k, max_size=k + k * k))))
-    def test_values_equal_item_by_item_reading(self, drawn):
-        k, items = drawn
-        cfg = {"mean": items[:k], "variance": [items[k + i * k : k + (i + 1) * k]
-                                               for i in range(k)]}
-        got = read_fields(BELIEF_FIELDS, cfg, "belief")
-        want = read_fields(self.ITEM_BY_ITEM, cfg, "belief")
-        assert np.array_equal(got["mean"], want["mean"])
-        assert np.array_equal(got["variance"], want["variance"])
+    @pytest.mark.parametrize("mean,variance,message", [
+        ([0.0, True], [[1, 0], [0, 1]], "'mean': must be a finite number, got True"),
+        ([0.0, 1], [[1, "0"], [0, 1]], "'variance': must be a finite number, got '0'"),
+        ([0.0, 1], [[1, 0], [0, float("nan")]], "'variance': must be a finite number, got nan"),
+        ([0.0, 1], [[1, 0], 3], "'variance': must be a list of at least 1 item(s), got 3"),
+        ([], [[1]], "'mean': must be a list of at least 1 item(s), got []"),
+        ([0.0, 10**400], [[1, 0], [0, 1]], "'mean': int too large to convert to float"),
+        ([0.0, 1.0], [[1.0, 0.0], [0.0]], "'variance': must be rectangular, got rows of lengths [1, 2]"),
+    ], ids=["bool", "string", "nan", "scalar-row", "empty", "huge-int", "ragged-row"])
+    def test_bad_entry_is_config_error_naming_the_key(self, mean, variance, message):
+        with pytest.raises(ConfigError, match="^%s$" % re.escape("belief field " + message)):
+            belief_from_dict({"mean": mean, "variance": variance})
 
     def test_json_is_stable(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
