@@ -108,11 +108,11 @@ def run_bench(design, prior=None):
     forecast moments (they depend only on the prior and the data layout) with
     the inverse L^-1 of their Cholesky factor, the whitened cross-covariance W
     with the check that the adjusted variance is positive semi-definite, and
-    the cosine bases on the embedding nodes and on the scoring grid.  Batched
-    over the rows of the path matrix: the truths, simulated by circulant
-    embedding a chunk of replicates at a time (``simulate_log_spectra``),
-    and each segment's log-periodograms, one rfft over its strided view of
-    the rows.  Still one matrix-vector product per replicate, so that no row
+    the cosine bases on the embedding nodes and on the scoring grid.  The
+    truths are one (R, K) coefficient matrix, simulated by circulant embedding
+    a chunk of replicates at a time (``simulate_log_spectra``) and scored; each
+    segment's log-periodograms are one rfft over its strided view of the path
+    rows.  Still one matrix-vector product per replicate, so that no row
     depends on the batch: the whitening z = L^-1 (d - E(D)), the adjusted mean
     E(beta) + W^T z and the two curves on the scoring grid.
 
@@ -133,8 +133,8 @@ def run_bench(design, prior=None):
     prior_state = prior.to_state()
     moments = forecast_moments(prior_state, layouts, design.mc_samples, moment_seed)
     sim_seeds, proc_seeds = zip(*(rep_seed.spawn(2) for rep_seed in rep_seeds))
-    truths = [random_process(seed, prior) for seed in proc_seeds]
-    paths = simulate_log_spectra(truths, delta1 * n1 + delta2 * n2, sim_seeds)
+    coefficients = np.array([random_process(seed, prior).coefficients for seed in proc_seeds])
+    paths = simulate_log_spectra(coefficients, delta1 * n1 + delta2 * n2, sim_seeds)
     try:
         # every replicate has the same adjusted variance; adjust rejects it
         # here, once, when it is not positive semi-definite
@@ -150,7 +150,6 @@ def run_bench(design, prior=None):
                                    log_periodogram_rows(paths[:, split::delta2])], axis=1)
         estimates = prior_state.mean + matvecs(moments.whitened.T, whiten(moments, observed))
     usable = np.all(np.isfinite(estimates), axis=1)
-    coefficients = np.array([truth.coefficients for truth in truths])
     grid_basis = basis_matrix(standard_grid(), prior.size)
     scores = discrepancy(matvecs(grid_basis, coefficients[usable]),
                          matvecs(grid_basis, estimates[usable]))

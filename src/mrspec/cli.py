@@ -260,6 +260,9 @@ def cmd_kolmogorov(values, out):
 
 def cmd_diff_grid(values, out):
     states = values["beliefs"]
+    sizes = [state.size for state in states]
+    if len(set(sizes)) != 1:
+        raise ConfigError("config field 'beliefs' must share one basis size, got sizes %s" % sizes)
     grid = standard_grid(values["grid_points"])
     curves = difference_grid(states, grid)
     k = len(states)

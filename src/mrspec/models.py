@@ -461,7 +461,7 @@ def _min_embeddings(f, n):
     rfft of the even extension gamma~[0..M], gamma~[M-1..1].  A row with one below 0
     as computed (no tolerance; NaN fails too) doubles on its own, up to 2m, where the
     eigenvalues are f itself, so every row ends.  The nodes have m >= 2(n - 1), so
-    the first 2M is below 2m."""
+    the first 2M is below 2m.  No group of rows is empty."""
     m = f.shape[-1] - 1
     gamma = np.fft.irfft(f, 2 * m)
     rows = np.arange(len(f))
@@ -470,28 +470,11 @@ def _min_embeddings(f, n):
         even = np.concatenate([gamma[rows, : half + 1], gamma[rows, half - 1 : 0 : -1]], axis=-1)
         eigen = np.fft.rfft(even).real
         fits = np.all(eigen >= 0, axis=-1)
-        yield rows[fits], eigen[fits]
+        if fits.any():
+            yield rows[fits], eigen[fits]
         rows, half = rows[~fits], min(2 * half, m)
-    yield rows, f[rows]
-
-
-def _embedded_paths(f, n, seeds):
-    """Paths of length n with covariance Toeplitz(gamma~), gamma~ = irfft(f, 2m), one
-    per seed, as the rows of a (len(seeds), n) array, from densities ``f`` at
-    j / (2m), j = 0..m: one row per seed, or one row for every seed.  Each path
-    colours the 2M normals of its own seed at the embedding ``_min_embeddings``
-    chooses for its density, so it depends on that density and seed alone; the
-    draws go in ``_chunks`` sized for 2m, whatever M is."""
-    paths = np.empty((len(seeds), n))
-    for rows, eigen in _min_embeddings(f, n):
-        if len(f) == 1 and len(rows):  # the one density serves every seed
-            rows = np.arange(len(seeds))
-            eigen = np.broadcast_to(eigen, (len(seeds), eigen.shape[-1]))
-        normals = 2 * eigen.shape[-1] - 2
-        for chunk in _chunks(len(rows), 2 * f.shape[-1] - 2):
-            paths[rows[chunk]] = _circulant_paths(
-                eigen[chunk], _normals(normals, [seeds[r] for r in rows[chunk]]), n)
-    return paths
+    if len(rows):
+        yield rows, f[rows]
 
 
 def _max_lag(n):
@@ -518,11 +501,17 @@ def simulate_replicates(source, n, seeds):
     smallest power-of-two circulant 2M >= 2(n - 1) of gamma~ whose eigenvalues are
     non-negative, up to the 2m nodes (``_min_embeddings``), colouring 2M normals;
     a density that is not finite and positive raises ModelInvariantError.
-    The state-space form, or the density and its embedding, is computed once for
-    all rows; the normals, and the FFTs of the circulant embedding, go in
-    ``_chunks`` of rows."""
+    The state-space form, or the density and its one embedding, is computed once
+    for all rows; the normals, and the FFTs that colour them, go in ``_chunks``
+    of rows."""
     if not isinstance(source, SpectralModel):
-        return _embedded_paths(_node_density(source, _max_lag(n))[None], n, seeds)
+        f = _node_density(source, _max_lag(n))
+        [(_, eigen)] = _min_embeddings(f[None], n)
+        paths = np.empty((len(seeds), n))
+        for rows in _chunks(len(seeds), 2 * len(f) - 2):
+            paths[rows] = _circulant_paths(
+                eigen, _normals(2 * eigen.shape[-1] - 2, [seeds[r] for r in rows]), n)
+        return paths
     chain = arma_state_space(-source.full_ar_poly()[1:], source.full_ma_poly()[1:],
                              source.innovation_variance)
     window = np.empty((_max_lag(n) + len(chain[0]), len(seeds)))  # n + r - 1 normals per path
@@ -532,8 +521,8 @@ def simulate_replicates(source, n, seeds):
 
 
 # bytes per chunk of paths: at most 10 rows at 2m = 8192, so each (chunk, 2m)
-# transient of the circulant embedding stays near 0.65 MB; a smaller embedding
-# 2M keeps the same rows per chunk, and so less
+# transient (densities, gamma~, normals, FFTs) stays near 0.65 MB; a smaller
+# embedding 2M keeps the same rows per chunk, and so less
 _CHUNK_BYTES = 10 * 8192 * 8
 
 
@@ -544,35 +533,32 @@ def _chunks(count, width):
     return (np.arange(start, min(start + step, count)) for start in range(0, count, step))
 
 
-def simulate_log_spectra(log_spectra, n, seeds):
-    """Paths of ``simulate`` for many LogSpectrum processes of one basis size,
-    one seed each, as the rows of a (len(seeds), n) array; no spectra give a
-    (0, n) array.  Spectra and seeds of different lengths, or a spectrum whose
-    basis size differs from the first's, raise ValueError.
+def simulate_log_spectra(coefficients, n, seeds):
+    """Paths of ``simulate`` for many LogSpectrum processes, one per row of the
+    (R, K) matrix ``coefficients`` and one seed each, as the rows of an (R, n)
+    array; ValueError unless that matrix is finite, K >= 1 and R = len(seeds).
 
-    Row r is NaN exactly where ``simulate(log_spectra[r], n, seeds[r])`` raises
-    ModelInvariantError; elsewhere it equals that path bit for bit, so each row
-    gets the smallest circulant embedding that its own density allows
-    (``_min_embeddings``).  The cosine basis on the nodes is shared and the FFTs
-    go a chunk of rows at a time; each log-density stays its own matrix-vector
-    product, as a stacked product changes the last bits."""
-    if len(log_spectra) != len(seeds):
-        raise ValueError("%d log-spectra but %d seeds" % (len(log_spectra), len(seeds)))
+    Row r is NaN exactly where ``simulate(LogSpectrum(coefficients[r]), n, seeds[r])``
+    raises ModelInvariantError; elsewhere it equals that path bit for bit, so each
+    row gets the smallest circulant embedding that its own density allows
+    (``_min_embeddings``).  The cosine basis on the nodes is shared; the densities,
+    their embeddings and the FFTs go a chunk of rows at a time.  Each log-density
+    stays its own matrix-vector product, as a stacked product changes the last bits."""
+    coefficients = np.asarray(coefficients, dtype=float)  # a ragged list raises here
+    if (coefficients.ndim != 2 or coefficients.shape[1] < 1 or len(coefficients) != len(seeds)
+            or not np.all(np.isfinite(coefficients))):
+        raise ValueError("coefficients must be a finite (R, K) matrix, K >= 1, R = len(seeds): "
+                         "got shape %s for %d seeds" % (coefficients.shape, len(seeds)))
     nodes = _autocovariance_nodes(_max_lag(n))
-    if not log_spectra:
-        return np.empty((0, n))
-    size = log_spectra[0].size
-    for r, spectrum in enumerate(log_spectra):
-        if spectrum.size != size:
-            raise ValueError("log_spectra[%d] has basis size %d, log_spectra[0] has %d"
-                             % (r, spectrum.size, size))
-    basis = basis_matrix(nodes, size)
+    basis = basis_matrix(nodes, coefficients.shape[1])
     paths = np.empty((len(seeds), n))
     for rows in _chunks(len(seeds), 2 * len(nodes) - 2):
         with np.errstate(over="ignore"):  # a density past the float range fails its row
-            f = np.stack([np.exp(basis @ log_spectra[r].coefficients) for r in rows])
+            f = np.stack([np.exp(basis @ row) for row in coefficients[rows]])
         f[~_admissible(f)] = np.nan  # no embedding fits a NaN density, and the FFT spreads it
-        paths[rows] = _embedded_paths(f, n, [seeds[r] for r in rows])
+        for fits, eigen in _min_embeddings(f, n):
+            paths[rows[fits]] = _circulant_paths(
+                eigen, _normals(2 * eigen.shape[-1] - 2, [seeds[r] for r in rows[fits]]), n)
     return paths
 
 

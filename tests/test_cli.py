@@ -673,6 +673,15 @@ class TestConfigTable:
             write_json("step_%s.json" % name, {"base_step": step})
         self.assert_config_error(tmp_path, capsys, command, cfg, key)
 
+    def test_diff_grid_beliefs_of_different_sizes(self, tmp_path, capsys):
+        # used to fail in difference_grid, exit 3 naming no key
+        paths = []
+        for size in (3, 2):
+            paths.append(str(tmp_path / ("belief%d.json" % size)))
+            write_json(paths[-1], {"mean": [0.0] * size, "variance": np.eye(size).tolist()})
+        self.assert_config_error(tmp_path, capsys, "diff-grid", {"beliefs": paths},
+                                 "'beliefs' must share one basis size, got sizes [3, 2]")
+
     @pytest.mark.parametrize("grid_points", [0, 1])
     @pytest.mark.parametrize("command", ["pc-fan", "diff-grid", "estimate"])
     def test_grid_points_below_two(self, tmp_path, capsys, belief_path, series_path,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import irfft
 from scipy.linalg import toeplitz
@@ -356,54 +356,67 @@ class TestLevinson:
             assert v == pytest.approx(1.3, rel=1e-10)
 
 
-class TestSimulateLogSpectra:
-    def test_rows_equal_simulate_or_fail_where_it_raises(self):
-        rng = np.random.default_rng(1)
-        spectra = [LogSpectrum(rng.standard_normal(8) * s) for s in (0.3, 1.0, 6.0, 6.0)]
-        # densities that underflow to 0 and overflow to inf
-        spectra += [LogSpectrum(np.r_[c, np.zeros(7)]) for c in (-800.0, 800.0)]
-        seeds = list(range(len(spectra)))
-        paths = simulate_log_spectra(spectra, 300, seeds)
-        assert paths.shape == (6, 300)
-        raised = []
-        for spectrum, seed, path in zip(spectra, seeds, paths):
-            try:
-                want = simulate(spectrum, 300, seed).values
-            except ModelInvariantError as exc:
-                raised.append(type(exc))
-                assert np.all(np.isnan(path))
-            else:
-                assert np.all(np.isfinite(path))
-                assert np.array_equal(path, want)
-        assert raised == [ModelInvariantError, ModelInvariantError]
+@st.composite
+def coefficient_matrices(draw):
+    """(R, K) coefficient matrices, R in 0..12 and K in 1..12, of entries in +-3;
+    some rows have an intercept of +-800, whose density under- or overflows."""
+    r, k = draw(st.integers(0, 12)), draw(st.integers(1, 12))
+    entries = draw(st.lists(st.floats(-3.0, 3.0), min_size=r * k, max_size=r * k))
+    intercepts = draw(st.lists(st.sampled_from([None, -800.0, 800.0]), min_size=r, max_size=r))
+    matrix = np.array(entries).reshape(r, k)
+    for row, intercept in zip(matrix, intercepts):
+        if intercept is not None:
+            row[0] = intercept
+    return matrix
 
-    def test_rows_do_not_depend_on_their_batch(self):
-        rng = np.random.default_rng(2)
-        chunk = chunk_rows()
-        spectra = [LogSpectrum(rng.standard_normal(5)) for _ in range(2 * chunk + 3)]
-        seeds = [9 ^ r for r in range(len(spectra))]
-        paths = simulate_log_spectra(spectra, 64, seeds)
-        assert np.all(np.isfinite(paths))
-        for r in (0, chunk - 1, chunk, len(spectra) - 1):
-            alone = simulate_log_spectra(spectra[r : r + 1], 64, seeds[r : r + 1])
-            assert np.array_equal(alone[0], paths[r])
+
+def picked_batch():
+    """Rows of scale 0.3 to 6, then two whose densities underflow to 0 and overflow to inf."""
+    rows = np.random.default_rng(1).standard_normal((4, 8)) * np.array([[0.3], [1.0], [6.0], [6.0]])
+    extremes = np.zeros((2, 8))
+    extremes[:, 0] = (-800.0, 800.0)
+    return np.vstack([rows, extremes])
+
+
+class TestSimulateLogSpectra:
+    @settings(max_examples=60, deadline=None)
+    @given(coefficients=coefficient_matrices(), n=st.integers(1, 600))
+    @example(coefficients=picked_batch(), n=300)
+    def test_rows_equal_simulate_or_fail_where_it_raises(self, coefficients, n):
+        # up to 12 rows span two chunks at every n here; each row also equals
+        # its batch of one, so no row depends on the others
+        seeds = [9 ^ r for r in range(len(coefficients))]
+        paths = simulate_log_spectra(coefficients, n, seeds)
+        assert paths.shape == (len(coefficients), n)
+        for r, seed in enumerate(seeds):
+            alone = simulate_log_spectra(coefficients[r : r + 1], n, [seed])
+            assert np.array_equal(alone[0], paths[r], equal_nan=True)
+            try:
+                want = simulate(LogSpectrum(coefficients[r]), n, seed).values
+            except ModelInvariantError:
+                assert np.all(np.isnan(paths[r]))
+            else:
+                assert np.all(np.isfinite(paths[r]))
+                assert np.array_equal(paths[r], want)
 
     @pytest.mark.parametrize("count", [2, 4])
     def test_spectra_and_seeds_of_unequal_length_raise(self, count):
         # a seed short dropped a spectrum, a seed over was an IndexError
-        spectra = [LogSpectrum(np.array([0.1, -0.2]))] * 3
-        with pytest.raises(ValueError, match="3 log-spectra but %d seeds" % count):
-            simulate_log_spectra(spectra, 10, list(range(count)))
+        with pytest.raises(ValueError, match=r"got shape \(3, 2\) for %d seeds" % count):
+            simulate_log_spectra(np.zeros((3, 2)), 10, list(range(count)))
+
+    @pytest.mark.parametrize("coefficients", [
+        np.zeros(2), np.zeros((2, 0)), [[0.1, np.nan], [0.0, 0.0]], [[0.1, 0.2], [np.inf, 0.0]],
+        [[0.1], [0.1, 0.2]],
+    ], ids=["1-d", "no-columns", "nan", "inf", "ragged"])
+    def test_bad_coefficient_matrix_raises(self, coefficients):
+        # the ragged list fails in numpy's own conversion
+        with pytest.raises(ValueError, match="coefficients must be a finite|inhomogeneous"):
+            simulate_log_spectra(coefficients, 10, [0, 1])
 
     def test_no_spectra_give_no_rows(self):
-        assert simulate_log_spectra([], 10, []).shape == (0, 10)
+        assert simulate_log_spectra(np.empty((0, 3)), 10, []).shape == (0, 10)
         assert simulate_replicates(LogSpectrum(np.zeros(2)), 10, []).shape == (0, 10)
-
-    def test_mixed_basis_sizes_raise_naming_the_first(self):
-        spectra = [LogSpectrum(np.zeros(size)) for size in (3, 3, 4, 2)]
-        with pytest.raises(ValueError, match=r"log_spectra\[2\] has basis size 4, "
-                                             r"log_spectra\[0\] has 3"):
-            simulate_log_spectra(spectra, 10, [0, 1, 2, 3])
 
 
 def chunk_rows(n=64):
@@ -413,19 +426,19 @@ def chunk_rows(n=64):
 
 class TestCirculantMemory:
     @pytest.mark.parametrize("simulate_rows", [
-        lambda spectra, n, seeds: simulate_log_spectra(spectra, n, seeds),
-        lambda spectra, n, seeds: simulate_replicates(spectra[0], n, seeds),
+        simulate_log_spectra,
+        lambda coefficients, n, seeds: simulate_replicates(LogSpectrum(coefficients[0]), n, seeds),
     ], ids=["simulate_log_spectra", "simulate_replicates"])
     def test_peak_grows_with_replicates_only_by_the_paths(self, traced_peak, simulate_rows):
         # the normals and FFTs go a chunk of rows at a time, so from one chunk
         # to four only the (R, n) paths grow; the seeds are below 2 KB
         n = 896
         chunk = chunk_rows(n)
-        spectra = [LogSpectrum(np.array([0.2, -0.5, 0.3]))] * (4 * chunk)
+        coefficients = np.tile([0.2, -0.5, 0.3], (4 * chunk, 1))
         seeds = list(range(4 * chunk))
 
         def peak(rows):
-            return traced_peak(lambda: simulate_rows(spectra[:rows], n, seeds[:rows]))
+            return traced_peak(lambda: simulate_rows(coefficients[:rows], n, seeds[:rows]))
 
         assert peak(4 * chunk) - peak(chunk) <= 3 * chunk * n * 8 + 2048
 
@@ -534,7 +547,7 @@ def embedding(source, n):
     """The eigenvalues at j / (2M), j = 0..M, of the circulant embedding that a
     length-n path of ``source`` colours its 2M normals with."""
     f = models._node_density(source, n - 1)
-    [eigen] = [eigen for rows, eigen in models._min_embeddings(f[None], n) if len(rows)]
+    [(_, eigen)] = models._min_embeddings(f[None], n)
     return eigen[0]
 
 
@@ -566,7 +579,7 @@ class TestCirculantEmbedding:
         if isinstance(source, LogSpectrum):
             # simulate_log_spectra takes the same embedding for the row in a batch
             # whose other row, white noise, fits the least one
-            batch = [LogSpectrum(np.zeros(source.size)), source]
+            batch = np.stack([np.zeros(source.size), source.coefficients])
             row = simulate_log_spectra(batch, n, [4, 5])[1]
             assert np.array_equal(row, simulate(source, n, 5).values)
 
@@ -601,6 +614,20 @@ class TestCirculantEmbedding:
         paths = simulate_replicates(source, 50, seeds)
         for row, seed in zip(paths, seeds):
             assert np.array_equal(row, simulate(source, 50, seed).values)
+
+    def test_one_density_takes_one_embedding(self, monkeypatch):
+        # the embedding depends on the density alone, so over more than two
+        # chunks of seeds it is still taken once
+        real, calls = models._min_embeddings, []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(models, "_min_embeddings", spy)
+        seeds = list(range(2 * chunk_rows(896) + 6))
+        simulate_replicates(LogSpectrum(np.array([0.1, -0.4, 0.2])), 896, seeds)
+        assert len(calls) == 1
 
     def test_non_positive_density_raises(self):
         with pytest.raises(ModelInvariantError):
