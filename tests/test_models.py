@@ -399,6 +399,17 @@ class TestSimulateLogSpectra:
                 assert np.all(np.isfinite(paths[r]))
                 assert np.array_equal(paths[r], want)
 
+    def test_rows_do_not_depend_on_their_batch(self):
+        rng = np.random.default_rng(2)
+        chunk = chunk_rows()
+        coefficients = rng.standard_normal((2 * chunk + 3, 5))
+        seeds = [9 ^ r for r in range(len(coefficients))]
+        paths = simulate_log_spectra(coefficients, 64, seeds)
+        assert np.all(np.isfinite(paths))
+        for r in (0, chunk - 1, chunk, len(coefficients) - 1):
+            alone = simulate_log_spectra(coefficients[r : r + 1], 64, seeds[r : r + 1])
+            assert np.array_equal(alone[0], paths[r])
+
     @pytest.mark.parametrize("count", [2, 4])
     def test_spectra_and_seeds_of_unequal_length_raise(self, count):
         # a seed short dropped a spectrum, a seed over was an IndexError
