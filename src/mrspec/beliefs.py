@@ -263,33 +263,31 @@ def _branch_basis(data, size, k):
     return basis_matrix(fold_branches(data.frequencies, data.stride, k), size)
 
 
-def _fold_draws(betas, data, out, buffer):
+def _fold_draws(betas, data, out):
     """The fold of exp(log-spectrum) at the dataset's frequencies for each draw,
     into the (S, n_freq) ``out``: ``branch_mean`` over the branches, each the
-    product of the draws with that branch's basis, exponentiated in place in the
-    first S * n_freq entries of the flat ``buffer``.  At stride 1 the one branch
-    is made in ``out`` itself."""
-    def branch(k, into):
-        np.matmul(betas, _branch_basis(data, betas.shape[1], k).T, out=into)
+    product of the draws with that branch's basis, made fresh and exponentiated
+    in place.  At stride 1 the one branch is made in ``out`` itself."""
+    def branch(k, into=None):
+        into = np.matmul(betas, _branch_basis(data, betas.shape[1], k).T, out=into)
         return np.exp(into, out=into)
 
     if data.stride == 1:
         branch(0, out)
     else:
-        into = buffer[:out.size].reshape(out.shape)
-        branch_mean(lambda k: branch(k, into), data.stride, out)
+        branch_mean(branch, data.stride, out)
 
 
 def forecast_moments(prior, datasets, mc_samples=2000, seed=0):
     """Monte Carlo prior moments of the stacked log-periodogram vector D.
 
     Each prior draw beta maps to mu_j = log fold(exp(log-spectrum), delta)(nu_j)
-    - EULER_GAMMA.  The fold sums one branch at a time (``branch_mean``) into
-    each dataset's columns of one (S, K) matrix, so besides it only one (S,
-    n_freq) branch exists at a time, whatever the stride; at strides 1-7 the
-    sampled means equal, bit for bit, numpy's mean of the same branches over a
-    branch axis, and at a stride of 8 or more they can differ from it in the
-    last bit.  The moments
+    - EULER_GAMMA.  The fold sums one branch at a time (``branch_mean``), each
+    made fresh, into each dataset's columns of one (S, K) matrix, so besides it
+    only one (S, n_freq) branch exists at a time, whatever the stride; at
+    strides 1-7 the sampled means equal, bit for bit, numpy's mean of the same
+    branches over a branch axis, and at a stride of 8 or more they can differ
+    from it in the last bit.  The moments
     regress the centred mu on the centred standard scores x = (beta - E beta) U
     Lambda^-1/2, whose mean 0 and variance I are exact (the control-variate
     estimator; Glasserman, Monte Carlo Methods in Financial Engineering, 2004,
@@ -313,28 +311,23 @@ def forecast_moments(prior, datasets, mc_samples=2000, seed=0):
     if mc_samples <= rank + 1:
         raise DesignError("mc_samples must exceed the prior's rank + 1 to regress on the "
                           "draws, got mc_samples %d for rank %d" % (mc_samples, rank))
-    rng = np.random.default_rng(seed)
-    if reflect is None:
-        betas = prior.mean + rng.standard_normal((mc_samples, size)) @ root.T
-    else:
-        # folding at an even stride is invariant under reflecting the source
-        # spectrum about omega = 1/4, which maps beta_m -> (-1)^m beta_m;
-        # pairing each draw with its reflection makes the sampled moments
-        # exactly symmetric instead of symmetric only in the MC limit
-        drawn = prior.mean + rng.standard_normal((mc_samples // 2, size)) @ root.T
-        betas = np.concatenate([drawn, drawn * reflect])
+    # folding at an even stride is invariant under reflecting the source
+    # spectrum about omega = 1/4, which maps beta_m -> (-1)^m beta_m; pairing
+    # each of S/2 draws with its reflection makes the sampled moments exactly
+    # symmetric instead of symmetric only in the MC limit
+    drawn = mc_samples if reflect is None else mc_samples // 2
+    betas = prior.mean + np.random.default_rng(seed).standard_normal((drawn, size)) @ root.T
+    if reflect is not None:
+        betas = np.concatenate([betas, betas * reflect])
 
     blocks = tuple((d.series_id, len(d.frequencies)) for d in datasets)
     mu = np.empty((mc_samples, sum(length for _, length in blocks)))
-    buffer = np.empty(mc_samples * max((len(d.frequencies) for d in datasets if d.stride > 1),
-                                       default=0))
     start = 0
     # a prior too wide for exp overflows here; that is reported below, not warned about
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for data, (_, length) in zip(datasets, blocks):
-            _fold_draws(betas, data, mu[:, start:start + length], buffer)
+            _fold_draws(betas, data, mu[:, start:start + length])
             start += length
-        del buffer
         np.log(mu, out=mu)
         mu -= EULER_GAMMA
     if not np.all(np.isfinite(mu)):

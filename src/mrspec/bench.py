@@ -18,7 +18,8 @@ from .beliefs import (
     whiten,
 )
 from .models import (DesignError, LogSpectrum, SampledSeries, SpectralModel, ar2_from_omega,
-                     basis_matrix, levinson, simulate, simulate_log_spectra, subsample)
+                     basis_matrix, levinson, simulate, simulate_log_spectra, spectral_density,
+                     subsample)
 
 __all__ = [
     "standard_grid",
@@ -277,9 +278,7 @@ def baseline_spectra(series):
     aic = n * np.log([v for _, v in fits]) + 2.0 * np.arange(p_max + 1)
     order = int(np.argmin(aic))
     phi, sigma2 = fits[order]
-    z = np.exp(-2j * np.pi * grid)
-    denom = np.abs(np.polyval(np.concatenate([[1.0], -phi])[::-1], z)) ** 2
-    ar_log = np.log(sigma2 / denom)
+    ar_log = np.log(spectral_density(SpectralModel(ar=phi, innovation_variance=sigma2), grid))
 
     pgram = np.abs(np.fft.rfft(x - x.mean())) ** 2 / n
     freqs = np.arange(len(pgram)) / n

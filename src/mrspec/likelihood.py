@@ -71,7 +71,10 @@ class ExperimentDesign:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
+        grid = np.asarray(self.grid, dtype=float)
+        if grid.ndim != 1 or not grid.size or not np.all(np.diff(grid, prepend=0, append=0.5) > 0):
+            raise DesignError("grid must be a nonempty 1-d vector increasing strictly in (0, 1/2)")
+        object.__setattr__(self, "grid", grid)
         if self.replicates < 1:
             raise DesignError("replicates must be >= 1")
         if self.n_low < 0 or self.n_high < 0 or (self.n_low == 0 and self.n_high == 0):

@@ -6,6 +6,7 @@ White noise with unit innovation variance therefore has f == 1.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -77,8 +78,9 @@ class SpectralModel:
     def __post_init__(self):
         for name in ("ar", "ma", "seasonal_ar", "seasonal_ma"):
             object.__setattr__(self, name, tuple(float(c) for c in getattr(self, name)))
-        if self.season_period < 1:
-            raise ModelInvariantError("season_period must be a positive integer")
+        period = self.season_period
+        if isinstance(period, bool) or not isinstance(period, Integral) or period < 1:
+            raise ModelInvariantError("season_period must be an integer >= 1, got %r" % (period,))
         if not 0 < self.innovation_variance < np.inf:
             raise ModelInvariantError("innovation variance must be positive and finite")
         _check_roots(self.full_ar_poly(), "AR")

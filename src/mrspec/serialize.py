@@ -28,8 +28,6 @@ __all__ = [
     "write_csv",
     "read_csv",
     "MODEL_FIELDS",
-    "model_to_dict",
-    "model_from_dict",
     "spectrum_source_from_dict",
     "write_series",
     "read_series",
@@ -176,34 +174,19 @@ def read_csv(path):
     return header, [np.asarray(c) for c in data]
 
 
-def model_to_dict(model):
-    return {
-        "ar": list(model.ar),
-        "ma": list(model.ma),
-        "sar": list(model.seasonal_ar),
-        "sma": list(model.seasonal_ma),
-        "s": model.season_period,
-        "sigma2": model.innovation_variance,
-    }
-
-
 _COEFFICIENTS = (list_of(number, 0), [])
-# model_to_dict's keys: four coefficient lists, the season period and the innovation variance
+# a model object: four coefficient lists, the season period and the innovation variance
 MODEL_FIELDS = {"ar": _COEFFICIENTS, "ma": _COEFFICIENTS, "sar": _COEFFICIENTS,
                 "sma": _COEFFICIENTS, "s": (integer(1), 1), "sigma2": (number, REQUIRED)}
 
 
-def model_from_dict(cfg):
-    m = read_fields(MODEL_FIELDS, cfg, "model")
-    return SpectralModel(m["ar"], m["ma"], m["sar"], m["sma"], m["s"], m["sigma2"])
-
-
-def spectrum_source_from_dict(cfg):
-    """A model dict under 'model' or cosine coefficients under 'logspectrum',
-    not both."""
-    if one_source(cfg) == "model":
-        return model_from_dict(cfg["model"])
-    return LogSpectrum(np.asarray(cfg["logspectrum"], dtype=float))
+def spectrum_source_from_dict(values):
+    """The source that the read ``values`` give: 'model', a model object read by
+    ``MODEL_FIELDS``, or 'logspectrum', the cosine coefficients, not both."""
+    if one_source(values) == "model":
+        m = values["model"]
+        return SpectralModel(m["ar"], m["ma"], m["sar"], m["sma"], m["s"], m["sigma2"])
+    return LogSpectrum(np.asarray(values["logspectrum"], dtype=float))
 
 
 SIDECAR_FIELDS = {"stride": (integer(1), 1), "offset": (integer(0), 0),

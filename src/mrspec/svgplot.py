@@ -18,6 +18,11 @@ def _fmt(v):
     return "%.3f" % v
 
 
+def _text(x, y, size, body, attrs):
+    """A <text> element at the coordinate strings x, y; ``attrs`` follow the font size."""
+    return '<text x="%s" y="%s" font-size="%d" %s>%s</text>' % (x, y, size, attrs, body)
+
+
 class _Frame:
     def __init__(self, x, ys, width, height, pad=45.0):
         ys = [np.asarray(y, float) for y in ys]
@@ -68,30 +73,19 @@ class _Frame:
         for frac in (0.0, 0.5, 1.0):
             xv = self.x0 + frac * (self.x1 - self.x0)
             yv = self.y0 + frac * (self.y1 - self.y0)
-            parts.append(
-                '<text x="%s" y="%s" font-size="10" text-anchor="middle">%.4g</text>'
-                % (_fmt(self.px(xv)), _fmt(self.h - self.pad + 14), xv)
-            )
-            parts.append(
-                '<text x="%s" y="%s" font-size="10" text-anchor="end">%.4g</text>'
-                % (_fmt(self.pad - 4), _fmt(self.py(yv) + 3), yv)
-            )
+            parts.append(_text(_fmt(self.px(xv)), _fmt(self.h - self.pad + 14), 10,
+                               "%.4g" % xv, 'text-anchor="middle"'))
+            parts.append(_text(_fmt(self.pad - 4), _fmt(self.py(yv) + 3), 10,
+                               "%.4g" % yv, 'text-anchor="end"'))
         if title:
-            parts.append(
-                '<text x="%s" y="16" font-size="12" text-anchor="middle">%s</text>'
-                % (_fmt(self.w / 2), title)
-            )
+            parts.append(_text(_fmt(self.w / 2), "16", 12, title, 'text-anchor="middle"'))
         if xlabel:
-            parts.append(
-                '<text x="%s" y="%s" font-size="11" text-anchor="middle">%s</text>'
-                % (_fmt(self.w / 2), _fmt(self.h - 6), xlabel)
-            )
+            parts.append(_text(_fmt(self.w / 2), _fmt(self.h - 6), 11, xlabel,
+                               'text-anchor="middle"'))
         if ylabel:
-            parts.append(
-                '<text x="14" y="%s" font-size="11" text-anchor="middle" '
-                'transform="rotate(-90 14 %s)">%s</text>'
-                % (_fmt(self.h / 2), _fmt(self.h / 2), ylabel)
-            )
+            parts.append(_text("14", _fmt(self.h / 2), 11, ylabel,
+                               'text-anchor="middle" transform="rotate(-90 14 %s)"'
+                               % _fmt(self.h / 2)))
         return parts
 
 
@@ -120,10 +114,8 @@ def line_plot(path, x, curves, labels=None, vline=None, title="", ylabel=""):
         color = _PALETTE[i % len(_PALETTE)]
         body.append(frame.polyline(x, curve, color))
         if labels:
-            body.append(
-                '<text x="%s" y="%s" font-size="10" fill="%s">%s</text>'
-                % (_fmt(_WIDTH - frame.pad + 4), _fmt(frame.pad + 12 * (i + 1)), color, labels[i])
-            )
+            body.append(_text(_fmt(_WIDTH - frame.pad + 4), _fmt(frame.pad + 12 * (i + 1)), 10,
+                              labels[i], 'fill="%s"' % color))
     _write(path, _document(_WIDTH, _HEIGHT, body))
 
 
@@ -149,10 +141,7 @@ def panel_grid(path, panels, ncols, title=""):
     height = nrows * _PANEL_HEIGHT + (24 if title else 0)
     body = []
     if title:
-        body.append(
-            '<text x="%s" y="16" font-size="13" text-anchor="middle">%s</text>'
-            % (_fmt(width / 2), title)
-        )
+        body.append(_text(_fmt(width / 2), "16", 13, title, 'text-anchor="middle"'))
     y_off = 24 if title else 0
     for idx, (ptitle, x, curves) in enumerate(panels):
         row, col = divmod(idx, ncols)

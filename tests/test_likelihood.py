@@ -108,6 +108,15 @@ class TestExperimentDesign:
         with pytest.raises(DesignError, match="modulus"):
             ExperimentDesign(n_low=4, n_high=2, replicates=1, omega_true=0.3, modulus=modulus)
 
+    @pytest.mark.parametrize("grid", [[0.3, 0.2], [0.2, 0.2], [0.1, 0.5], [0.0, 0.1], [],
+                                      [[0.1, 0.2]], [0.1, np.nan, 0.3]])
+    def test_rejects_grid_before_simulating(self, monkeypatch, grid):
+        # an unsorted grid, or one touching 0 or 1/2, or an empty one, used to be
+        # simulated and scanned before a later stage failed on it
+        monkeypatch.setattr(likelihood, "simulate_replicates", None)
+        with pytest.raises(DesignError, match="grid"):
+            mc_average_surface(ExperimentDesign(10, 2, 2, 0.1, grid=grid))
+
 
 class TestExactLoglik:
     def test_white_noise_matches_iid_normal(self):

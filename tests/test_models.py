@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -125,6 +127,13 @@ class TestSpectralModel:
     def test_bad_variance(self):
         with pytest.raises(ModelInvariantError):
             SpectralModel(innovation_variance=0.0)
+
+    @pytest.mark.parametrize("period", [1.5, True, 0, np.float64(12.0)])
+    def test_season_period_must_be_an_integer(self, period):
+        # 1.5 used to end in numpy's TypeError, and True was taken as 1
+        with pytest.raises(ModelInvariantError,
+                           match="season_period.*" + re.escape("got %r" % (period,))):
+            SpectralModel(seasonal_ar=(0.5,), season_period=period)
 
     @pytest.mark.parametrize("variance", [np.inf, np.nan])
     def test_non_finite_variance(self, variance):
