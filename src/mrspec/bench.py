@@ -17,9 +17,9 @@ from .beliefs import (
     matvecs,
     whiten,
 )
-from .models import (DesignError, LogSpectrum, SampledSeries, SpectralModel, ar2_from_omega,
-                     basis_matrix, levinson, simulate, simulate_log_spectra, spectral_density,
-                     subsample)
+from .models import (DesignError, LogSpectrum, SampledSeries, SpectralModel,
+                     _check_integer_fields, _normals, ar2_from_omega, basis_matrix, levinson,
+                     simulate, simulate_log_spectra, spectral_density, subsample)
 
 __all__ = [
     "standard_grid",
@@ -56,14 +56,18 @@ def discrepancy(true_log_curve, est_log_curve):
     return float(out) if a.ndim == 1 else out
 
 
+def _prior_draws(prior, seeds):
+    """Coefficient vectors drawn from the smoothness prior, as the rows of a
+    (len(seeds), K) matrix; row r depends only on seeds[r]."""
+    draws = _normals(prior.size, seeds)
+    draws *= np.sqrt(prior.variances())
+    draws += prior.to_state().mean
+    return draws
+
+
 def random_process(seed, prior=None):
     """Draw a LogSpectrum whose coefficients follow the smoothness prior."""
-    prior = prior or PriorSpec()
-    rng = np.random.default_rng(seed)
-    mean = np.zeros(prior.size)
-    mean[0] = prior.intercept_mean
-    beta = mean + rng.standard_normal(prior.size) * np.sqrt(prior.variances())
-    return LogSpectrum(beta)
+    return LogSpectrum(_prior_draws(prior or PriorSpec(), [seed])[0])
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,7 @@ class BenchDesign:
     mc_samples: int = 2000
 
     def __post_init__(self):
+        _check_integer_fields(self, ("replicates", "mc_samples"))
         if self.replicates < 1:
             raise DesignError("replicates must be >= 1")
         for name, segment in (("d1", self.d1), ("d2", self.d2)):
@@ -109,12 +114,13 @@ def run_bench(design, prior=None):
     forecast moments (they depend only on the prior and the data layout) with
     the inverse L^-1 of their Cholesky factor, the whitened cross-covariance W
     with the check that the adjusted variance is positive semi-definite, and
-    the cosine bases on the embedding nodes and on the scoring grid.  The
-    truths are one (R, K) coefficient matrix, simulated by circulant embedding
-    a chunk of replicates at a time (``simulate_log_spectra``) and scored; each
-    segment's log-periodograms are one rfft over its strided view of the path
-    rows.  Still one matrix-vector product per replicate, so that no row
-    depends on the batch: the whitening z = L^-1 (d - E(D)), the adjusted mean
+    the cosine basis on the scoring grid; that on the embedding nodes is built
+    once per process, per node count and basis size.  The truths are one (R, K)
+    matrix of prior draws, simulated by circulant embedding a chunk of
+    replicates at a time (``simulate_log_spectra``) and scored; each segment's
+    log-periodograms are one rfft over its strided view of the path rows.
+    Still one matrix-vector product per replicate, so that no row depends on
+    the batch: the whitening z = L^-1 (d - E(D)), the adjusted mean
     E(beta) + W^T z and the two curves on the scoring grid.
 
     The result equals, bit for bit, a loop that runs ``simulate``,
@@ -134,7 +140,7 @@ def run_bench(design, prior=None):
     prior_state = prior.to_state()
     moments = forecast_moments(prior_state, layouts, design.mc_samples, moment_seed)
     sim_seeds, proc_seeds = zip(*(rep_seed.spawn(2) for rep_seed in rep_seeds))
-    coefficients = np.array([random_process(seed, prior).coefficients for seed in proc_seeds])
+    coefficients = _prior_draws(prior, proc_seeds)
     paths = simulate_log_spectra(coefficients, delta1 * n1 + delta2 * n2, sim_seeds)
     try:
         # every replicate has the same adjusted variance; adjust rejects it

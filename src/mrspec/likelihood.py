@@ -10,6 +10,7 @@ from .models import (
     DesignError,
     NotPositiveDefiniteError,
     SpectralModel,
+    _check_integer_fields,
     ar2_from_omega,
     arma_state_space,
     autocovariance,  # noqa: F401  unused here, but kept for perfbench/spans.py, as simulate
@@ -46,8 +47,8 @@ class LikelihoodSurface:
         loglik = np.asarray(self.loglik, dtype=float)
         if omegas.shape != loglik.shape or omegas.ndim != 1:
             raise ValueError("omegas and loglik must be 1-d vectors of equal length")
-        if np.any(np.diff(omegas) <= 0) or omegas[0] <= 0 or omegas[-1] >= 0.5:
-            raise ValueError("omegas must be strictly increasing within (0, 1/2)")
+        if not omegas.size or not np.all(np.diff(omegas, prepend=0, append=0.5) > 0):
+            raise ValueError("omegas must be nonempty and strictly increasing within (0, 1/2)")
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "loglik", loglik)
 
@@ -75,6 +76,7 @@ class ExperimentDesign:
         if grid.ndim != 1 or not grid.size or not np.all(np.diff(grid, prepend=0, append=0.5) > 0):
             raise DesignError("grid must be a nonempty 1-d vector increasing strictly in (0, 1/2)")
         object.__setattr__(self, "grid", grid)
+        _check_integer_fields(self, ("replicates", "n_low", "n_high", "delta_low"))
         if self.replicates < 1:
             raise DesignError("replicates must be >= 1")
         if self.n_low < 0 or self.n_high < 0 or (self.n_low == 0 and self.n_high == 0):

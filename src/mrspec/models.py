@@ -5,6 +5,7 @@ Spectral convention used throughout the package: the density f is defined on
 White noise with unit innovation variance therefore has f == 1.
 """
 
+import functools
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -38,6 +39,15 @@ class ModelInvariantError(ValueError):
 class DesignError(ValueError):
     """An experiment design is invalid (replicate count, segments, grid or
     prior specification)."""
+
+
+def _check_integer_fields(design, names):
+    """DesignError naming the first of the fields ``names`` of ``design`` whose
+    value is not an integer; a bool is not one."""
+    for name in names:
+        value = getattr(design, name)
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise DesignError("%s must be an integer, got %r" % (name, value))
 
 
 class NotPositiveDefiniteError(ArithmeticError):
@@ -535,6 +545,15 @@ def _chunks(count, width):
     return (np.arange(start, min(start + step, count)) for start in range(0, count, step))
 
 
+@functools.lru_cache(maxsize=1)
+def _node_basis(node_count, size):
+    """``basis_matrix`` on the ``node_count`` nodes of ``_autocovariance_nodes``,
+    read-only, as every caller shares it; the last one asked for is kept."""
+    basis = basis_matrix(np.linspace(0.0, 0.5, node_count), size)
+    basis.flags.writeable = False
+    return basis
+
+
 def simulate_log_spectra(coefficients, n, seeds):
     """Paths of ``simulate`` for many LogSpectrum processes, one per row of the
     (R, K) matrix ``coefficients`` and one seed each, as the rows of an (R, n)
@@ -543,20 +562,24 @@ def simulate_log_spectra(coefficients, n, seeds):
     Row r is NaN exactly where ``simulate(LogSpectrum(coefficients[r]), n, seeds[r])``
     raises ModelInvariantError; elsewhere it equals that path bit for bit, so each
     row gets the smallest circulant embedding that its own density allows
-    (``_min_embeddings``).  The cosine basis on the nodes is shared; the densities,
-    their embeddings and the FFTs go a chunk of rows at a time.  Each log-density
-    stays its own matrix-vector product, as a stacked product changes the last bits."""
+    (``_min_embeddings``).  The cosine basis on the nodes is built once per
+    process, per node count and basis size (``_node_basis``); the densities, their
+    embeddings and the FFTs go a chunk of rows at a time.  Each log-density stays
+    its own matrix-vector product, as a stacked product changes the last bits."""
     coefficients = np.asarray(coefficients, dtype=float)  # a ragged list raises here
     if (coefficients.ndim != 2 or coefficients.shape[1] < 1 or len(coefficients) != len(seeds)
             or not np.all(np.isfinite(coefficients))):
         raise ValueError("coefficients must be a finite (R, K) matrix, K >= 1, R = len(seeds): "
                          "got shape %s for %d seeds" % (coefficients.shape, len(seeds)))
-    nodes = _autocovariance_nodes(_max_lag(n))
-    basis = basis_matrix(nodes, coefficients.shape[1])
+    node_count = len(_autocovariance_nodes(_max_lag(n)))
+    basis = _node_basis(node_count, coefficients.shape[1])
     paths = np.empty((len(seeds), n))
-    for rows in _chunks(len(seeds), 2 * len(nodes) - 2):
+    for rows in _chunks(len(seeds), 2 * node_count - 2):
+        f = np.empty((len(rows), node_count))
+        for row, log_f in zip(coefficients[rows], f):
+            np.matmul(basis, row, out=log_f)
         with np.errstate(over="ignore"):  # a density past the float range fails its row
-            f = np.stack([np.exp(basis @ row) for row in coefficients[rows]])
+            np.exp(f, out=f)
         f[~_admissible(f)] = np.nan  # no embedding fits a NaN density, and the FFT spreads it
         for fits, eigen in _min_embeddings(f, n):
             paths[rows[fits]] = _circulant_paths(

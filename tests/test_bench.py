@@ -66,6 +66,34 @@ class TestRandomProcess:
         assert np.array_equal(p1.coefficients, p2.coefficients)
         assert len(p1.coefficients) == PriorSpec().size
 
+    @settings(max_examples=25, deadline=None)
+    @given(size=st.integers(1, 40), intercept_mean=st.floats(-5.0, 5.0),
+           scale=st.floats(0.01, 100.0), smoothness=st.floats(0.1, 400.0),
+           cutoff=st.floats(0.1, 50.0), replicates=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_run_bench_truths_are_its_draws(self, size, intercept_mean, scale, smoothness,
+                                            cutoff, replicates, seed):
+        # run_bench draws all its truths at once; row r must be random_process's
+        # draw from the seed that replicate r spawns, bit for bit
+        prior = PriorSpec(size=size, intercept_mean=intercept_mean, scale=scale,
+                          smoothness=smoothness, cutoff=cutoff)
+        truths = []
+
+        def capture(coefficients, n, seeds):
+            truths.append(coefficients)
+            raise StopIteration
+
+        with pytest.MonkeyPatch.context() as patch, pytest.raises(StopIteration):
+            patch.setattr(bench, "simulate_log_spectra", capture)
+            run_bench(BenchDesign(d1=(1, 8), d2=(2, 8), replicates=replicates, seed=seed,
+                                  mc_samples=500), prior)
+        _, *rep_seeds = np.random.SeedSequence(seed).spawn(replicates + 1)
+        [coefficients] = truths
+        assert coefficients.shape == (replicates, size)
+        for row, rep_seed in zip(coefficients, rep_seeds):
+            want = random_process(rep_seed.spawn(2)[1], prior).coefficients
+            assert row.tobytes() == want.tobytes()
+
     def test_coefficient_spread_matches_prior(self):
         prior = PriorSpec(size=16)
         draws = np.array([random_process(s, prior).coefficients for s in range(500)])
@@ -263,7 +291,15 @@ class TestRunBench:
             BenchDesign(d1=d1, d2=d2, replicates=4)
 
     def test_accepts_shortest_periodogram_segment(self):
-        BenchDesign(d1=(1, 8), d2=[np.int64(2), np.int64(8)], replicates=4)
+        BenchDesign(d1=(1, 8), d2=[np.int64(2), np.int64(8)], replicates=np.int64(4))
+
+    @pytest.mark.parametrize("field,value", [
+        ("replicates", 2.5), ("replicates", True), ("mc_samples", 2000.5), ("mc_samples", 600.0),
+    ], ids=["replicates", "replicates-bool", "mc_samples", "mc_samples-float"])
+    def test_rejects_non_integer_count(self, field, value):
+        # a fraction ended in numpy's TypeError, and True ran as 1 replicate
+        with pytest.raises(DesignError, match="%s must be an integer, got %r" % (field, value)):
+            BenchDesign(d1=(1, 32), d2=(1, 32), **{field: value})
 
 
 class TestTableSweep:

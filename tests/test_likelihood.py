@@ -76,6 +76,12 @@ class TestLikelihoodSurface:
         with pytest.raises(ValueError):
             LikelihoodSurface(np.array([0.1, 0.2]), np.zeros(3))
 
+    @pytest.mark.parametrize("omegas", [[], [0.1, np.nan, 0.3]], ids=["empty", "nan"])
+    def test_rejects_empty_or_nan_grid(self, omegas):
+        # the empty grid was an IndexError and the NaN one was accepted
+        with pytest.raises(ValueError, match="omegas must be nonempty and strictly increasing"):
+            LikelihoodSurface(omegas, np.arange(len(omegas), dtype=float))
+
 
 class TestExperimentDesign:
     def test_base_indices_zero_gap(self):
@@ -102,6 +108,16 @@ class TestExperimentDesign:
             ExperimentDesign(n_low=4, n_high=2, replicates=1, omega_true=0.3,
                              delta_low=delta_low)
 
+
+    @pytest.mark.parametrize("field,value", [
+        ("replicates", 2.5), ("n_low", True), ("n_high", 2.5), ("delta_low", 2.0),
+    ], ids=["replicates", "n_low", "n_high", "delta_low"])
+    def test_rejects_non_integer_field(self, field, value):
+        # each was accepted, and a fractional replicate count failed later in spawn
+        fields = dict(n_low=4, n_high=2, replicates=2, omega_true=0.3)
+        fields[field] = value
+        with pytest.raises(DesignError, match="%s must be an integer, got %r" % (field, value)):
+            ExperimentDesign(**fields)
 
     @pytest.mark.parametrize("modulus", [0.0, 1.0, 1.5])
     def test_rejects_modulus_outside_unit_interval(self, modulus):

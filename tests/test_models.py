@@ -20,6 +20,7 @@ from mrspec.models import (
     arma_autocovariance,
     arma_state_space,
     autocovariance,
+    basis_matrix,
     levinson,
     simpson_grid,
     simulate,
@@ -648,6 +649,34 @@ class TestCirculantEmbedding:
         seeds = list(range(2 * chunk_rows(896) + 6))
         simulate_replicates(LogSpectrum(np.array([0.1, -0.4, 0.2])), 896, seeds)
         assert len(calls) == 1
+
+    def test_node_basis_equals_basis_matrix_and_is_read_only(self):
+        nodes = models._autocovariance_nodes(99)
+        basis = models._node_basis(len(nodes), 5)
+        assert basis.tobytes() == basis_matrix(nodes, 5).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0] = 1.0
+
+    def test_node_basis_is_built_once_per_node_count(self, monkeypatch):
+        # every n <= 2049 has the 4097 nodes of QUAD_PANELS, so two calls share
+        # one basis; a path of 3000 points has 5999 nodes and a basis of its own
+        real, built = models.basis_matrix, []
+
+        def spy(omegas, size):
+            built.append(len(omegas))
+            return real(omegas, size)
+
+        monkeypatch.setattr(models, "basis_matrix", spy)
+        models._node_basis.cache_clear()
+        coefficients = np.array([[0.2, -0.5, 0.3], [0.1, 0.4, -0.2]])
+        simulate_log_spectra(coefficients, 64, [1, 2])
+        simulate_log_spectra(coefficients[:1], 896, [3])
+        assert built == [models.QUAD_PANELS + 1]
+        paths = simulate_log_spectra(coefficients, 3000, [4, 5])
+        assert built == [models.QUAD_PANELS + 1, 2 * (3000 - 1) + 1]
+        monkeypatch.undo()
+        for row, seed, path in zip(coefficients, [4, 5], paths):
+            assert np.array_equal(path, simulate(LogSpectrum(row), 3000, seed).values)
 
     def test_non_positive_density_raises(self):
         with pytest.raises(ModelInvariantError):
