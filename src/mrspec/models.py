@@ -417,28 +417,64 @@ def levinson(gamma):
         yield phi[:t], v
 
 
+# steps per block product of _state_paths, one length for every n, so that a
+# shorter path is a bitwise prefix of a longer one
+_BLOCK = 32
+
+
+def _block_propagator(transition, gain):
+    """The (B + r, r + B) matrix M, B = _BLOCK, that advances the chain
+    s_{t+1} = T s_t + g z_{r+t} by a block of steps:
+        [x_t .. x_{t+B-1}, s_{t+B}] = M [s_t, z_{r+t} .. z_{r+t+B-1}].
+    Row b < B is e_0^T T^b beside the impulse responses e_0^T T^(b-1-i) g,
+    i < b; the last r rows are T^B beside T^(B-1-i) g.  Built once per call
+    of _state_paths, by repeated products with T."""
+    r = len(transition)
+    power, responses = np.eye(r), np.empty((_BLOCK, r))  # responses[j] = T^j g
+    propagator = np.zeros((_BLOCK + r, r + _BLOCK))
+    response = gain
+    for b in range(_BLOCK):
+        propagator[b, :r] = power[0]
+        responses[b] = response
+        power, response = transition @ power, transition @ response
+    rows, cols = np.indices((_BLOCK, _BLOCK))
+    propagator[:_BLOCK, r:] = np.where(rows > cols, responses[np.maximum(rows - cols - 1, 0), 0],
+                                       0.0)
+    propagator[_BLOCK:, :r] = power
+    propagator[_BLOCK:, r:] = responses[::-1].T
+    return propagator
+
+
 def _state_paths(transition, noise, stationary, window):
     """Paths of the chain (T, Q, P) of arma_state_space, one per column of the
     (n + r - 1, R) normals z in ``window``, as the rows of an (R, n) array:
     s_0 = P^(1/2) z_{<r}, s_{t+1} = T s_t + sigma psi z_{r+t}, x_t = (s_t)_0.
-    Rows t..t+r-1 of the window hold s_t, so T's shift is free, and each
-    normal is overwritten once used.  Products are elementwise, each AR row
-    summed in lag order, so a path depends on its own normals alone, bit for
-    bit.  An eigenvalue of P below -1e-12 times the largest, or NaN, raises
-    NotPositiveDefiniteError; round-off ones below 0 count as 0."""
+    Rows t..t+r-1 of the window hold s_t, and rows t+r.. the normals still to
+    come, so rows t..t+r+B-1 are the input of one ``_block_propagator``
+    product, and its output [x_t..x_{t+B-1}, s_{t+B}] overwrites them: each
+    normal is overwritten once used.  Every block, the last zero-padded, has
+    the same B, and each path takes its own matrix-vector product, so a path
+    depends on its own normals alone, and a shorter path is a prefix of a
+    longer one, bit for bit.  An eigenvalue of P below -1e-12 times the
+    largest, or NaN, raises NotPositiveDefiniteError; round-off ones below 0
+    count as 0."""
     values, vectors = np.linalg.eigh(stationary)  # a singular P passes, unlike Cholesky
     if not values[0] >= -1e-12 * values[-1]:  # NaN fails too
         raise NotPositiveDefiniteError("stationary state variance not positive semidefinite "
                                        "(eigenvalue %.6g)" % values[0], values[0])
     root = vectors * np.sqrt(np.maximum(values, 0.0))
-    r, gain = len(root), noise[:, :1] / np.sqrt(noise[0, 0])  # sigma psi, as psi_0 = 1
-    ar = [(c, r - j) for j, c in enumerate(transition[-1, ::-1], start=1) if c]
+    r, gain = len(root), noise[:, 0] / np.sqrt(noise[0, 0])  # sigma psi, as psi_0 = 1
     window[:r] = sum(root[:, k, None] * window[k] for k in range(r))
-    for t in range(len(window) - r):
-        kick = gain * window[t + r]
-        window[t + r] = sum(c * window[t + lag] for c, lag in ar)
-        window[t + 1 : t + r + 1] += kick
-    return window[: len(window) - r + 1].T
+    propagator = _block_propagator(transition, gain)
+    # one contiguous row per path, so that its product does not depend on the batch
+    block = np.zeros((window.shape[1], r + _BLOCK))
+    n = len(window) - r + 1
+    for t in range(0, n, _BLOCK):
+        rows = window[t : t + r + _BLOCK]
+        block[:, : len(rows)] = rows.T
+        block[:, len(rows) :] = 0.0  # past the last normal, in the last block only
+        rows[:] = np.matmul(propagator, block[..., None])[:, : len(rows), 0].T
+    return window[:n].T
 
 
 def _normals(n, seeds):
@@ -508,8 +544,10 @@ def simulate_replicates(source, n, seeds):
     A SpectralModel path has its exact Toeplitz(gamma) covariance, as the
     first component of the arma_state_space chain started from its stationary
     law (NotPositiveDefiniteError if that variance has a clearly negative
-    eigenvalue).  A LogSpectrum or callable path has exactly the Toeplitz(gamma~)
-    of ``autocovariance``, by circulant embedding, which has no pivot to fail: the
+    eigenvalue), advanced _BLOCK steps per matrix-vector product of each path
+    (``_state_paths``), so a shorter path is a prefix of a longer one.  A
+    LogSpectrum or callable path has exactly the Toeplitz(gamma~) of
+    ``autocovariance``, by circulant embedding, which has no pivot to fail: the
     smallest power-of-two circulant 2M >= 2(n - 1) of gamma~ whose eigenvalues are
     non-negative, up to the 2m nodes (``_min_embeddings``), colouring 2M normals;
     a density that is not finite and positive raises ModelInvariantError.

@@ -253,9 +253,11 @@ def belief_from_dict(cfg):
 
 
 def write_json(path, obj):
+    """``obj`` as indented JSON with sorted keys and a final newline, built
+    whole and written in one call: ``json.dump`` to a file writes chunk by chunk."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def read_json(path):

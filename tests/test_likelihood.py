@@ -194,6 +194,33 @@ class TestExactLoglik:
         got = exact_loglik(model, list(zip(indices, values)))
         assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
+    @settings(max_examples=60, deadline=None)
+    @given(phi2=st.floats(-0.9, 0.9), u=st.floats(-0.9, 0.9),
+           ma=st.lists(st.floats(-0.9, 0.9), max_size=1),
+           seasonal_ar=st.lists(st.floats(-0.9, 0.9), max_size=1),
+           seasonal_ma=st.lists(st.floats(-0.9, 0.9), max_size=1),
+           period=st.integers(1, 12), sigma2=st.floats(0.1, 10.0),
+           stride=st.sampled_from([2, 4, 6]), offset=st.integers(0, 5),
+           steps=st.lists(st.integers(0, 60), min_size=1, max_size=20, unique=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_even_stride_likelihood_is_reflection_invariant(
+            self, phi2, u, ma, seasonal_ar, seasonal_ma, period, sigma2, stride, offset, steps,
+            seed):
+        # multiplying full-polynomial coefficient k by (-1)^k maps f(w) to f(1/2 - w)
+        # and gamma(h) to (-1)^h gamma(h), which no even gap can see (criterion 1's 1e-8)
+        model = SpectralModel(ar=(u * (1.0 - phi2), phi2), ma=ma, seasonal_ar=seasonal_ar,
+                              seasonal_ma=seasonal_ma, season_period=period,
+                              innovation_variance=sigma2)
+        ar_poly, ma_poly = model.full_ar_poly(), model.full_ma_poly()
+        reflected = SpectralModel(ar=-ar_poly[1:] * (-1.0) ** np.arange(1, len(ar_poly)),
+                                  ma=ma_poly[1:] * (-1.0) ** np.arange(1, len(ma_poly)),
+                                  innovation_variance=sigma2)
+        indices = offset + stride * np.asarray(steps)
+        values = np.random.default_rng(seed).standard_normal(len(indices)) * np.sqrt(sigma2)
+        observations = list(zip(indices, values))
+        assert exact_loglik(reflected, observations) == pytest.approx(
+            exact_loglik(model, observations), rel=0, abs=1e-8)
+
     def test_rejects_duplicate_indices(self):
         with pytest.raises(ValueError):
             exact_loglik(SpectralModel(), [(0, 1.0), (0, 2.0)])

@@ -473,6 +473,15 @@ class TestSimulateReplicates:
         for row, seed in zip(paths, seeds):
             assert np.array_equal(row, simulate(model, 40, seed).values)
 
+    def test_multi_block_rows_equal_simulate(self):
+        # 200 steps of a seasonal model (r = 13) take several block products
+        model = SpectralModel(ar=(0.5,), ma=(-0.3,), seasonal_ar=(0.6,), season_period=12)
+        seeds = [11 * r + 2 for r in range(6)]
+        paths = simulate_replicates(model, 200, seeds)
+        assert paths.shape == (6, 200)
+        for row, seed in zip(paths, seeds):
+            assert np.array_equal(row, simulate(model, 200, seed).values)
+
     def test_peak_holds_one_copy_of_the_normals(self, traced_peak):
         # 200 AR(2) paths of 2,000 steps take 3.2 MB; the (n + r - 1, R) window
         # fills a chunk of seeds at a time, where an (R, n + r - 1) matrix of
@@ -532,20 +541,75 @@ def assert_exact_paths(model, n):
 SARMA_COEFFICIENTS = st.floats(-0.9, 0.9)
 
 
+@st.composite
+def sarma_models(draw):
+    """Causal, invertible SARMA models; seasonal factors at periods 1-12 give
+    states of dimension up to 14."""
+    phi2, u = draw(SARMA_COEFFICIENTS), draw(SARMA_COEFFICIENTS)
+    return SpectralModel(ar=(u * (1.0 - phi2), phi2),
+                         ma=draw(st.lists(SARMA_COEFFICIENTS, max_size=1)),
+                         seasonal_ar=draw(st.lists(SARMA_COEFFICIENTS, max_size=1)),
+                         seasonal_ma=draw(st.lists(SARMA_COEFFICIENTS, max_size=1)),
+                         season_period=draw(st.integers(1, 12)),
+                         innovation_variance=draw(st.floats(0.1, 10.0)))
+
+
+def step_recursion(chain, z):
+    """The chain (T, Q, P) of arma_state_space run one step at a time on the
+    normals z: s_0 = P^(1/2) z_{<r}, s_{t+1} = T s_t + sigma psi z_{r+t}, x_t = (s_t)_0."""
+    transition, noise, stationary = chain
+    r = len(transition)
+    values, vectors = np.linalg.eigh(stationary)
+    state = (vectors * np.sqrt(np.maximum(values, 0.0))) @ z[:r]
+    gain = noise[:, 0] / np.sqrt(noise[0, 0])
+    path = [state[0]]
+    for innovation in z[r:]:
+        state = transition @ state + gain * innovation
+        path.append(state[0])
+    return np.array(path)
+
+
+# the block products of _state_paths sum in another order than the step
+# recursion: 2e-14 of the standard deviation at AR(2) modulus 0.999 over
+# 5,000 steps, 6e-15 for the random SARMA models
+STEP_RECURSION_TOL = 1e-12
+
+
+def assert_step_recursion(model, n, seed):
+    chain = state_space(model)
+    z = np.random.default_rng(seed).standard_normal(n + len(chain[0]) - 1)
+    got = models._state_paths(*chain, z[:, None].copy())[0]
+    np.testing.assert_allclose(got, step_recursion(chain, z), rtol=0,
+                               atol=STEP_RECURSION_TOL * np.sqrt(autocovariance(model, 0)[0]))
+
+
 class TestStatePaths:
     @settings(max_examples=60, deadline=None)
-    @given(phi2=SARMA_COEFFICIENTS, u=SARMA_COEFFICIENTS,
-           ma=st.lists(SARMA_COEFFICIENTS, max_size=1),
-           seasonal_ar=st.lists(SARMA_COEFFICIENTS, max_size=1),
-           seasonal_ma=st.lists(SARMA_COEFFICIENTS, max_size=1),
-           period=st.integers(1, 12), sigma2=st.floats(0.1, 10.0), n=st.integers(1, 50))
-    def test_covariance_of_linear_map_is_toeplitz_of_autocovariance(
-            self, phi2, u, ma, seasonal_ar, seasonal_ma, period, sigma2, n):
-        # seasonal factors at periods 1-12 give states of dimension up to 14
-        model = SpectralModel(ar=(u * (1.0 - phi2), phi2), ma=ma, seasonal_ar=seasonal_ar,
-                              seasonal_ma=seasonal_ma, season_period=period,
-                              innovation_variance=sigma2)
+    @given(model=sarma_models(), n=st.integers(1, 50))
+    def test_covariance_of_linear_map_is_toeplitz_of_autocovariance(self, model, n):
         assert_exact_paths(model, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=sarma_models(), n=st.sampled_from([63, 64, 65, 200]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blocks_match_the_step_recursion(self, model, n, seed):
+        assert_step_recursion(model, n, seed)
+
+    @pytest.mark.parametrize("model", [
+        SpectralModel(ar=ar2_from_omega(1.0 / 12.0, 0.999)),
+        SpectralModel(seasonal_ar=(0.99,), season_period=12),
+    ], ids=["ar2-0.999", "sar-0.99-12"])
+    def test_near_unit_root_blocks_match_the_step_recursion(self, model):
+        # T^B near the unit circle carries its round-off through 157 blocks
+        assert_step_recursion(model, 5000, 11)
+
+    def test_shorter_path_is_a_bitwise_prefix(self):
+        # across block edges: the last block of a shorter path is zero-padded
+        model = SpectralModel(ar=(0.5, -0.2), ma=(0.3,), seasonal_ar=(0.6,), season_period=12)
+        block = models._BLOCK
+        longest = simulate(model, 5 * block + 7, 3).values
+        for n in (1, block - 1, block, block + 1, 2 * block, 2 * block + 1, 4 * block + 5):
+            assert np.array_equal(simulate(model, n, 3).values, longest[:n]), n
 
     @pytest.mark.parametrize("model", [
         # x^_{t+1|t} = 0.5 x_t: the state variance has a zero eigenvalue up to round-off

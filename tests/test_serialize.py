@@ -1,5 +1,7 @@
 """Round-trip tests for the CSV/JSON serialization helpers."""
 
+import io
+import json
 import re
 
 import numpy as np
@@ -223,6 +225,22 @@ class TestBeliefDict:
     def test_bad_entry_is_config_error_naming_the_key(self, mean, variance, message):
         with pytest.raises(ConfigError, match="^%s$" % re.escape("belief field " + message)):
             belief_from_dict({"mean": mean, "variance": variance})
+
+    @pytest.mark.parametrize("obj", [
+        belief_to_dict(BeliefState(np.array([0.2, -1.0 / 3.0]),
+                                   np.array([[0.4, 1e-17], [1e-17, 2.5e300]]))),
+        {"command": "estimate", "version": "0.1.0",
+         "config": {"series": ["a.csv", {"csv": "b.csv", "id": "recent"}], "mc_samples": 600,
+                    "prior": {"size": 8, "scale": 1.5}, "seed": None, "flag": True}},
+    ], ids=["belief", "manifest"])
+    def test_bytes_equal_json_dump(self, tmp_path, obj):
+        # the whole text is built before one write; the bytes are json.dump's
+        want = io.StringIO()
+        json.dump(obj, want, indent=2, sort_keys=True)
+        want.write("\n")
+        path = tmp_path / "o.json"
+        write_json(path, obj)
+        assert path.read_bytes() == want.getvalue().encode()
 
     def test_json_is_stable(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
