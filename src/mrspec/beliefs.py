@@ -204,6 +204,17 @@ class ForecastMoments:
             start += length
         return out
 
+    def select(self, names):
+        """The named blocks' moments, in the order given: up to rounding those of
+        their own forecast from the same draws and reflection choice, as the
+        regression of ``forecast_moments`` works column by column."""
+        slices = dict(self.block_slices())
+        index = np.r_[tuple(slices[name] for name in names)]
+        blocks = tuple((name, slices[name].stop - slices[name].start) for name in names)
+        # C order, as the forecast makes it: W's last bits depend on the order BLAS reads
+        return ForecastMoments(self.mean[index], self.variance[np.ix_(index, index)],
+                               self.cross.take(index, axis=1), blocks)
+
     @cached_property
     def factor(self):
         """Lower Cholesky factor L of Var(D), made on first use.  The Var(D) of

@@ -108,89 +108,78 @@ class BenchResult:
 
 def run_bench(design, prior=None):
     """One Table-style cell: mean discrepancy of the Bayes linear estimate
-    over replicated draws from the prior.
-
-    All replicates go through one batched pass.  Computed once per cell: the
-    forecast moments (they depend only on the prior and the data layout) with
-    the inverse L^-1 of their Cholesky factor, the whitened cross-covariance W
-    with the check that the adjusted variance is positive semi-definite, and
-    the cosine basis on the scoring grid; that on the embedding nodes is built
-    once per process, per node count and basis size.  The truths are one (R, K)
-    matrix of prior draws, simulated by circulant embedding a chunk of
-    replicates at a time (``simulate_log_spectra``) and scored; each segment's
-    log-periodograms are one rfft over its strided view of the path rows.
-    Still one matrix-vector product per replicate, so that no row depends on
-    the batch: the whitening z = L^-1 (d - E(D)), the adjusted mean
-    E(beta) + W^T z and the two curves on the scoring grid.
+    over replicated draws from the prior; the 1 x 1 table of ``table_sweep``.
 
     The result equals, bit for bit, a loop that runs ``simulate``,
     ``log_periodogram`` and ``adjust`` on each replicate and counts a replicate
     as failed when any of them raises; here such a replicate (a zero
     periodogram ordinate, a non-finite path) has a non-finite adjusted mean.
-    Deterministic given the design seed; replicate reduction is in index order.
-    """
-    prior = prior or PriorSpec()
-    (delta1, n1), (delta2, n2) = design.d1, design.d2
-    layouts = [
-        PeriodogramData.layout("d1", delta1, n1),
-        PeriodogramData.layout("d2", delta2, n2),
-    ]
-    root = np.random.SeedSequence(design.seed)
-    moment_seed, *rep_seeds = root.spawn(design.replicates + 1)
-    prior_state = prior.to_state()
-    moments = forecast_moments(prior_state, layouts, design.mc_samples, moment_seed)
-    sim_seeds, proc_seeds = zip(*(rep_seed.spawn(2) for rep_seed in rep_seeds))
-    coefficients = _prior_draws(prior, proc_seeds)
-    paths = simulate_log_spectra(coefficients, delta1 * n1 + delta2 * n2, sim_seeds)
-    try:
-        # every replicate has the same adjusted variance; adjust rejects it
-        # here, once, when it is not positive semi-definite
-        adjust(prior_state, moments, moments.mean)
-    except (np.linalg.LinAlgError, ArithmeticError, ValueError):
-        return BenchResult(np.nan, np.nan, np.asarray([]), design.replicates)
-    split = delta1 * n1
-    # a zero ordinate logs to -inf, and the whitening then spreads -inf and
-    # NaN over that replicate's row, as it does over the NaN row of a path
-    # that was not simulated; a non-finite mean fails its replicate below
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        observed = np.concatenate([log_periodogram_rows(paths[:, :split:delta1]),
-                                   log_periodogram_rows(paths[:, split::delta2])], axis=1)
-        estimates = prior_state.mean + matvecs(moments.whitened.T, whiten(moments, observed))
-    usable = np.all(np.isfinite(estimates), axis=1)
-    grid_basis = basis_matrix(standard_grid(), prior.size)
-    scores = discrepancy(matvecs(grid_basis, coefficients[usable]),
-                         matvecs(grid_basis, estimates[usable]))
-    failures = design.replicates - len(scores)
-    if len(scores) == 0:
-        return BenchResult(np.nan, np.nan, scores, failures)
-    stderr = scores.std(ddof=1) / np.sqrt(len(scores)) if len(scores) > 1 else np.nan
-    return BenchResult(float(scores.mean()), float(stderr), scores, failures)
+    Deterministic given the design seed; replicate reduction is in index order."""
+    return _sweep([design.d1], [design.d2], design.replicates, design.seed,
+                  design.mc_samples, prior)[0][0]
 
 
 def table_sweep(deltas, ns, replicates, seed, prior=None, d1_cells=None, d2_cells=None):
     """Mean discrepancy over the Cartesian product of (delta, N) cells for the
-    first and second segments.  Returns (d1_cells, d2_cells, means, stderrs)
-    with one row per D1 cell and one column per D2 cell."""
+    first and second segments, all from one set of draws.  Returns (d1_cells,
+    d2_cells, means, stderrs) with one row per D1 cell and one column per D2 cell."""
     deltas, ns = list(deltas), list(ns)
-    if not deltas or not ns:
-        raise DesignError("delta and N grids must be nonempty")
     if d1_cells is None:
         d1_cells = [(d, n) for d in deltas for n in ns]
     if d2_cells is None:
         d2_cells = [(d, n) for d in deltas for n in ns]
-    means = np.full((len(d1_cells), len(d2_cells)), np.nan)
-    stderrs = np.full_like(means, np.nan)
-    # every cell's design is built before any cell runs, so a bad cell fails at once
-    designs = {
-        (i, j): BenchDesign(d1=d1, d2=d2, replicates=replicates, seed=np.random.SeedSequence(
-            entropy=seed, spawn_key=(i, j)).generate_state(1)[0])
-        for i, d1 in enumerate(d1_cells) for j, d2 in enumerate(d2_cells)
-    }
-    for (i, j), design in designs.items():
-        result = run_bench(design, prior)
-        means[i, j] = result.mean
-        stderrs[i, j] = result.stderr
+    if not (deltas and ns and d1_cells and d2_cells):
+        raise DesignError("delta and N grids, and both lists of cells, must be nonempty")
+    # every cell's design is built before any draw is made, so a bad cell fails at once
+    designs = [BenchDesign(d1=d1, d2=d2, replicates=replicates, seed=seed)
+               for d1 in d1_cells for d2 in d2_cells]
+    results = _sweep(d1_cells, d2_cells, replicates, seed, designs[0].mc_samples, prior)
+    means, stderrs = np.moveaxis([[(r.mean, r.stderr) for r in row] for row in results], 2, 0)
     return d1_cells, d2_cells, means, stderrs
+
+
+def _sweep(d1_cells, d2_cells, replicates, seed, mc_samples, prior):
+    """Every cell's BenchResult, one list per D1 cell, from common random numbers
+    (Glasserman 2004, sec. 4.2): one ``forecast_moments`` over every layout keyed by
+    role and (delta, N), holding each cell's moments as a sub-block, and one path per
+    replicate, of which a cell reads path[:d1 N1:d1] and path[d1 N1 : d1 N1 + d2 N2 : d2].
+    Reflection pairing is chosen once: draws pair only when every stride is even."""
+    prior = prior or PriorSpec()
+    layouts = {(role, delta, n): PeriodogramData.layout((role, delta, n), delta, n)
+               for role, cells in (("d1", d1_cells), ("d2", d2_cells)) for delta, n in cells}
+    moment_seed, *rep_seeds = np.random.SeedSequence(seed).spawn(replicates + 1)
+    prior_state = prior.to_state()
+    moments = forecast_moments(prior_state, list(layouts.values()), mc_samples, moment_seed)
+    sim_seeds, proc_seeds = zip(*(rep_seed.spawn(2) for rep_seed in rep_seeds))
+    coefficients = _prior_draws(prior, proc_seeds)
+    length = max(d * n for d, n in d1_cells) + max(d * n for d, n in d2_cells)
+    paths = simulate_log_spectra(coefficients, length, sim_seeds)
+    grid_basis = basis_matrix(standard_grid(), prior.size)
+    true_curves = matvecs(grid_basis, coefficients)
+    results = [[] for _ in d1_cells]
+    # a zero ordinate logs to -inf and a path not simulated is NaN; the whitening
+    # spreads either over the replicate's row, whose non-finite mean fails it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for row, (delta1, n1) in zip(results, d1_cells):
+            split = delta1 * n1
+            first = log_periodogram_rows(paths[:, :split:delta1])
+            for delta2, n2 in d2_cells:
+                cell = moments.select([("d1", delta1, n1), ("d2", delta2, n2)])
+                try:
+                    # one adjusted variance serves every replicate: rejected once if not PSD
+                    adjust(prior_state, cell, cell.mean)
+                except (np.linalg.LinAlgError, ArithmeticError, ValueError):
+                    row.append(BenchResult(np.nan, np.nan, np.asarray([]), replicates))
+                    continue
+                second = log_periodogram_rows(paths[:, split:split + delta2 * n2:delta2])
+                observed = np.concatenate([first, second], axis=1)
+                estimates = prior_state.mean + matvecs(cell.whitened.T, whiten(cell, observed))
+                usable = np.all(np.isfinite(estimates), axis=1)
+                scores = discrepancy(true_curves[usable], matvecs(grid_basis, estimates[usable]))
+                mean = float(scores.mean()) if len(scores) else np.nan
+                stderr = scores.std(ddof=1) / np.sqrt(len(scores)) if len(scores) > 1 else np.nan
+                row.append(BenchResult(mean, float(stderr), scores, replicates - len(scores)))
+    return results
 
 
 def spline_interpolate(series):

@@ -20,8 +20,8 @@ from mrspec.bench import (
     standard_grid,
     table_sweep,
 )
-from mrspec.models import (DesignError, ModelInvariantError, SampledSeries, SpectralModel,
-                           ar2_from_omega, simulate, subsample)
+from mrspec.models import (DesignError, LogSpectrum, ModelInvariantError, SampledSeries,
+                           SpectralModel, ar2_from_omega, simulate, subsample)
 
 
 class TestStandardGrid:
@@ -163,6 +163,18 @@ def patch_replicate_path(monkeypatch, replicate, edit):
 
     monkeypatch.setattr(bench, "simulate_log_spectra", simulate_log_spectra)
     monkeypatch.setattr(bench, "simulate", simulate)
+
+
+def spy_on(monkeypatch, name):
+    """Record the arguments and the result of each call to ``bench.<name>``."""
+    real, calls = getattr(bench, name), []
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(bench, name, spy)
+    return calls
 
 
 # a wide-prior design: under PriorSpec(scale=60) a Durbin-Levinson simulation
@@ -317,10 +329,11 @@ class TestTableSweep:
         assert np.array_equal(means, means2)
 
     def test_short_cell_fails_before_any_cell_runs(self, monkeypatch):
+        # the joint forecast is the first work a table does
         def fail(*args, **kwargs):
-            raise AssertionError("run_bench called before every design was checked")
+            raise AssertionError("forecast_moments called before every design was checked")
 
-        monkeypatch.setattr(bench, "run_bench", fail)
+        monkeypatch.setattr(bench, "forecast_moments", fail)
         with pytest.raises(DesignError, match=r"segment d2=\(2, 4\)"):
             table_sweep([1], [16], replicates=2, seed=0,
                         d1_cells=[(1, 16)], d2_cells=[(1, 16), (2, 4)])
@@ -328,6 +341,67 @@ class TestTableSweep:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             table_sweep([], [16], replicates=2, seed=0)
+
+    @pytest.mark.parametrize("side", ["d1_cells", "d2_cells"])
+    def test_rejects_empty_cell_list(self, side):
+        # the table's one path is as long as its longest segments, and an empty
+        # list has none
+        with pytest.raises(DesignError, match="both lists of cells, must be nonempty"):
+            table_sweep([1], [16], replicates=2, seed=0, **{side: []})
+
+    @pytest.mark.parametrize("d1,d2", [((1, 16), (1, 16)), ((1, 32), (2, 32)), ((6, 16), (3, 8))])
+    def test_one_cell_table_is_run_bench(self, d1, d2):
+        _, _, means, stderrs = table_sweep([1], [16], replicates=12, seed=4,
+                                           d1_cells=[d1], d2_cells=[d2])
+        want = run_bench(BenchDesign(d1=d1, d2=d2, replicates=12, seed=4))
+        assert means.tobytes() == np.array([[want.mean]]).tobytes()
+        assert stderrs.tobytes() == np.array([[want.stderr]]).tobytes()
+
+    def test_cells_read_their_own_path_segments(self, monkeypatch):
+        # one path per replicate serves every cell: cell (d1, d2) reads
+        # path[:d1N1:d1] and path[d1N1 : d1N1 + d2N2 : d2], so every cell is
+        # the moments of its own sub-block applied to its own segments
+        d1_cells, d2_cells = [(1, 16), (2, 8)], [(1, 8), (3, 16)]
+        sampled = spy_on(monkeypatch, "simulate_log_spectra")
+        forecast = spy_on(monkeypatch, "forecast_moments")
+        results = bench._sweep(d1_cells, d2_cells, 6, 8, 600, None)
+        [((truths, length, _), path)], [(_, moments)] = sampled, forecast
+        assert length == 16 + 48 and path.shape == (6, length)
+        prior = PriorSpec().to_state()
+        grid = standard_grid()
+        for row, (delta1, n1) in zip(results, d1_cells):
+            for result, (delta2, n2) in zip(row, d2_cells):
+                cell = moments.select([("d1", delta1, n1), ("d2", delta2, n2)])
+                split = delta1 * n1
+                want = []
+                for values, truth in zip(path, truths):
+                    first = subsample(SampledSeries(values[:split]), delta1)
+                    second = subsample(SampledSeries(values[split:split + delta2 * n2]), delta2)
+                    observed = np.concatenate([bench.log_periodogram(s).log_periodogram
+                                               for s in (first, second)])
+                    state = bench.adjust(prior, cell, observed)
+                    want.append(discrepancy(LogSpectrum(truth).evaluate(grid),
+                                            state.mean_logspectrum().evaluate(grid)))
+                np.testing.assert_allclose(result.scores, want, rtol=1e-12)
+                assert result.failures == 0
+
+    def test_nan_path_row_fails_its_replicate_in_every_cell(self, monkeypatch):
+        patch_replicate_path(monkeypatch, 3, lambda path: path.fill(np.nan))
+        results = bench._sweep([(1, 16), (2, 8)], [(1, 8), (3, 16)], 6, 2, 600, None)
+        for result in (r for row in results for r in row):
+            assert result.failures == 1 and len(result.scores) == 5
+            assert np.isfinite(result.mean)
+
+    def test_flat_second_segment_fails_only_the_cells_that_read_it(self, monkeypatch):
+        # path[32:40] is the whole second segment of the (2, 16)/(1, 8) cell; the
+        # (1, 16) row reads its second segments from path[16:], the (2, 16)/(3, 16)
+        # cell three flat points of path[32:80:3]
+        def flatten(path):
+            path[32:40] = 1.5
+
+        patch_replicate_path(monkeypatch, 2, flatten)
+        results = bench._sweep([(1, 16), (2, 16)], [(1, 8), (3, 16)], 6, 2, 600, None)
+        assert [[r.failures for r in row] for row in results] == [[0, 0], [1, 0]]
 
 
 class TestSplineInterpolate:
