@@ -207,13 +207,19 @@ class ForecastMoments:
     def select(self, names):
         """The named blocks' moments, in the order given: up to rounding those of
         their own forecast from the same draws and reflection choice, as the
-        regression of ``forecast_moments`` works column by column."""
+        regression of ``forecast_moments`` works column by column.  A name given
+        twice is two datasets with one layout, which share the log-spectrum draw
+        but not the periodogram noise: their cross block is Var(D_L) - (pi^2/6) I."""
         slices = dict(self.block_slices())
         index = np.r_[tuple(slices[name] for name in names)]
         blocks = tuple((name, slices[name].stop - slices[name].start) for name in names)
+        variance = self.variance[np.ix_(index, index)]
+        # an ordinate paired with its own copy in a second dataset of its layout
+        copies = index[:, None] == index
+        np.fill_diagonal(copies, False)
+        variance[copies] -= LOG_PGRAM_VARIANCE
         # C order, as the forecast makes it: W's last bits depend on the order BLAS reads
-        return ForecastMoments(self.mean[index], self.variance[np.ix_(index, index)],
-                               self.cross.take(index, axis=1), blocks)
+        return ForecastMoments(self.mean[index], variance, self.cross.take(index, axis=1), blocks)
 
     @cached_property
     def factor(self):
@@ -307,6 +313,11 @@ def forecast_moments(prior, datasets, mc_samples=2000, seed=0):
     1 - rank) + (pi^2/6) I, the last term the log-periodogram noise.  A stride-1
     block is linear in beta, so its moments are exact up to rounding, and every
     canonical correlation of beta and D is below 1.
+
+    At its peak the forecast holds the one (S, K) sample mu and one K x K matrix:
+    finiteness is checked on the column means of mu, the draws are centred in
+    place, the draws, the scores and mu are dropped after their last product, and
+    Var(D) is built in the buffer of mu^T mu.
     """
     if mc_samples < 500:
         raise DesignError("mc_samples must be >= 500, got %r" % (mc_samples,))
@@ -334,30 +345,42 @@ def forecast_moments(prior, datasets, mc_samples=2000, seed=0):
     blocks = tuple((d.series_id, len(d.frequencies)) for d in datasets)
     mu = np.empty((mc_samples, sum(length for _, length in blocks)))
     start = 0
-    # a prior too wide for exp overflows here; that is reported below, not warned about
+    # a prior too wide for exp overflows here, and a non-finite column sums to a
+    # non-finite mean; that is reported below, not warned about
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for data, (_, length) in zip(datasets, blocks):
             _fold_draws(betas, data, mu[:, start:start + length])
             start += length
         np.log(mu, out=mu)
         mu -= EULER_GAMMA
-    if not np.all(np.isfinite(mu)):
+        mean_d = mu.mean(axis=0)
+    if not np.all(np.isfinite(mean_d)):
         peak = max(float((betas @ _branch_basis(data, size, k).T).max())
                    for data in datasets for k in range(data.stride))
         raise AdjustmentError(
             "prior too wide for exp: the forecast log-periodogram means are not finite "
             "(largest sampled log-spectrum value %.6g)" % peak)
 
-    scores = (betas - prior.mean) @ (root[:, kept] / vals[kept])
+    betas -= prior.mean
+    scores = betas @ (root[:, kept] / vals[kept])
     del betas
-    mean_x, mean_d = scores.mean(axis=0), mu.mean(axis=0)
+    mean_x = scores.mean(axis=0)
     scores -= mean_x
     mu -= mean_d
     proj = scores.T @ mu
     coef = np.linalg.solve(scores.T @ scores, proj)
     del scores
-    residual = (mu.T @ mu - proj.T @ coef) / (mc_samples - 1 - rank)
-    var_d = coef.T @ coef + 0.5 * (residual + residual.T) + LOG_PGRAM_VARIANCE * np.eye(len(mean_d))
+    # Var(D) = C^T C + (R + R^T) / 2 + (pi^2/6) I with R = (mu^T mu - P^T C) / (S - 1
+    # - rank), built in the buffer of mu^T mu by the same operations in the same
+    # order, so that its bits are those of the whole-matrix expression
+    var_d = mu.T @ mu
+    del mu
+    var_d -= proj.T @ coef
+    var_d /= mc_samples - 1 - rank
+    var_d += var_d.T
+    var_d *= 0.5
+    var_d += coef.T @ coef
+    var_d.flat[::len(mean_d) + 1] += LOG_PGRAM_VARIANCE
     return ForecastMoments(mean_d - mean_x @ coef, var_d, root[:, kept] @ coef, blocks)
 
 
@@ -402,12 +425,16 @@ def whiten(moments, observed):
     return matvecs(moments.inverse_factor, observed - moments.mean)
 
 
+def _adjusted_variance(prior, white):
+    """Var(beta) - W^T W, made positive semi-definite.  Every canonical correlation
+    of ``forecast_moments`` is below 1, so it is positive semi-definite up to
+    round-off on the prior's scale, which is the scale of the check."""
+    return _project_psd(prior.variance - white.T @ white, np.trace(prior.variance))
+
+
 def _adjusted(prior, white, z):
-    """E(beta) + W^T z and Var(beta) - W^T W.  Every canonical correlation of
-    ``forecast_moments`` is below 1, so the variance is positive semi-definite
-    up to round-off on the prior's scale, which is the scale of the check."""
-    variance = _project_psd(prior.variance - white.T @ white, np.trace(prior.variance))
-    return BeliefState(prior.mean + matvecs(white.T, z), variance)
+    """E(beta) + W^T z and ``_adjusted_variance``."""
+    return BeliefState(prior.mean + matvecs(white.T, z), _adjusted_variance(prior, white))
 
 
 def sequential_adjust(prior, datasets, observed_list, mc_samples=2000, seed=0):

@@ -10,6 +10,7 @@ from .beliefs import (
     MIN_PERIODOGRAM_N,
     PeriodogramData,
     PriorSpec,
+    _adjusted_variance,
     adjust,
     forecast_moments,
     log_periodogram,
@@ -110,11 +111,14 @@ def run_bench(design, prior=None):
     """One Table-style cell: mean discrepancy of the Bayes linear estimate
     over replicated draws from the prior; the 1 x 1 table of ``table_sweep``.
 
-    The result equals, bit for bit, a loop that runs ``simulate``,
-    ``log_periodogram`` and ``adjust`` on each replicate and counts a replicate
-    as failed when any of them raises; here such a replicate (a zero
-    periodogram ordinate, a non-finite path) has a non-finite adjusted mean.
-    Deterministic given the design seed; replicate reduction is in index order."""
+    The result equals a loop that runs ``simulate``, ``log_periodogram`` and
+    ``adjust`` on each replicate, over moments forecast for the two segments,
+    and counts a replicate as failed when any of them raises; here such a
+    replicate (a zero periodogram ordinate, a non-finite path) has a non-finite
+    adjusted mean.  It equals the loop bit for bit when d1 != d2; when d1 = d2
+    the forecast has the one layout, read twice (``ForecastMoments.select``),
+    and the two agree up to rounding.  Deterministic given the design seed;
+    replicate reduction is in index order."""
     return _sweep([design.d1], [design.d2], design.replicates, design.seed,
                   design.mc_samples, prior)[0][0]
 
@@ -140,13 +144,15 @@ def table_sweep(deltas, ns, replicates, seed, prior=None, d1_cells=None, d2_cell
 
 def _sweep(d1_cells, d2_cells, replicates, seed, mc_samples, prior):
     """Every cell's BenchResult, one list per D1 cell, from common random numbers
-    (Glasserman 2004, sec. 4.2): one ``forecast_moments`` over every layout keyed by
-    role and (delta, N), holding each cell's moments as a sub-block, and one path per
-    replicate, of which a cell reads path[:d1 N1:d1] and path[d1 N1 : d1 N1 + d2 N2 : d2].
-    Reflection pairing is chosen once: draws pair only when every stride is even."""
+    (Glasserman 2004, sec. 4.2): one ``forecast_moments`` over every distinct layout,
+    keyed by (delta, N), holding each cell's moments as a sub-block (a cell whose
+    segments share a layout reads it twice), and one path per replicate, of which a
+    cell reads path[:d1 N1:d1] and path[d1 N1 : d1 N1 + d2 N2 : d2].  Reflection
+    pairing is chosen once: draws pair only when every stride is even.  Each cell's
+    adjusted variance, shared by its replicates, is checked once."""
     prior = prior or PriorSpec()
-    layouts = {(role, delta, n): PeriodogramData.layout((role, delta, n), delta, n)
-               for role, cells in (("d1", d1_cells), ("d2", d2_cells)) for delta, n in cells}
+    layouts = {(delta, n): PeriodogramData.layout((delta, n), delta, n)
+               for delta, n in (*d1_cells, *d2_cells)}
     moment_seed, *rep_seeds = np.random.SeedSequence(seed).spawn(replicates + 1)
     prior_state = prior.to_state()
     moments = forecast_moments(prior_state, list(layouts.values()), mc_samples, moment_seed)
@@ -164,10 +170,10 @@ def _sweep(d1_cells, d2_cells, replicates, seed, mc_samples, prior):
             split = delta1 * n1
             first = log_periodogram_rows(paths[:, :split:delta1])
             for delta2, n2 in d2_cells:
-                cell = moments.select([("d1", delta1, n1), ("d2", delta2, n2)])
+                cell = moments.select([(delta1, n1), (delta2, n2)])
                 try:
                     # one adjusted variance serves every replicate: rejected once if not PSD
-                    adjust(prior_state, cell, cell.mean)
+                    _adjusted_variance(prior_state, cell.whitened)
                 except (np.linalg.LinAlgError, ArithmeticError, ValueError):
                     row.append(BenchResult(np.nan, np.nan, np.asarray([]), replicates))
                     continue

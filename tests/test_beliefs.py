@@ -246,6 +246,20 @@ class TestForecastMoments:
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
+    @pytest.mark.parametrize("stride,n,size", [(1, 40, 8), (2, 33, 12), (3, 64, 32), (6, 16, 5)])
+    def test_select_of_a_name_twice_is_two_datasets_of_its_layout(self, stride, n, size):
+        # the two copies share the log-spectrum draw but not the periodogram
+        # noise, so only their own blocks carry the (pi^2/6) I of the noise
+        prior = PriorSpec(size=size).to_state()
+        got = forecast_moments(prior, [PeriodogramData.layout("a", stride, n)], 600, 7).select(
+            ["a", "a"])
+        want = forecast_moments(prior, [PeriodogramData.layout(name, stride, n)
+                                         for name in ("a", "b")], 600, 7)
+        for field in ("mean", "variance", "cross"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
     def test_even_stride_adjustment_symmetric_about_quarter(self):
         # stride-2 data cannot tell omega from 1/2 - omega, and reflection
         # antithetics make that exact in the sampled moments: the adjusted
@@ -419,6 +433,29 @@ class TestFoldMemory:
             return traced_peak(lambda: forecast_moments(prior, [layout], 2000, 0))
 
         assert peak(6) <= 1.5 * peak(1)
+
+
+# the default benchmark table's 24 (delta, N) layouts
+TABLE_CELLS = [(delta, n) for delta in (1, 2, 3, 4, 5, 6) for n in (16, 32, 64, 128)]
+
+
+class TestForecastMemory:
+    # each bound is the (S, K) sample and the K x K Var(D) with a little room:
+    # a regression that also holds a copy of the sample exceeds either bound,
+    # and one that holds a second K x K matrix beside the sample the second
+    @pytest.mark.parametrize("layouts,bound_mb", [
+        # compare-interp's dense layout: a 4.8 MB sample (S = 2000, K = 299)
+        ([PeriodogramData.layout("a", 1, 600)], 6.5),
+        # every table layout under two names: a 22.3 MB sample (K = 1392) and a
+        # 15.5 MB Var(D)
+        ([PeriodogramData.layout((role, delta, n), delta, n)
+          for role in ("d1", "d2") for delta, n in TABLE_CELLS], 45.0),
+    ])
+    def test_peak_holds_one_sample(self, traced_peak, layouts, bound_mb):
+        prior = PriorSpec().to_state()
+        forecast_moments(prior, layouts, 2000, 0)
+        peak = traced_peak(lambda: forecast_moments(prior, layouts, 2000, 0))
+        assert peak <= bound_mb * 1e6
 
 
 class TestAdjust:

@@ -238,6 +238,15 @@ class TestRunBenchMatchesReplicateLoop:
         assert_same_result(got, reference_run_bench(WIDE_PRIOR_DESIGN))
         assert got.failures == 1
 
+    def test_repeated_layout_agrees_within_rounding(self):
+        # d1 = d2 is one layout of the forecast, read twice by select; the loop
+        # forecasts it as two datasets, which agree with that up to rounding
+        design = BenchDesign(d1=(2, 32), d2=(2, 32), replicates=20, seed=3, mc_samples=600)
+        got, want = run_bench(design), reference_run_bench(design)
+        assert got.failures == want.failures == 0
+        np.testing.assert_allclose(got.scores, want.scores, rtol=1e-12)
+        np.testing.assert_allclose([got.mean, got.stderr], [want.mean, want.stderr], rtol=1e-12)
+
     @pytest.mark.parametrize("broken", ["raises", "not_psd"])
     def test_shared_gain_failure_fails_every_replicate(self, monkeypatch, broken):
         # the moments are shared, so a singular Var(D) (its factor raises
@@ -371,7 +380,7 @@ class TestTableSweep:
         grid = standard_grid()
         for row, (delta1, n1) in zip(results, d1_cells):
             for result, (delta2, n2) in zip(row, d2_cells):
-                cell = moments.select([("d1", delta1, n1), ("d2", delta2, n2)])
+                cell = moments.select([(delta1, n1), (delta2, n2)])
                 split = delta1 * n1
                 want = []
                 for values, truth in zip(path, truths):

@@ -17,7 +17,9 @@ from the repository root, with
 
     PYTHONPATH=src python tests/test_golden.py tests/golden
 
-and reports the largest change per file.
+and reports the largest change per file.  That rewrites only the files outside
+tolerance, adds the session's new outputs and deletes those it no longer
+makes; it prints one line per file it touches.
 """
 
 import json
@@ -130,30 +132,33 @@ def _mismatches(got_root):
     got_files, want_files = _compared(got_root), _compared(GOLDEN)
     if got_files != want_files:
         return ["files differ: %s" % sorted(set(got_files) ^ set(want_files))]
+    return [line for rel in want_files
+            for line in _file_mismatches(rel, got_root / rel, GOLDEN / rel)]
+
+
+def _file_mismatches(rel, got_path, want_path):
+    """One line per column (or SVG) of output ``rel`` that differs from its golden file."""
+    if rel.endswith(".svg"):
+        return _svg_mismatches(rel, got_path, want_path)
+    got, want = _columns(got_path), _columns(want_path)
+    if list(got) != list(want):
+        return ["%s: columns %s, golden %s" % (rel, list(got), list(want))]
     bad = []
-    for rel in want_files:
-        if rel.endswith(".svg"):
-            bad.extend(_svg_mismatches(rel, got_root / rel, GOLDEN / rel))
+    for name, want_col in want.items():
+        got_col = got[name]
+        finite = np.isfinite(want_col)
+        if got_col.shape != want_col.shape or not np.array_equal(
+                np.isfinite(got_col), finite) or not np.array_equal(
+                got_col[~finite], want_col[~finite], equal_nan=True):
+            bad.append("%s[%s]: non-finite entries or shape differ" % (rel, name))
             continue
-        got, want = _columns(got_root / rel), _columns(GOLDEN / rel)
-        if list(got) != list(want):
-            bad.append("%s: columns %s, golden %s" % (rel, list(got), list(want)))
+        if not finite.any():
             continue
-        for name, want_col in want.items():
-            got_col = got[name]
-            finite = np.isfinite(want_col)
-            if got_col.shape != want_col.shape or not np.array_equal(
-                    np.isfinite(got_col), finite) or not np.array_equal(
-                    got_col[~finite], want_col[~finite], equal_nan=True):
-                bad.append("%s[%s]: non-finite entries or shape differ" % (rel, name))
-                continue
-            if not finite.any():
-                continue
-            err = np.abs(got_col[finite] - want_col[finite]).max()
-            scale = np.abs(want_col[finite]).max()
-            if err > REL_TOL * scale:
-                bad.append("%s[%s]: off by %.3g, %.3g of the column's largest value"
-                           % (rel, name, err, err / scale if scale else np.inf))
+        err = np.abs(got_col[finite] - want_col[finite]).max()
+        scale = np.abs(want_col[finite]).max()
+        if err > REL_TOL * scale:
+            bad.append("%s[%s]: off by %.3g, %.3g of the column's largest value"
+                       % (rel, name, err, err / scale if scale else np.inf))
     return bad
 
 
@@ -189,8 +194,36 @@ def test_outputs_match_golden_at_both_thread_settings(tmp_path):
     assert not failures, "\n".join(failures)
 
 
+def regenerate_golden():
+    """Rerun the session and update ``GOLDEN`` file by file: rewrite the outputs
+    that ``_file_mismatches`` reports, add new ones and delete those the session
+    no longer makes, leaving every output within tolerance as it is.  Prints one
+    line per file it changes, with the mismatches that changed it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        got_root = Path(tmp)
+        run_session(got_root)
+        got_files, want_files = set(_compared(got_root)), set(_compared(GOLDEN))
+        for rel in sorted(want_files - got_files):
+            (GOLDEN / rel).unlink()
+            print("deleted %s" % rel)
+        for rel in sorted(got_files):
+            if rel in want_files:
+                lines = _file_mismatches(rel, got_root / rel, GOLDEN / rel)
+                if not lines:
+                    continue
+                print("rewrote " + "\n  ".join([rel] + lines))
+            else:
+                print("added %s" % rel)
+            (GOLDEN / rel).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(got_root / rel, GOLDEN / rel)
+    for directory in sorted(GOLDEN.rglob("*"), reverse=True):
+        if directory.is_dir() and not any(directory.iterdir()):
+            directory.rmdir()
+
+
 if __name__ == "__main__":
     target = Path(sys.argv[1])
     if target.exists() and target.resolve() == GOLDEN.resolve():
-        shutil.rmtree(target)
-    run_session(target)
+        regenerate_golden()
+    else:
+        run_session(target)
