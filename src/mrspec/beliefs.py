@@ -39,12 +39,12 @@ class AdjustmentError(ArithmeticError):
     """Bayes linear solve failed (data variance not finite or not positive definite)."""
 
 
-def _project_psd(matrix, scale=None):
+def _project_psd(matrix):
     """Symmetrize and clip small negative eigenvalues; reject large ones.  Small
-    is within 1e-10 of ``scale``, by default the matrix's own trace."""
+    is within 1e-10 of the matrix's own trace."""
     sym = 0.5 * (matrix + matrix.T)
     vals, vecs = np.linalg.eigh(sym)
-    floor = -1e-10 * max(np.trace(sym) if scale is None else scale, 0.0) - 1e-300
+    floor = -1e-10 * max(np.trace(sym), 0.0) - 1e-300
     if vals[0] < floor:
         raise ValueError(
             "variance matrix is not positive semi-definite (min eigenvalue %.6g)" % vals[0]
@@ -55,7 +55,7 @@ def _project_psd(matrix, scale=None):
 @dataclass(frozen=True)
 class BeliefState:
     """Second-order beliefs (expectation and variance) for the basis
-    coefficients of a log-spectrum."""
+    coefficients of a log-spectrum, the variance made positive semi-definite here."""
 
     mean: np.ndarray
     variance: np.ndarray
@@ -405,12 +405,12 @@ def adjust(prior, moments, observed):
 
     With Var(D) = L L^T, W = L^-1 Cov(D, beta) and the whitened data
     z = L^-1 (d - E(D)), the adjusted expectation is E(beta) + W^T z and the
-    adjusted variance Var(beta) - W^T W.
+    adjusted variance Var(beta) - W^T W (``_adjusted``), made PSD by ``BeliefState``.
     """
     observed = np.asarray(observed, dtype=float)
     if observed.shape != moments.mean.shape:
         raise ValueError("observed vector does not match forecast moments")
-    return _adjusted(prior, moments.whitened, whiten(moments, observed))
+    return BeliefState(*_adjusted(prior, moments.whitened, whiten(moments, observed)))
 
 
 def matvecs(matrix, vectors):
@@ -425,26 +425,22 @@ def whiten(moments, observed):
     return matvecs(moments.inverse_factor, observed - moments.mean)
 
 
-def _adjusted_variance(prior, white):
-    """Var(beta) - W^T W, made positive semi-definite.  Every canonical correlation
-    of ``forecast_moments`` is below 1, so it is positive semi-definite up to
-    round-off on the prior's scale, which is the scale of the check."""
-    return _project_psd(prior.variance - white.T @ white, np.trace(prior.variance))
-
-
 def _adjusted(prior, white, z):
-    """E(beta) + W^T z and ``_adjusted_variance``."""
-    return BeliefState(prior.mean + matvecs(white.T, z), _adjusted_variance(prior, white))
+    """The Bayes linear update: E(beta) + W^T z, for one whitened z or each row of a
+    stack of them, and Var(beta) - W^T W, as computed.  Every canonical correlation
+    of ``forecast_moments`` is below 1, so it is PSD up to round-off."""
+    return prior.mean + matvecs(white.T, z), prior.variance - white.T @ white
 
 
 def sequential_adjust(prior, datasets, observed_list, mc_samples=2000, seed=0):
     """Adjust one dataset at a time, exposing the intermediate belief states.
 
     Moments are forecast once from the prior over the stacked data, and the
-    data are whitened once.  Stage k is ``adjust`` on the leading k blocks:
-    because the factor of Var(D) is lower triangular, their W and z are the
-    leading rows of the whole W and z, so the final state is ``adjust`` on
-    the stacked vector.  Returns (final_state, [state_after_stage_1, ...]).
+    data are whitened once.  Stage k is ``adjust`` on the leading k blocks,
+    one projection of its variance to PSD included: because the factor of Var(D)
+    is lower triangular, their W and z are the leading rows of the whole W and
+    z, so the final state is ``adjust`` on the stacked vector.  Returns
+    (final_state, [state_after_stage_1, ...]).
     """
     if len(datasets) != len(observed_list):
         raise ValueError("need one observed vector per dataset")
@@ -454,7 +450,7 @@ def sequential_adjust(prior, datasets, observed_list, mc_samples=2000, seed=0):
         if d_obs.shape != (sl.stop - sl.start,):
             raise ValueError("observed vector does not match dataset %r" % data.series_id)
     z = whiten(moments, np.concatenate(observed))
-    stages = [_adjusted(prior, moments.whitened[:sl.stop], z[:sl.stop])
+    stages = [BeliefState(*_adjusted(prior, moments.whitened[:sl.stop], z[:sl.stop]))
               for _, sl in moments.block_slices()]
     return stages[-1], stages
 

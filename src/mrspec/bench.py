@@ -10,7 +10,8 @@ from .beliefs import (
     MIN_PERIODOGRAM_N,
     PeriodogramData,
     PriorSpec,
-    _adjusted_variance,
+    _adjusted,
+    _project_psd,
     adjust,
     forecast_moments,
     log_periodogram,
@@ -123,23 +124,18 @@ def run_bench(design, prior=None):
                   design.mc_samples, prior)[0][0]
 
 
-def table_sweep(deltas, ns, replicates, seed, prior=None, d1_cells=None, d2_cells=None):
-    """Mean discrepancy over the Cartesian product of (delta, N) cells for the
-    first and second segments, all from one set of draws.  Returns (d1_cells,
-    d2_cells, means, stderrs) with one row per D1 cell and one column per D2 cell."""
-    deltas, ns = list(deltas), list(ns)
-    if d1_cells is None:
-        d1_cells = [(d, n) for d in deltas for n in ns]
-    if d2_cells is None:
-        d2_cells = [(d, n) for d in deltas for n in ns]
-    if not (deltas and ns and d1_cells and d2_cells):
-        raise DesignError("delta and N grids, and both lists of cells, must be nonempty")
+def table_sweep(d1_cells, d2_cells, replicates, seed, prior=None):
+    """Mean discrepancy over the Cartesian product of the (delta, N) cells for
+    the first and second segments, all from one set of draws.  Returns (means,
+    stderrs) with one row per D1 cell and one column per D2 cell."""
+    if not (d1_cells and d2_cells):
+        raise DesignError("d1_cells and d2_cells, both lists of cells, must be nonempty")
     # every cell's design is built before any draw is made, so a bad cell fails at once
     designs = [BenchDesign(d1=d1, d2=d2, replicates=replicates, seed=seed)
                for d1 in d1_cells for d2 in d2_cells]
     results = _sweep(d1_cells, d2_cells, replicates, seed, designs[0].mc_samples, prior)
     means, stderrs = np.moveaxis([[(r.mean, r.stderr) for r in row] for row in results], 2, 0)
-    return d1_cells, d2_cells, means, stderrs
+    return means, stderrs
 
 
 def _sweep(d1_cells, d2_cells, replicates, seed, mc_samples, prior):
@@ -149,7 +145,7 @@ def _sweep(d1_cells, d2_cells, replicates, seed, mc_samples, prior):
     segments share a layout reads it twice), and one path per replicate, of which a
     cell reads path[:d1 N1:d1] and path[d1 N1 : d1 N1 + d2 N2 : d2].  Reflection
     pairing is chosen once: draws pair only when every stride is even.  Each cell's
-    adjusted variance, shared by its replicates, is checked once."""
+    estimates and shared adjusted variance come from one ``_adjusted`` call."""
     prior = prior or PriorSpec()
     layouts = {(delta, n): PeriodogramData.layout((delta, n), delta, n)
                for delta, n in (*d1_cells, *d2_cells)}
@@ -171,15 +167,15 @@ def _sweep(d1_cells, d2_cells, replicates, seed, mc_samples, prior):
             first = log_periodogram_rows(paths[:, :split:delta1])
             for delta2, n2 in d2_cells:
                 cell = moments.select([(delta1, n1), (delta2, n2)])
+                second = log_periodogram_rows(paths[:, split:split + delta2 * n2:delta2])
+                observed = np.concatenate([first, second], axis=1)
                 try:
+                    estimates, var = _adjusted(prior_state, cell.whitened, whiten(cell, observed))
                     # one adjusted variance serves every replicate: rejected once if not PSD
-                    _adjusted_variance(prior_state, cell.whitened)
+                    _project_psd(var)
                 except (np.linalg.LinAlgError, ArithmeticError, ValueError):
                     row.append(BenchResult(np.nan, np.nan, np.asarray([]), replicates))
                     continue
-                second = log_periodogram_rows(paths[:, split:split + delta2 * n2:delta2])
-                observed = np.concatenate([first, second], axis=1)
-                estimates = prior_state.mean + matvecs(cell.whitened.T, whiten(cell, observed))
                 usable = np.all(np.isfinite(estimates), axis=1)
                 scores = discrepancy(true_curves[usable], matvecs(grid_basis, estimates[usable]))
                 mean = float(scores.mean()) if len(scores) else np.nan

@@ -115,7 +115,7 @@ _FIELDS = {
         "modulus": (number, 0.9), "delta_low": (integer(1), 2), "seed": _SEED},
     "estimate": {"series": (list_of(_series), REQUIRED), "prior": (_prior, PriorSpec()),
                  "mc_samples": (integer(), 2000), "seed": _SEED, "grid_points": _GRID},
-    # table_sweep's parameters
+    # table_sweep's parameters, and the deltas x ns grid that a cell list left out takes
     "bench": {"deltas": (list_of(integer()), [1, 2, 3, 4, 5, 6]),
               "ns": (list_of(integer()), [16, 32, 64, 128]), "replicates": (integer(1), 100),
               "seed": _SEED, "prior": (_prior, ABSENT), "d1_cells": (list_of(_cell), ABSENT),
@@ -198,7 +198,11 @@ def cmd_estimate(values, out):
 
 
 def cmd_bench(values, out):
-    rows, cols, means, stderrs = table_sweep(**values)
+    deltas, ns = values.pop("deltas"), values.pop("ns")
+    grid = [(d, n) for d in deltas for n in ns]
+    rows = values.setdefault("d1_cells", grid)
+    cols = values.setdefault("d2_cells", grid)
+    means, stderrs = table_sweep(**values)
     header = ["d1_delta", "d1_n"] + ["d%d_n%d" % c for c in cols]
     row_delta = [c[0] for c in rows]
     row_n = [c[1] for c in rows]

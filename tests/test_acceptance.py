@@ -148,12 +148,9 @@ def test_criterion_04_discrepancy_hand_cases():
 
 def test_criterion_05_benchmark_table_trends():
     start = time.perf_counter()
-    d1_cells = [(1, 16), (1, 128)]
-    d2_cells = [(d, n) for d in (1, 6) for n in (16, 64, 128)]
-    rows, cols, means, errs = table_sweep(
-        [1, 6], [16, 64, 128], replicates=100, seed=0,
-        d1_cells=d1_cells, d2_cells=d2_cells,
-    )
+    rows = [(1, 16), (1, 128)]
+    cols = [(d, n) for d in (1, 6) for n in (16, 64, 128)]
+    means, errs = table_sweep(rows, cols, replicates=100, seed=0)
     ok = np.all(np.isfinite(means))
     details = []
     # mean discrepancy falls as the second segment grows, at fixed stride

@@ -666,6 +666,28 @@ class TestOneFactorisation:
         # triangular arithmetic from the one factor
         assert set(lu_shapes) == {(8, 8)}
 
+    def test_adjust_and_each_stage_project_the_variance_once(self, monkeypatch):
+        # Var(beta) - W^T W is made positive semi-definite by its BeliefState alone
+        prior = PriorSpec(size=8).to_state()
+        layouts = [PeriodogramData.layout("a", 2, 20), PeriodogramData.layout("b", 1, 16),
+                   PeriodogramData.layout("c", 3, 24)]
+        observed = [np.zeros(len(l.frequencies)) for l in layouts]
+        moments = forecast_moments(prior, layouts, 600, 0)
+        eigh_shapes, real_eigh = [], np.linalg.eigh
+
+        def eigh(a, *args, **kwargs):
+            eigh_shapes.append(np.shape(a))
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        adjust(prior, moments, np.concatenate(observed))
+        assert eigh_shapes == [(8, 8)]
+        # the forecast's own eigh of the prior is not a projection
+        monkeypatch.setattr(beliefs, "forecast_moments", lambda *args: moments)
+        eigh_shapes.clear()
+        sequential_adjust(prior, layouts, observed, mc_samples=600, seed=0)
+        assert eigh_shapes == [(8, 8)] * len(layouts)
+
 
 class TestLowerInverse:
     @settings(max_examples=40, deadline=None)

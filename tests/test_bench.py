@@ -325,16 +325,10 @@ class TestRunBench:
 
 class TestTableSweep:
     def test_shape_and_determinism(self):
-        d1, d2, means, errs = table_sweep(
-            [1, 2], [16], replicates=3, seed=5,
-            d1_cells=[(1, 16)], d2_cells=[(1, 16), (2, 16)],
-        )
+        means, errs = table_sweep([(1, 16)], [(1, 16), (2, 16)], replicates=3, seed=5)
         assert means.shape == (1, 2)
         assert errs.shape == (1, 2)
-        _, _, means2, _ = table_sweep(
-            [1, 2], [16], replicates=3, seed=5,
-            d1_cells=[(1, 16)], d2_cells=[(1, 16), (2, 16)],
-        )
+        means2, _ = table_sweep([(1, 16)], [(1, 16), (2, 16)], replicates=3, seed=5)
         assert np.array_equal(means, means2)
 
     def test_short_cell_fails_before_any_cell_runs(self, monkeypatch):
@@ -344,24 +338,19 @@ class TestTableSweep:
 
         monkeypatch.setattr(bench, "forecast_moments", fail)
         with pytest.raises(DesignError, match=r"segment d2=\(2, 4\)"):
-            table_sweep([1], [16], replicates=2, seed=0,
-                        d1_cells=[(1, 16)], d2_cells=[(1, 16), (2, 4)])
-
-    def test_rejects_empty_grid(self):
-        with pytest.raises(ValueError):
-            table_sweep([], [16], replicates=2, seed=0)
+            table_sweep([(1, 16)], [(1, 16), (2, 4)], replicates=2, seed=0)
 
     @pytest.mark.parametrize("side", ["d1_cells", "d2_cells"])
     def test_rejects_empty_cell_list(self, side):
         # the table's one path is as long as its longest segments, and an empty
         # list has none
         with pytest.raises(DesignError, match="both lists of cells, must be nonempty"):
-            table_sweep([1], [16], replicates=2, seed=0, **{side: []})
+            table_sweep(**{"d1_cells": [(1, 16)], "d2_cells": [(1, 16)], side: []},
+                        replicates=2, seed=0)
 
     @pytest.mark.parametrize("d1,d2", [((1, 16), (1, 16)), ((1, 32), (2, 32)), ((6, 16), (3, 8))])
     def test_one_cell_table_is_run_bench(self, d1, d2):
-        _, _, means, stderrs = table_sweep([1], [16], replicates=12, seed=4,
-                                           d1_cells=[d1], d2_cells=[d2])
+        means, stderrs = table_sweep([d1], [d2], replicates=12, seed=4)
         want = run_bench(BenchDesign(d1=d1, d2=d2, replicates=12, seed=4))
         assert means.tobytes() == np.array([[want.mean]]).tobytes()
         assert stderrs.tobytes() == np.array([[want.stderr]]).tobytes()

@@ -484,6 +484,7 @@ class TestExitCodes:
         ({"d1_cells": [[1, 16]], "d2_cells": [5]}, "'d2_cells'"),
         ({"deltas": 5}, "'deltas'"),
         ({"ns": "ab"}, "'ns'"),
+        ({"deltas": []}, "'deltas'"),
     ])
     def test_malformed_bench_grid_is_config_error(self, tmp_path, capsys, cfg, key):
         code, out = run(tmp_path, "bench", dict(cfg, replicates=2))
