@@ -4,7 +4,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .models import ModelInvariantError, density_of
+from .models import ModelInvariantError
 
 __all__ = ["principal_frequency", "fold_branches", "branch_mean", "fold", "aliased_partners"]
 
@@ -55,10 +55,9 @@ def fold(source, delta, nus):
     nus = np.asarray(nus, dtype=float)
     if np.any(nus < 0) or np.any(nus > 0.5):
         raise ValueError("frequencies must lie in [0, 1/2]")
-    density = density_of(source)
 
     def branch(k):
-        return density(fold_branches(nus, delta, k).ravel())
+        return source(fold_branches(nus, delta, k).ravel())
 
     with np.errstate(over="ignore"):  # finite branch values can sum past the float range
         folded = branch_mean(branch, delta, np.empty(nus.size)).reshape(nus.shape)

@@ -104,10 +104,13 @@ class PriorSpec:
         with np.errstate(over="ignore"):  # a steep prior's power overflows to a variance of 0
             return self.scale / (1.0 + (m / self.cutoff) ** (2.0 * self.smoothness))
 
-    def to_state(self):
+    def means(self):
         mean = np.zeros(self.size)
         mean[0] = self.intercept_mean
-        return BeliefState(mean, np.diag(self.variances()))
+        return mean
+
+    def to_state(self):
+        return BeliefState(self.means(), np.diag(self.variances()))
 
 
 @dataclass(frozen=True)
@@ -188,9 +191,9 @@ def log_periodogram_rows(rows):
 
 @dataclass(frozen=True)
 class ForecastMoments:
-    """Prior moments of the stacked log-periodogram data vector D, with the factor
-    L of Var(D), its inverse and the W = L^-1 Cov(D, beta) that every adjustment
-    reads."""
+    """Prior moments of the stacked log-periodogram data vector D, with the inverse
+    L^-1 of the Cholesky factor L of Var(D) and the W = L^-1 Cov(D, beta) that every
+    adjustment reads; L itself is not kept."""
 
     mean: np.ndarray
     variance: np.ndarray
@@ -222,26 +225,22 @@ class ForecastMoments:
         return ForecastMoments(self.mean[index], variance, self.cross.take(index, axis=1), blocks)
 
     @cached_property
-    def factor(self):
-        """Lower Cholesky factor L of Var(D), made on first use.  The Var(D) of
-        ``forecast_moments`` is C^T C plus a residual covariance plus pi^2/6 on
-        the diagonal, so its eigenvalues are at least pi^2/6 up to round-off."""
+    def inverse_factor(self):
+        """L^-1, made on first use by ``_invert_lower`` from the lower Cholesky factor
+        L of Var(D), which is then dropped; every data vector is whitened by it.  The
+        Var(D) of ``forecast_moments`` is C^T C plus a residual covariance plus pi^2/6
+        on the diagonal, so its eigenvalues are at least pi^2/6 up to round-off.
+        L^-1 is lower triangular, with exact zeros above the diagonal, so leading
+        entries of z = L^-1 (d - E(D)) depend only on leading entries of d."""
         var_d = self.variance
         if not np.all(np.isfinite(var_d)):
             raise AdjustmentError("data variance is not finite")
         try:
-            return np.linalg.cholesky(var_d)
+            factor = np.linalg.cholesky(var_d)
         except np.linalg.LinAlgError:
             raise AdjustmentError("data variance is not positive definite")
-
-    @cached_property
-    def inverse_factor(self):
-        """L^-1, made once from ``factor`` by ``_invert_lower``; every data vector
-        is whitened by it.  It is lower triangular, as L is, with exact zeros above
-        the diagonal, so leading entries of z = L^-1 (d - E(D)) depend only on
-        leading entries of d."""
-        inverse = np.zeros_like(self.factor)
-        _invert_lower(self.factor, inverse)
+        inverse = np.zeros_like(factor)
+        _invert_lower(factor, inverse)
         return inverse
 
     @cached_property
@@ -432,24 +431,18 @@ def _adjusted(prior, white, z):
     return prior.mean + matvecs(white.T, z), prior.variance - white.T @ white
 
 
-def sequential_adjust(prior, datasets, observed_list, mc_samples=2000, seed=0):
-    """Adjust one dataset at a time, exposing the intermediate belief states.
+def sequential_adjust(prior, datasets, mc_samples=2000, seed=0):
+    """Adjust by one dataset at a time, exposing the intermediate belief states.
 
-    Moments are forecast once from the prior over the stacked data, and the
-    data are whitened once.  Stage k is ``adjust`` on the leading k blocks,
-    one projection of its variance to PSD included: because the factor of Var(D)
-    is lower triangular, their W and z are the leading rows of the whole W and
-    z, so the final state is ``adjust`` on the stacked vector.  Returns
-    (final_state, [state_after_stage_1, ...]).
+    Moments are forecast once from the prior over the stacked datasets, and their
+    log-periodograms, stacked in the same order, are whitened once.  Stage k is
+    ``adjust`` on the leading k blocks, one projection of its variance to PSD
+    included: because L^-1 is lower triangular, their W and z are the leading rows
+    of the whole W and z, so the final state is ``adjust`` on the stacked vector.
+    Returns (final_state, [state_after_stage_1, ...]).
     """
-    if len(datasets) != len(observed_list):
-        raise ValueError("need one observed vector per dataset")
     moments = forecast_moments(prior, datasets, mc_samples, seed)
-    observed = [np.asarray(d_obs, dtype=float) for d_obs in observed_list]
-    for data, d_obs, (_, sl) in zip(datasets, observed, moments.block_slices()):
-        if d_obs.shape != (sl.stop - sl.start,):
-            raise ValueError("observed vector does not match dataset %r" % data.series_id)
-    z = whiten(moments, np.concatenate(observed))
+    z = whiten(moments, np.concatenate([d.log_periodogram for d in datasets]))
     stages = [BeliefState(*_adjusted(prior, moments.whitened[:sl.stop], z[:sl.stop]))
               for _, sl in moments.block_slices()]
     return stages[-1], stages

@@ -63,7 +63,7 @@ def _prior_draws(prior, seeds):
     (len(seeds), K) matrix; row r depends only on seeds[r]."""
     draws = _normals(prior.size, seeds)
     draws *= np.sqrt(prior.variances())
-    draws += prior.to_state().mean
+    draws += prior.means()
     return draws
 
 

@@ -180,8 +180,7 @@ def cmd_loglik_surface(values, out):
 
 def cmd_estimate(values, out):
     datasets = [log_periodogram(series, name) for name, series in values["series"]]
-    observed = [d.log_periodogram for d in datasets]
-    state, snapshots = sequential_adjust(values["prior"].to_state(), datasets, observed,
+    state, snapshots = sequential_adjust(values["prior"].to_state(), datasets,
                                          values["mc_samples"], values["seed"])
     write_json(out("belief.json"), belief_to_dict(state))
     for k, snap in enumerate(snapshots, start=1):

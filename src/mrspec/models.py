@@ -113,6 +113,8 @@ class SpectralModel:
     def density(self, omegas):
         return spectral_density(self, omegas)
 
+    __call__ = density
+
 
 def _check_roots(poly, name):
     """Reject a lag polynomial 1 + c_1 B + ... (ascending ``poly``) with a root
@@ -202,6 +204,8 @@ class LogSpectrum:
     def density(self, omegas):
         return exp_log_spectrum(self.evaluate(omegas))
 
+    __call__ = density
+
 
 @dataclass(frozen=True)
 class SampledSeries:
@@ -232,16 +236,6 @@ class SampledSeries:
 
     def base_indices(self):
         return self.offset + self.stride * np.arange(len(self.values))
-
-
-def density_of(source):
-    """Coerce a SpectralModel, LogSpectrum or plain callable to a density
-    evaluator on [0, 1/2]."""
-    if isinstance(source, (SpectralModel, LogSpectrum)):
-        return source.density
-    if callable(source):
-        return source
-    raise TypeError("expected SpectralModel, LogSpectrum or callable, got %r" % (source,))
 
 
 def simpson_grid(quad_points):
@@ -278,7 +272,7 @@ def _admissible(f):
 
 
 def _node_density(source, max_lag):
-    f = density_of(source)(_autocovariance_nodes(max_lag))
+    f = source(_autocovariance_nodes(max_lag))
     if not _admissible(f):
         raise ModelInvariantError("spectral density must be finite and positive on [0, 1/2]")
     return f
@@ -381,7 +375,8 @@ def autocovariance(source, max_lag):
     """Autocovariances gamma(0..max_lag) of the process with density ``source``.
 
     A SpectralModel gets them exactly, in closed form (arma_autocovariance).
-    A LogSpectrum or plain callable density f gets gamma~, the m-panel
+    Any other source is a callable density f, a LogSpectrum among them (a
+    source that is not callable raises TypeError), and gets gamma~, the m-panel
     trapezoid rule for 2 * integral f(w) cos(2 pi w h) dw, from one real FFT:
     the autocovariance of the 2m-point circulant with eigenvalues f(j / 2m),
     which ``simulate`` realises exactly, off from gamma by the aliased lags,
@@ -545,12 +540,13 @@ def simulate_replicates(source, n, seeds):
     first component of the arma_state_space chain started from its stationary
     law (NotPositiveDefiniteError if that variance has a clearly negative
     eigenvalue), advanced _BLOCK steps per matrix-vector product of each path
-    (``_state_paths``), so a shorter path is a prefix of a longer one.  A
-    LogSpectrum or callable path has exactly the Toeplitz(gamma~) of
-    ``autocovariance``, by circulant embedding, which has no pivot to fail: the
-    smallest power-of-two circulant 2M >= 2(n - 1) of gamma~ whose eigenvalues are
-    non-negative, up to the 2m nodes (``_min_embeddings``), colouring 2M normals;
-    a density that is not finite and positive raises ModelInvariantError.
+    (``_state_paths``), so a shorter path is a prefix of a longer one.  Any
+    other source is a callable density, a LogSpectrum among them, whose path has
+    exactly the Toeplitz(gamma~) of ``autocovariance``, by circulant embedding,
+    which has no pivot to fail: the smallest power-of-two circulant 2M >= 2(n - 1)
+    of gamma~ whose eigenvalues are non-negative, up to the 2m nodes
+    (``_min_embeddings``), colouring 2M normals; a density that is not finite and
+    positive raises ModelInvariantError, and a source that is not callable TypeError.
     The state-space form, or the density and its one embedding, is computed once
     for all rows; the normals, and the FFTs that colour them, go in ``_chunks``
     of rows."""

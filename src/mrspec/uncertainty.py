@@ -9,8 +9,8 @@ from math import comb
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .models import (QUAD_PANELS, LogSpectrum, SpectralModel, basis_matrix, density_of,
-                     exp_log_spectrum, simpson_grid)
+from .models import (QUAD_PANELS, LogSpectrum, SpectralModel, basis_matrix, exp_log_spectrum,
+                     simpson_grid)
 
 __all__ = [
     "PCDecomposition",
@@ -93,11 +93,9 @@ def sparse_grid(d, level):
     merged = {}
     for total in range(max(d, q - d + 1), q + 1):
         coeff = (-1) ** (q - total) * comb(d - 1, q - total)
-        # compositions of `total` into d parts, each within 1..level
+        # compositions of `total` into d parts, each in 1..total-d+1, within 1..level
         for cuts in combinations(range(1, total), d - 1):
             parts = np.diff((0,) + cuts + (total,))
-            if np.any(parts > level):
-                continue
             axes = [rules[p] for p in parts]
             grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
             node_block = np.stack([g.ravel() for g in grids], axis=1)
@@ -137,14 +135,15 @@ def kolmogorov_variance(source):
     (Kolmogorov-Szego).  Closed forms where they exist: exp(beta_0) for a
     LogSpectrum, whose cosine terms integrate to 0, and the innovation
     variance of a SpectralModel, causal and invertible by construction, so
-    its AR and MA factors integrate to 0 in the log.  A plain callable gets
-    composite Simpson quadrature on QUAD_PANELS panels."""
+    its AR and MA factors integrate to 0 in the log.  Any other source is a
+    density f called on the nodes of composite Simpson quadrature on QUAD_PANELS
+    panels (TypeError if it is not callable)."""
     if isinstance(source, LogSpectrum):
         return float(exp_log_spectrum(source.coefficients[0]))
     if isinstance(source, SpectralModel):
         return float(source.innovation_variance)
     omegas, weights = simpson_grid(QUAD_PANELS)
-    f = density_of(source)(omegas)
+    f = source(omegas)
     # checked before the log, which would warn on a zero or negative value
     if not np.all((f > 0) & np.isfinite(f)):
         raise ValueError("log spectral density must be finite on [0, 1/2]")

@@ -8,6 +8,7 @@ historical values.
 
 import itertools
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -267,8 +268,9 @@ def test_criterion_09_adjustment_identities():
             PeriodogramData.layout("b", int(rng.integers(1, 4)), int(rng.integers(16, 33))),
         ]
         observed = [rng.standard_normal(len(l.frequencies)) - EULER_GAMMA for l in layouts]
-        final, stages = sequential_adjust(state, layouts, observed,
-                                          mc_samples=800, seed=trial)
+        final, stages = sequential_adjust(
+            state, [replace(l, log_periodogram=o) for l, o in zip(layouts, observed)],
+            mc_samples=800, seed=trial)
         moments = forecast_moments(state, layouts, 800, trial)
         joint = adjust(state, moments, np.concatenate(observed))
         scale_m = max(np.linalg.norm(joint.mean), 1.0)

@@ -11,7 +11,6 @@ from mrspec.models import (
     SpectralModel,
     ar2_from_omega,
     autocovariance,
-    density_of,
     simpson_grid,
     spectral_density,
 )
@@ -37,7 +36,7 @@ class TestFold:
         nus = np.linspace(0, 0.5, 60).reshape(3, 20)
         for source in (AR2, LogSpectrum(np.array([0.3, -1.2, 0.7, 0.25]))):
             branches = fold_branches(nus, delta)
-            vals = density_of(source)(branches.ravel()).reshape(branches.shape)
+            vals = source(branches.ravel()).reshape(branches.shape)
             assert np.array_equal(fold(source, delta, nus), vals.mean(axis=-1))
 
     def test_flat_stays_flat(self):

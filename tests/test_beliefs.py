@@ -1,6 +1,7 @@
 """Tests for Bayes linear adjustment of log-spectrum coefficients."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,7 +187,8 @@ class TestBatchedRowsMatchSingleRows:
         assert np.array_equal(linv, np.tril(linv))
         for row, d_obs in zip(z, observed):
             assert np.array_equal(row, beliefs.whiten(moments, d_obs))
-            assert_close(row, np.linalg.solve(moments.factor, d_obs - moments.mean), 1e-12)
+            assert_close(row, np.linalg.solve(np.linalg.cholesky(moments.variance),
+                                              d_obs - moments.mean), 1e-12)
 
 
 class TestForecastMoments:
@@ -274,6 +276,15 @@ class TestForecastMoments:
         s = spectrum_summary(post, grid)
         assert np.allclose(s.mean, s.mean[::-1], atol=1e-10)
         assert np.allclose(s.sd, s.sd[::-1], atol=1e-10)
+
+    def test_odd_prior_mean_term_pairs_no_reflections(self):
+        # even strides alone do not make the pairing valid: a prior mean with
+        # beta_1 != 0 is not invariant under beta_m -> (-1)^m beta_m
+        layouts = [PeriodogramData.layout("a", 2, 16), PeriodogramData.layout("b", 4, 16)]
+        variance = np.diag(PriorSpec(size=4).variances())
+        assert beliefs._reflection_symmetric(BeliefState(np.zeros(4), variance), layouts)
+        assert not beliefs._reflection_symmetric(
+            BeliefState(np.array([0.0, 0.3, 0.0, 0.0]), variance), layouts)
 
     @settings(max_examples=25, deadline=None)
     @given(cells=st.lists(st.tuples(st.sampled_from([2, 4, 6]), st.integers(16, 40)),
@@ -534,8 +545,9 @@ class TestSequentialAdjust:
         rng = np.random.default_rng(7)
         obs_a = rng.standard_normal(len(a.frequencies)) - EULER_GAMMA
         obs_b = rng.standard_normal(len(b.frequencies)) - EULER_GAMMA
-        final, stages = sequential_adjust(prior, [a, b], [obs_a, obs_b],
-                                          mc_samples=1000, seed=4)
+        final, stages = sequential_adjust(
+            prior, [replace(a, log_periodogram=obs_a), replace(b, log_periodogram=obs_b)],
+            mc_samples=1000, seed=4)
         m = forecast_moments(prior, [a, b], mc_samples=1000, seed=4)
         single = adjust(prior, m, np.concatenate([obs_a, obs_b]))
         assert np.allclose(final.mean, single.mean, atol=1e-10)
@@ -548,16 +560,11 @@ class TestSequentialAdjust:
         b = PeriodogramData.layout("b", 1, 16)
         obs_a = np.zeros(len(a.frequencies))
         obs_b = np.zeros(len(b.frequencies))
-        _, stages = sequential_adjust(prior, [a, b], [obs_a, obs_b],
-                                      mc_samples=1000, seed=4)
+        _, stages = sequential_adjust(
+            prior, [replace(a, log_periodogram=obs_a), replace(b, log_periodogram=obs_b)],
+            mc_samples=1000, seed=4)
         traces = [np.trace(prior.variance)] + [np.trace(s.variance) for s in stages]
         assert np.all(np.diff(traces) <= 1e-12)
-
-    def test_rejects_length_mismatch(self):
-        prior = PriorSpec(size=4).to_state()
-        a = PeriodogramData.layout("a", 1, 16)
-        with pytest.raises(ValueError):
-            sequential_adjust(prior, [a], [])
 
 
 def assert_close(got, want, rel):
@@ -589,7 +596,9 @@ class TestSequentialAdjustProperties:
         layouts = stacked_layouts(cells)
         rng = np.random.default_rng(seed)
         observed = [rng.standard_normal(len(l.frequencies)) - EULER_GAMMA for l in layouts]
-        final, stages = sequential_adjust(prior, layouts, observed, mc_samples=500, seed=seed)
+        final, stages = sequential_adjust(
+            prior, [replace(l, log_periodogram=o) for l, o in zip(layouts, observed)],
+            mc_samples=500, seed=seed)
         moments = forecast_moments(prior, layouts, 500, seed)
         joint = adjust(prior, moments, np.concatenate(observed))
         assert np.array_equal(final.mean, joint.mean)
@@ -620,8 +629,10 @@ class TestSequentialAdjustProperties:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(beliefs, "forecast_moments", zeroed)
             with pytest.raises(AdjustmentError, match="data variance is not positive definite"):
-                sequential_adjust(PriorSpec(size=6).to_state(), layouts, observed,
-                                  mc_samples=500, seed=0)
+                sequential_adjust(
+                    PriorSpec(size=6).to_state(),
+                    [replace(l, log_periodogram=o) for l, o in zip(layouts, observed)],
+                    mc_samples=500, seed=0)
 
 
 class TestOneFactorisation:
@@ -655,7 +666,8 @@ class TestOneFactorisation:
         monkeypatch.setattr(np.linalg, "inv", inv)
         monkeypatch.setattr(np.linalg, "solve", solve)
         k = sum(len(l.frequencies) for l in layouts)
-        sequential_adjust(prior, layouts, observed, mc_samples=600, seed=0)
+        sequential_adjust(prior, [replace(l, log_periodogram=o) for l, o in zip(layouts, observed)],
+                          mc_samples=600, seed=0)
         assert factored == [(k, k)]
         moments = forecast_moments(prior, layouts, 600, 1)
         adjust(prior, moments, np.concatenate(observed))
@@ -685,7 +697,8 @@ class TestOneFactorisation:
         # the forecast's own eigh of the prior is not a projection
         monkeypatch.setattr(beliefs, "forecast_moments", lambda *args: moments)
         eigh_shapes.clear()
-        sequential_adjust(prior, layouts, observed, mc_samples=600, seed=0)
+        sequential_adjust(prior, [replace(l, log_periodogram=o) for l, o in zip(layouts, observed)],
+                          mc_samples=600, seed=0)
         assert eigh_shapes == [(8, 8)] * len(layouts)
 
 
@@ -699,7 +712,7 @@ class TestLowerInverse:
         cross = rng.standard_normal((rng.integers(1, 40), size))
         moments = ForecastMoments(np.zeros(size), coef.T @ coef + LOG_PGRAM_VARIANCE * np.eye(size),
                                   cross, (("d", size),))
-        factor, inverse = moments.factor, moments.inverse_factor
+        factor, inverse = np.linalg.cholesky(moments.variance), moments.inverse_factor
         assert np.all(inverse[np.triu_indices(size, 1)] == 0.0)
         assert_close(inverse @ factor, np.eye(size), 1e-13)
         assert_close(moments.whitened, np.linalg.solve(factor, cross.T), 1e-12)

@@ -277,6 +277,19 @@ class TestRunBench:
         assert result.failures == 0
         assert np.all(np.isfinite(result.scores))
 
+    def test_three_eigh_per_run(self, monkeypatch):
+        # the forecast's eigh of the prior, the projection of the prior's BeliefState
+        # and the cell's check of its adjusted variance; the truths need no BeliefState
+        shapes, real_eigh = [], np.linalg.eigh
+
+        def eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        run_bench(BenchDesign(d1=(1, 32), d2=(2, 16), replicates=4, seed=9, mc_samples=600))
+        assert shapes == [(32, 32)] * 3
+
     def test_deterministic(self):
         design = BenchDesign(d1=(1, 32), d2=(1, 32), replicates=4,
                              seed=9, mc_samples=600)

@@ -357,6 +357,16 @@ class TestKolmogorov:
         assert value[0] == pytest.approx(2.0, abs=1e-6)
         assert "2" in capsys.readouterr().out
 
+    def test_belief_prints_exp_of_intercept(self, tmp_path, capsys):
+        # the belief's mean log-spectrum, whose cosine terms integrate to 0
+        belief = {"mean": [0.2, 0.1, -0.05], "variance": np.diag([0.4, 0.2, 0.1]).tolist()}
+        write_json(tmp_path / "belief.json", belief)
+        code, out = run(tmp_path, "kolmogorov", {"belief": str(tmp_path / "belief.json")})
+        assert code == 0
+        assert capsys.readouterr().out == "%.17g\n" % np.exp(0.2)
+        _, (value,) = read_csv(out / "kolmogorov.csv")
+        assert value[0] == np.exp(0.2)
+
     @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
     def test_unreadable_belief_is_config_error(self, tmp_path, content):
         path = tmp_path / "belief.json"

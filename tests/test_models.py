@@ -8,6 +8,7 @@ from scipy.fft import irfft
 from scipy.linalg import toeplitz
 
 from mrspec import models
+from mrspec.aliasing import fold
 from mrspec.bench import random_process
 from mrspec.cli import main
 from mrspec.models import (
@@ -29,6 +30,7 @@ from mrspec.models import (
     spectral_density,
     subsample,
 )
+from mrspec.uncertainty import kolmogorov_variance
 
 
 def yule_walker_gamma(phi, sigma2, max_lag):
@@ -148,6 +150,21 @@ class TestSpectralModel:
         assert len(poly) == 13
         assert poly[0] == 1.0 and poly[12] == -0.5
         assert np.all(poly[1:12] == 0)
+
+
+class TestCallableSources:
+    @pytest.mark.parametrize("source", [SpectralModel(ar=(0.5, -0.3), ma=(0.4,)),
+                                        LogSpectrum(np.array([0.3, -1.2, 0.7]))])
+    def test_call_is_density(self, source):
+        omegas = np.linspace(0.0, 0.5, 101)
+        assert source(omegas).tobytes() == source.density(omegas).tobytes()
+
+    @pytest.mark.parametrize("call", [lambda: fold(None, 2, [0.1]),
+                                      lambda: autocovariance(None, 3),
+                                      lambda: kolmogorov_variance(None)])
+    def test_source_that_is_not_callable_raises(self, call):
+        with pytest.raises(TypeError):
+            call()
 
 
 class TestSpectralDensity:
